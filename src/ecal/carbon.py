@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence, TextIO
 
-from .lifecycle import Scenario, development_energy, inference_phase_energy
-from .units import CarbonIntensity, Energy, joules_to_kwh
+from .lifecycle import Scenario, _at, _price
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, joules_to_kwh
 
 __all__ = [
     "CiTableError",
@@ -164,23 +164,25 @@ def cf_vs_gamma(
     else:
         chosen = list(records)
     chosen.sort(key=lambda r: (-r.intensity.grams_co2e_per_kwh, r.country_code))
-    e_d, _ = development_energy(s)
-    e_inf_p, _ = inference_phase_energy(s)
+    p = _price(s)
+    dev_kwh = p.development / JOULES_PER_KWH
+    request_kwh = p.request / JOULES_PER_KWH
+    intensities = [(record, record.intensity.grams_co2e_per_kwh) for record in chosen]
     rows = []
     for gamma in gammas:
         if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
             raise ValueError(f"gamma values must be integers >= 1, got {gamma!r}")
-        total = Energy(e_d.joules + gamma * e_inf_p.joules)
-        for record in chosen:
+        total_kwh = _at(p, gamma)[0] / JOULES_PER_KWH
+        for record, ci in intensities:
             rows.append(
                 CarbonReportRow(
                     gamma=gamma,
                     country_code=record.country_code,
                     country_name=record.country_name,
                     intensity=record.intensity,
-                    cf_development_g=carbon_footprint(e_d, record.intensity),
-                    cf_inference_g=carbon_footprint(e_inf_p, record.intensity),
-                    cf_total_g=carbon_footprint(total, record.intensity),
+                    cf_development_g=dev_kwh * ci,
+                    cf_inference_g=request_kwh * ci,
+                    cf_total_g=total_kwh * ci,
                 )
             )
     return CarbonReport(tuple(rows))

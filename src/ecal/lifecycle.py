@@ -15,6 +15,7 @@ eCAL is lifecycle energy over lifecycle bits:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,26 +23,12 @@ from .mlp_cost import (
     DEFAULT_PROCESSING_UNIT,
     MlpArchitecture,
     ProcessingUnitProfile,
-    inference_energy,
-    make_split,
-    training_energy,
-    evaluation_energy,
+    forward_flops,
 )
-from .preprocessing import (
-    StandardizationMethod,
-    preprocessing_energy,
-    preprocessing_flops,
-)
-from .storage import HDD, StorageProfile, storage_energy
-from .transmission import (
-    BLE5,
-    PayloadSpec,
-    TechnologyProfile,
-    payload_bits,
-    transmission_energy,
-    transmitted_bits,
-)
-from .units import BitCount, Energy, EnergyPerBit
+from .preprocessing import StandardizationMethod, preprocessing_flops
+from .storage import HDD, StorageProfile
+from .transmission import BLE5, PayloadSpec, TechnologyProfile, packet_count
+from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
 
 __all__ = [
     "Scenario",
@@ -77,6 +64,11 @@ class Scenario:
     countries: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for label in ("epochs", "inference_batch", "gamma", "invalid_samples",
+                      "inference_invalid_samples"):
+            value = getattr(self, label)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{label} must be an integer, got {value!r}")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError(f"train_fraction must be in (0, 1], got {self.train_fraction!r}")
         if self.epochs < 1:
@@ -116,100 +108,110 @@ def default_scenario(gamma: int = 1000) -> Scenario:
     )
 
 
-class _CollectionCosts(NamedTuple):
-    b_t: BitCount
-    transmission: Energy
-    storage: Energy
-    preprocessing: Energy
+class _Lifecycle(NamedTuple):
+    """One scenario priced in plain joules and bits: the itemized development
+    terms, one request's terms, and the bits each phase is amortized over."""
 
-
-def _collection_costs(s: Scenario, sample_count: int, invalid: int) -> _CollectionCosts:
-    """Transmission, storage, and preprocessing cost of one dataset collection."""
-    spec = PayloadSpec(s.payload.bits_per_sample, sample_count)
-    b_t = transmitted_bits(s.technology, spec)
-    e_transmission = transmission_energy(s.technology, b_t)
-    e_storage = storage_energy(s.storage, payload_bits(spec))
-    flops = preprocessing_flops(s.standardization, sample_count, invalid)
-    _, e_preprocessing = preprocessing_energy(s.processing_unit, flops)
-    return _CollectionCosts(b_t, e_transmission, e_storage, e_preprocessing)
-
-
-class _DevelopmentBreakdown(NamedTuple):
-    b_t: BitCount
-    transmission: Energy
-    storage: Energy
-    preprocessing: Energy
-    training: Energy
-    training_per_bit: EnergyPerBit
-    evaluation: Energy
-    total: Energy
-    denominator_bits: BitCount
+    transmission: float
+    storage: float
+    preprocessing: float
+    training: float
+    training_per_bit: float
+    evaluation: float
+    development: float
+    development_bits: int
+    development_b_t: int
     train_count: int
-    eval_count: int
+    inference: float
+    request: float
+    request_bits: int
+    request_b_t: int
 
 
-def _development(s: Scenario) -> _DevelopmentBreakdown:
-    collection = _collection_costs(s, s.payload.sample_count, s.invalid_samples)
-    split = make_split(s.payload.sample_count, s.train_fraction)
-    e_train, e_train_b = training_energy(
-        s.architecture, s.epochs, split.train_count, s.processing_unit, s.payload.bits_per_sample
-    )
-    e_eval, _ = evaluation_energy(
-        s.architecture, split.eval_count, s.processing_unit, s.payload.bits_per_sample
-    )
-    total = (
-        collection.transmission
-        + collection.storage
-        + collection.preprocessing
-        + e_train
-        + e_eval
-    )
-    denominator = BitCount(
-        collection.b_t.bits
-        + s.payload.bits_per_sample
-        * (2 * s.payload.sample_count + split.train_count + split.eval_count)
-    )
-    return _DevelopmentBreakdown(
-        collection.b_t,
-        collection.transmission,
-        collection.storage,
-        collection.preprocessing,
-        e_train,
-        e_train_b,
-        e_eval,
-        total,
-        denominator,
-        split.train_count,
-        split.eval_count,
+def _collection(s: Scenario, spec: PayloadSpec, invalid: int) -> tuple[int, float, float, float]:
+    """Transmitted bits and the transmission, storage, and preprocessing
+    joules of collecting ``spec`` once."""
+    tech = s.technology
+    pu = s.processing_unit
+    payload = spec.bits_per_sample * spec.sample_count
+    b_t = payload + tech.packet_overhead.bits * packet_count(tech, spec)
+    e_t = tech.transmit_power.watts / tech.transmit_rate.bits_per_second * b_t
+    e_storage = s.storage.wh_per_terabyte * JOULES_PER_WH / BITS_PER_TERABYTE * payload
+    flops = preprocessing_flops(s.standardization, spec.sample_count, invalid).flops
+    e_pre = pu.preprocessing_power.watts * (flops / pu.preprocessing_flops_per_s)
+    return b_t, e_t, e_storage, e_pre
+
+
+def _price(s: Scenario) -> _Lifecycle:
+    """Price both phases of ``s`` once, in the operation order of the
+    per-module equations, so every figure matches them bit for bit.
+
+    Raises ValueError when a count is beyond floating-point range or the
+    energy of development plus one request is not finite; every term is
+    non-negative, so a finite sum means finite terms.
+    """
+    bits_per_sample = s.payload.bits_per_sample
+    n = s.payload.sample_count
+    batch = s.inference_batch
+    fpj = s.processing_unit.flops_per_joule
+    fwd = forward_flops(s.architecture).flops
+    request_spec = PayloadSpec(bits_per_sample, batch)
+    try:
+        b_t, e_t, e_storage, e_pre = _collection(s, s.payload, s.invalid_samples)
+        train_count = math.floor(s.train_fraction * n)
+        eval_count = n - train_count
+        e_train = 3 * (s.epochs * train_count * fwd) / fpj
+        e_eval = fwd * eval_count / fpj
+        development = e_t + e_storage + e_pre + e_train + e_eval
+
+        req_b_t, req_t, req_storage, req_pre = _collection(
+            s, request_spec, s.inference_invalid_samples
+        )
+        e_inf = fwd * batch / fpj
+        request = req_t + req_storage + req_pre + e_inf
+        training_per_bit = 3 * fwd / (bits_per_sample * fpj)
+    except OverflowError:
+        raise ValueError(
+            "scenario is too large to price: a count exceeds the floating-point range"
+        ) from None
+    if not math.isfinite(development + request):
+        raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
+                         f"one request {request!r} J")
+
+    return _Lifecycle(
+        transmission=e_t,
+        storage=e_storage,
+        preprocessing=e_pre,
+        training=e_train,
+        training_per_bit=training_per_bit,
+        evaluation=e_eval,
+        development=development,
+        development_bits=b_t + bits_per_sample * (2 * n + train_count + eval_count),
+        development_b_t=b_t,
+        train_count=train_count,
+        inference=e_inf,
+        request=request,
+        request_bits=req_b_t + 3 * bits_per_sample * batch,
+        request_b_t=req_b_t,
     )
 
 
-class _InferencePhaseBreakdown(NamedTuple):
-    b_t: BitCount
-    transmission: Energy
-    storage: Energy
-    preprocessing: Energy
-    inference: Energy
-    total: Energy
-    denominator_bits: BitCount
+def _at(p: _Lifecycle, gamma: int) -> tuple[float, float]:
+    """Lifecycle joules and bits after ``gamma`` requests.
 
-
-def _inference_phase(s: Scenario) -> _InferencePhaseBreakdown:
-    collection = _collection_costs(s, s.inference_batch, s.inference_invalid_samples)
-    e_inf = inference_energy(s.architecture, s.inference_batch, s.processing_unit)
-    total = collection.transmission + collection.storage + collection.preprocessing + e_inf
-    denominator = BitCount(
-        collection.b_t.bits + 3 * s.payload.bits_per_sample * s.inference_batch
-    )
-    return _InferencePhaseBreakdown(
-        collection.b_t,
-        collection.transmission,
-        collection.storage,
-        collection.preprocessing,
-        e_inf,
-        total,
-        denominator,
-    )
+    Raises ValueError when either leaves the floating-point range.
+    """
+    try:
+        joules = p.development + gamma * p.request
+        bits = float(p.development_bits + gamma * p.request_bits)
+    except OverflowError:
+        joules = math.inf
+    if joules == math.inf:
+        raise ValueError(
+            f"gamma is too large to price: lifecycle energy or bits exceed the "
+            f"floating-point range (gamma has {gamma.bit_length()} bits)"
+        )
+    return joules, bits
 
 
 def development_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
@@ -219,10 +221,8 @@ def development_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
     payload bits handled by storage and preprocessing (twice the dataset)
     plus the training and evaluation samples.
     """
-    dev = _development(s)
-    if dev.denominator_bits.bits == 0:
-        raise ValueError("per-bit development energy is undefined for an empty scenario")
-    return dev.total, EnergyPerBit(dev.total.joules / dev.denominator_bits.bits)
+    p = _price(s)
+    return Energy(p.development), EnergyPerBit(p.development / p.development_bits)
 
 
 def inference_phase_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
@@ -231,15 +231,13 @@ def inference_phase_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
     A request re-prices transmission, storage, and preprocessing for its
     own ``inference_batch`` samples, then adds the forward-pass energy.
     """
-    phase = _inference_phase(s)
-    return phase.total, EnergyPerBit(phase.total.joules / phase.denominator_bits.bits)
+    p = _price(s)
+    return Energy(p.request), EnergyPerBit(p.request / p.request_bits)
 
 
 def ecal_abs(s: Scenario) -> Energy:
     """Absolute lifecycle energy: development plus gamma inference requests."""
-    e_d, _ = development_energy(s)
-    e_inf_p, _ = inference_phase_energy(s)
-    return Energy(e_d.joules + s.gamma * e_inf_p.joules)
+    return Energy(_at(_price(s), s.gamma)[0])
 
 
 def ecal_abs_mean(s: Scenario) -> Energy:
@@ -248,16 +246,13 @@ def ecal_abs_mean(s: Scenario) -> Energy:
     Strictly decreasing in gamma, approaching the per-request energy as the
     development cost is spread over more requests.
     """
-    return Energy(ecal_abs(s).joules / s.gamma)
+    return Energy(_at(_price(s), s.gamma)[0] / s.gamma)
 
 
 def ecal(s: Scenario) -> EnergyPerBit:
     """Lifecycle energy per manipulated application-level bit."""
-    dev = _development(s)
-    phase = _inference_phase(s)
-    total_j = dev.total.joules + s.gamma * phase.total.joules
-    total_bits = dev.denominator_bits.bits + s.gamma * phase.denominator_bits.bits
-    return EnergyPerBit(total_j / total_bits)
+    joules, bits = _at(_price(s), s.gamma)
+    return EnergyPerBit(joules / bits)
 
 
 class GammaRow(NamedTuple):
@@ -274,18 +269,16 @@ def gamma_sweep(s: Scenario, gammas: Sequence[int]) -> list[GammaRow]:
 
     Rows are independent and returned in input order.
     """
-    dev = _development(s)
-    phase = _inference_phase(s)
+    p = _price(s)
     rows = []
     for gamma in gammas:
         if isinstance(gamma, bool) or not isinstance(gamma, int):
             raise TypeError(f"gamma values must be integers, got {gamma!r}")
         if gamma < 1:
             raise ValueError(f"gamma values must be >= 1, got {gamma}")
-        abs_j = dev.total.joules + gamma * phase.total.joules
-        bits = dev.denominator_bits.bits + gamma * phase.denominator_bits.bits
+        joules, bits = _at(p, gamma)
         rows.append(
-            GammaRow(gamma, Energy(abs_j), Energy(abs_j / gamma), EnergyPerBit(abs_j / bits))
+            GammaRow(gamma, Energy(joules), Energy(joules / gamma), EnergyPerBit(joules / bits))
         )
     return rows
 
@@ -323,34 +316,31 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
     ``training_per_trained_bit`` divides the absolute training energy by the
     bits actually pushed through training, so it carries the epoch factor.
     """
-    dev = _development(s)
-    phase = _inference_phase(s)
+    p = _price(s)
     gamma = s.gamma
-    abs_j = dev.total.joules + gamma * phase.total.joules
-    lifecycle_bits = dev.denominator_bits.bits + gamma * phase.denominator_bits.bits
-    trained_bits = s.payload.bits_per_sample * dev.train_count
-    per_trained_bit = (
-        EnergyPerBit(dev.training.joules / trained_bits) if trained_bits else EnergyPerBit(0.0)
-    )
+    joules, bits = _at(p, gamma)
+    trained_bits = s.payload.bits_per_sample * p.train_count
     return LifecycleReport(
         gamma=gamma,
-        transmission=dev.transmission,
-        storage=dev.storage,
-        preprocessing=dev.preprocessing,
-        training=dev.training,
-        evaluation=dev.evaluation,
-        inference=phase.inference,
-        development=dev.total,
-        development_per_bit=EnergyPerBit(dev.total.joules / dev.denominator_bits.bits),
-        training_per_bit=dev.training_per_bit,
-        training_per_trained_bit=per_trained_bit,
-        inference_phase=phase.total,
-        inference_phase_per_bit=EnergyPerBit(phase.total.joules / phase.denominator_bits.bits),
-        ecal_abs=Energy(abs_j),
-        ecal_abs_mean=Energy(abs_j / gamma),
-        ecal=EnergyPerBit(abs_j / lifecycle_bits),
-        transmitted_bits_development=dev.b_t,
-        development_denominator_bits=dev.denominator_bits,
-        transmitted_bits_inference=phase.b_t,
-        inference_denominator_bits=phase.denominator_bits,
+        transmission=Energy(p.transmission),
+        storage=Energy(p.storage),
+        preprocessing=Energy(p.preprocessing),
+        training=Energy(p.training),
+        evaluation=Energy(p.evaluation),
+        inference=Energy(p.inference),
+        development=Energy(p.development),
+        development_per_bit=EnergyPerBit(p.development / p.development_bits),
+        training_per_bit=EnergyPerBit(p.training_per_bit),
+        training_per_trained_bit=EnergyPerBit(
+            p.training / trained_bits if trained_bits else 0.0
+        ),
+        inference_phase=Energy(p.request),
+        inference_phase_per_bit=EnergyPerBit(p.request / p.request_bits),
+        ecal_abs=Energy(joules),
+        ecal_abs_mean=Energy(joules / gamma),
+        ecal=EnergyPerBit(joules / bits),
+        transmitted_bits_development=BitCount(p.development_b_t),
+        development_denominator_bits=BitCount(p.development_bits),
+        transmitted_bits_inference=BitCount(p.request_b_t),
+        inference_denominator_bits=BitCount(p.request_bits),
     )

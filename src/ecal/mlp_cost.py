@@ -80,10 +80,10 @@ class ProcessingUnitProfile:
     def __post_init__(self) -> None:
         if not self.preprocessing_power.watts > 0:
             raise ValueError("preprocessing_power must be positive")
-        if not self.preprocessing_flops_per_s > 0:
-            raise ValueError("preprocessing_flops_per_s must be positive")
-        if not self.flops_per_joule > 0:
-            raise ValueError("flops_per_joule must be positive")
+        if not 0 < self.preprocessing_flops_per_s < math.inf:
+            raise ValueError("preprocessing_flops_per_s must be positive and finite")
+        if not 0 < self.flops_per_joule < math.inf:
+            raise ValueError("flops_per_joule must be positive and finite")
 
 
 DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(

@@ -144,6 +144,16 @@ def _get_real(mapping: dict, key: str, path: str, *, default: float | None = Non
     return value
 
 
+def _request_count(value: int, path: str) -> int:
+    """Reject a request count the model's float arithmetic cannot take."""
+    try:
+        float(value)
+    except OverflowError:
+        raise _fail(path, f"too large for floating-point arithmetic "
+                          f"({value.bit_length()}-bit integer)") from None
+    return value
+
+
 def _parse_technology(value: Any, path: str) -> TechnologyProfile:
     if isinstance(value, str):
         profile = BUILTIN_TECHNOLOGIES.get(value)
@@ -270,7 +280,8 @@ def _parse_sweeps(value: Any, path: str) -> Sweeps:
         overhead = tuple(values)
 
     return Sweeps(
-        gamma=int_list("gamma", 1),
+        gamma=tuple(_request_count(gamma, f"{path}.gamma[{index}]")
+                    for index, gamma in enumerate(int_list("gamma", 1))),
         overhead_pct=overhead,
         invalid_samples=int_list("invalid_samples", 0),
     )
@@ -333,7 +344,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     inference_invalid = _get_int(mapping, "inference_invalid_samples",
                                  "inference_invalid_samples", default=0,
                                  minimum=0, maximum=inference_batch)
-    gamma = _get_int(mapping, "gamma", "gamma", minimum=1)
+    gamma = _request_count(_get_int(mapping, "gamma", "gamma", minimum=1), "gamma")
     pu = (_parse_processing_unit(mapping["processing_unit"], "processing_unit")
           if "processing_unit" in mapping else DEFAULT_PROCESSING_UNIT)
     countries = (_parse_countries(mapping["countries"], "countries")
@@ -442,21 +453,14 @@ class ReportTable:
                 )
 
     def to_csv(self) -> str:
-        """Render as CSV: header first, LF endings, full-precision numbers."""
+        """Render as CSV: header first, LF endings, full-precision numbers
+        (``str`` of a float is its shortest round-tripping repr)."""
         lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(",".join(_format_cell(cell) for cell in row))
+            if bool in map(type, row):
+                raise TypeError("boolean cells are not supported in reports")
+            lines.append(",".join(map(str, row)))
         return "\n".join(lines) + "\n"
-
-
-def _format_cell(cell: Any) -> str:
-    if isinstance(cell, bool):
-        raise TypeError("boolean cells are not supported in reports")
-    if isinstance(cell, float):
-        return repr(cell)
-    if isinstance(cell, int):
-        return str(cell)
-    return str(cell)
 
 
 def write_report(table: ReportTable, destination: str | os.PathLike | TextIO) -> int:

@@ -157,7 +157,7 @@ def packet_count(profile: TechnologyProfile, spec: PayloadSpec) -> int:
     packets to capacity (rounding up), unless the profile pins the count
     via ``packets_override``.
     """
-    payload = payload_bits(spec).bits
+    payload = spec.bits_per_sample * spec.sample_count
     if payload == 0:
         return 0
     needed = -(-payload // profile.packet_capacity.bits)

@@ -164,6 +164,26 @@ def test_invalid_scenario_contents_exit_1(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
+    huge = "1" + "0" * 400
+    assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge}"]) == 1
+    assert capsys.readouterr().err.startswith("ecal: error: gamma is too large")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(MINIMAL_SCENARIO).replace('"gamma": 1000', f'"gamma": {huge}'),
+                    encoding="utf-8")
+    for command in ("lifecycle", "carbon"):
+        assert run([command, "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ecal: error: gamma: too large")
+
+
+def test_preprocess_rejects_infinite_processing_rate(capsys):
+    assert run(["preprocess", "--method", "minmax", "--samples", "256",
+                "--flops-per-s", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "preprocessing_flops_per_s must be positive and finite" in captured.err
+
+
 def test_unknown_tech_exits_1(capsys):
     assert run(["transmit", "--tech", "wifi", "--samples", "1"]) == 1
 

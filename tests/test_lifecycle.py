@@ -2,7 +2,9 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ecal.carbon import bundled_ci_table, carbon_footprint, cf_vs_gamma
 from ecal.lifecycle import (
     Scenario,
     default_scenario,
@@ -16,9 +18,9 @@ from ecal.lifecycle import (
 )
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from ecal.preprocessing import StandardizationMethod
-from ecal.storage import SSD
-from ecal.transmission import PayloadSpec, ZIGBEE
-from ecal.units import Power
+from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile
+from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
+from ecal.units import BitCount, BitRate, Power
 
 
 def spreadsheet_oracle(
@@ -405,3 +407,111 @@ def test_report_training_per_bit_columns():
         report.training_per_trained_bit.joules_per_bit
         == pytest.approx(10 * report.training_per_bit.joules_per_bit, rel=1e-12)
     )
+
+
+def test_scenario_counts_must_be_integers():
+    s = default_scenario()
+    for field in ("epochs", "inference_batch", "gamma", "invalid_samples",
+                  "inference_invalid_samples"):
+        with pytest.raises(TypeError, match=field):
+            replace(s, **{field: 2.0})
+        with pytest.raises(TypeError, match=field):
+            replace(s, **{field: True})
+
+
+HUGE = 10**400  # beyond the float range
+
+
+def test_gamma_beyond_float_range_is_a_value_error():
+    s = default_scenario()
+    huge = replace(s, gamma=HUGE)
+    for metric in (ecal_abs, ecal_abs_mean, ecal, lifecycle_report):
+        with pytest.raises(ValueError, match="gamma is too large"):
+            metric(huge)
+    with pytest.raises(ValueError, match="gamma is too large"):
+        gamma_sweep(s, [1, HUGE])
+    with pytest.raises(ValueError, match="gamma is too large"):
+        cf_vs_gamma(s, bundled_ci_table(), [1, HUGE])
+    # Representable, but the lifecycle bits are not.
+    with pytest.raises(ValueError, match="gamma is too large"):
+        gamma_sweep(s, [10**308])
+
+
+def test_counts_beyond_float_range_are_value_errors():
+    s = default_scenario()
+    for variant in (
+        replace(s, payload=PayloadSpec(64, HUGE)),
+        replace(s, architecture=MlpArchitecture((6, HUGE, 3))),
+    ):
+        with pytest.raises(ValueError, match="too large to price"):
+            lifecycle_report(variant)
+
+
+def test_non_finite_phase_energy_is_a_value_error():
+    s = default_scenario()
+    with pytest.raises(ValueError, match="lifecycle energy is not finite"):
+        development_energy(replace(s, storage=StorageProfile("inf", math.inf)))
+    tiny = replace(s, processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 5e-324))
+    with pytest.raises(ValueError, match="not finite"):
+        inference_phase_energy(tiny)
+
+
+@st.composite
+def scenarios(draw):
+    bits_per_sample = draw(st.sampled_from([16, 32, 64]))
+    samples = draw(st.integers(1, 1024))
+    batch = draw(st.integers(1, 200))
+    builtin_radio = draw(st.booleans())
+    if builtin_radio:
+        technology = BUILTIN_TECHNOLOGIES[draw(st.sampled_from(["ble5", "zigbee"]))]
+    else:
+        f_u = draw(st.integers(256, 4096))
+        needed = -(-bits_per_sample * max(samples, batch) // f_u)
+        override = draw(st.one_of(st.none(), st.integers(needed, needed + 3)))
+        technology = TechnologyProfile(
+            "inline", BitCount(f_u), BitCount(draw(st.integers(0, 2000))),
+            Power(draw(st.floats(1e-3, 0.2))), BitRate(draw(st.floats(1e3, 2e6))),
+            packets_override=override,
+        )
+    if draw(st.booleans()):
+        storage = BUILTIN_STORAGE[draw(st.sampled_from(["hdd", "ssd"]))]
+    else:
+        storage = StorageProfile("inline", draw(st.floats(0.1, 5.0)))
+    hidden = draw(st.lists(st.integers(1, 32), min_size=1, max_size=6))
+    layers = (draw(st.integers(2, 16)), *hidden, draw(st.integers(1, 8)))
+    return Scenario(
+        payload=PayloadSpec(bits_per_sample, samples),
+        technology=technology,
+        storage=storage,
+        standardization=draw(st.sampled_from(list(StandardizationMethod))),
+        train_fraction=draw(st.floats(0.05, 1.0)),
+        epochs=draw(st.integers(1, 30)),
+        architecture=MlpArchitecture(layers),
+        inference_batch=batch,
+        gamma=draw(st.integers(1, 10**6)),
+        processing_unit=ProcessingUnitProfile(
+            Power(draw(st.floats(1.0, 300.0))),
+            draw(st.floats(1e8, 1e11)),
+            draw(st.floats(1e6, 1e10)),
+        ),
+        invalid_samples=draw(st.integers(0, samples - 1)),
+        inference_invalid_samples=draw(st.integers(0, batch - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_every_metric_agrees_exactly_with_the_report(s):
+    report = lifecycle_report(s)
+    (row,) = gamma_sweep(s, [s.gamma])
+    assert row.ecal_abs == report.ecal_abs == ecal_abs(s)
+    assert row.ecal_abs_mean == report.ecal_abs_mean == ecal_abs_mean(s)
+    assert row.ecal == report.ecal == ecal(s)
+    assert development_energy(s) == (report.development, report.development_per_bit)
+    assert inference_phase_energy(s) == (report.inference_phase, report.inference_phase_per_bit)
+    cf = cf_vs_gamma(s, bundled_ci_table(), [s.gamma])
+    assert cf.rows
+    for cf_row in cf.rows:
+        assert cf_row.cf_total_g == carbon_footprint(report.ecal_abs, cf_row.intensity)
+        assert cf_row.cf_development_g == carbon_footprint(report.development, cf_row.intensity)
+        assert cf_row.cf_inference_g == carbon_footprint(report.inference_phase, cf_row.intensity)

@@ -6,6 +6,7 @@ import pytest
 from ecal.mlp_cost import (
     DEFAULT_PROCESSING_UNIT,
     MlpArchitecture,
+    ProcessingUnitProfile,
     evaluation_energy,
     forward_flops,
     forward_pass_energy_per_bit,
@@ -18,7 +19,7 @@ from ecal.mlp_cost import (
     uniform_architecture,
 )
 from ecal.transmission import BLE5, PayloadSpec, transmission_energy, transmitted_bits
-from ecal.units import FlopCount
+from ecal.units import FlopCount, Power
 
 REFERENCE_ARCH = MlpArchitecture((6, 5, 5, 5, 3))
 
@@ -202,3 +203,10 @@ def test_training_per_bit_is_three_forward_passes_per_bit():
     _, e_train_b = training_energy(REFERENCE_ARCH, 10, 179, pu, 64)
     single = forward_pass_energy_per_bit(REFERENCE_ARCH, pu, 64)
     assert e_train_b.joules_per_bit == pytest.approx(3 * single.joules_per_bit, rel=1e-15)
+
+
+@pytest.mark.parametrize("flops_per_s, flops_per_joule",
+                         [(math.inf, 1e8), (1e10, math.inf), (math.nan, 1e8), (1e10, 0.0)])
+def test_processing_unit_rates_must_be_positive_and_finite(flops_per_s, flops_per_joule):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ProcessingUnitProfile(Power(140.0), flops_per_s, flops_per_joule)

@@ -3,6 +3,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ecal.lifecycle import default_scenario
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, ProcessingUnitProfile
@@ -155,6 +156,14 @@ def test_sweep_blocks():
         parse_scenario(_doc_with(sweeps={"overhead_pct": [120]}))
 
 
+def test_gamma_beyond_float_range_names_the_field():
+    huge = 10**400
+    with pytest.raises(ScenarioError, match=r"^gamma: too large"):
+        parse_scenario(_doc_with(gamma=huge))
+    with pytest.raises(ScenarioError, match=r"^sweeps.gamma\[1\]: too large"):
+        parse_scenario(_doc_with(sweeps={"gamma": [10, huge]}))
+
+
 def test_round_trip_default_document():
     doc = parse_scenario(MINIMAL_DOC)
     assert parse_scenario(serialize_scenario(doc)) == doc
@@ -218,6 +227,43 @@ def test_table_rendering_is_deterministic_and_precise():
     assert "3.141592653589793" in first  # full round-trip precision
     assert first.endswith("\n")
     assert "\r" not in first
+
+
+def _reference_cell(cell):
+    """Per-cell formatting the CSV writer must reproduce byte for byte."""
+    if isinstance(cell, bool):
+        raise TypeError("boolean cells are not supported in reports")
+    return repr(cell) if isinstance(cell, float) else str(cell)
+
+
+def test_table_renders_mixed_cells_like_the_per_cell_formatter():
+    rows = (
+        ("a", 1e-05, 0.1, -0.0, 10**30),
+        ("b", 1.5e300, 7, -3, 2.5),
+        ("c", 0.0, float(2**60), -(10**25), "x y"),
+    )
+    table = ReportTable(("name", "p", "q", "r", "s"), rows)
+    assert table.to_csv() == (
+        "name,p,q,r,s\n"
+        "a,1e-05,0.1,-0.0,1000000000000000000000000000000\n"
+        "b,1.5e+300,7,-3,2.5\n"
+        "c,0.0,1.152921504606847e+18,-10000000000000000000000000,x y\n"
+    )
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False), st.integers(), st.text(
+    alphabet=st.characters(blacklist_characters=",\n\r"), max_size=5))))
+def test_table_rendering_matches_the_per_cell_formatter(rows):
+    expected = "a,b,c\n" + "".join(
+        ",".join(_reference_cell(cell) for cell in row) + "\n" for row in rows
+    )
+    assert ReportTable(("a", "b", "c"), rows).to_csv() == expected
+
+
+def test_boolean_cells_are_rejected():
+    for row in ((True, 1.0), (1, False)):
+        with pytest.raises(TypeError, match="boolean"):
+            ReportTable(("a", "b"), (row,)).to_csv()
 
 
 def test_write_report_to_path_returns_bytes_written(tmp_path):
