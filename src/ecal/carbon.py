@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Iterable, Sequence, TextIO
 
 from .lifecycle import Scenario, _at, _price
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, joules_to_kwh
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, joules_to_kwh
 
 __all__ = [
     "CiTableError",
@@ -170,8 +170,7 @@ def cf_vs_gamma(
     intensities = [(record, record.intensity.grams_co2e_per_kwh) for record in chosen]
     rows = []
     for gamma in gammas:
-        if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
-            raise ValueError(f"gamma values must be integers >= 1, got {gamma!r}")
+        _checked_count(gamma, "gamma", 1)
         total_kwh = _at(p, gamma)[0] / JOULES_PER_KWH
         for record, ci in intensities:
             rows.append(

@@ -29,6 +29,7 @@ from .preprocessing import StandardizationMethod, preprocessing_flops
 from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, packet_count
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
+from .units import _checked_count, _checked_real
 
 __all__ = [
     "Scenario",
@@ -64,29 +65,14 @@ class Scenario:
     countries: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for label in ("epochs", "inference_batch", "gamma", "invalid_samples",
-                      "inference_invalid_samples"):
-            value = getattr(self, label)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{label} must be an integer, got {value!r}")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1], got {self.train_fraction!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.inference_batch < 1:
-            raise ValueError(f"inference_batch must be >= 1, got {self.inference_batch}")
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not 0 <= self.invalid_samples <= self.payload.sample_count:
-            raise ValueError(
-                f"invalid_samples must be in [0, {self.payload.sample_count}], "
-                f"got {self.invalid_samples}"
-            )
-        if not 0 <= self.inference_invalid_samples <= self.inference_batch:
-            raise ValueError(
-                f"inference_invalid_samples must be in [0, {self.inference_batch}], "
-                f"got {self.inference_invalid_samples}"
-            )
+        _checked_count(self.invalid_samples, "invalid_samples", 0, self.payload.sample_count)
+        object.__setattr__(self, "train_fraction", _checked_real(
+            self.train_fraction, "train_fraction", positive=True, maximum=1.0))
+        _checked_count(self.epochs, "epochs", 1)
+        _checked_count(self.inference_batch, "inference_batch", 1)
+        _checked_count(self.inference_invalid_samples, "inference_invalid_samples",
+                       0, self.inference_batch)
+        _checked_count(self.gamma, "gamma", 1)
         object.__setattr__(self, "countries", tuple(self.countries))
 
 
@@ -272,10 +258,7 @@ def gamma_sweep(s: Scenario, gammas: Sequence[int]) -> list[GammaRow]:
     p = _price(s)
     rows = []
     for gamma in gammas:
-        if isinstance(gamma, bool) or not isinstance(gamma, int):
-            raise TypeError(f"gamma values must be integers, got {gamma!r}")
-        if gamma < 1:
-            raise ValueError(f"gamma values must be >= 1, got {gamma}")
+        _checked_count(gamma, "gamma", 1)
         joules, bits = _at(p, gamma)
         rows.append(
             GammaRow(gamma, Energy(joules), Energy(joules / gamma), EnergyPerBit(joules / bits))

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import Energy, EnergyPerBit, FlopCount, Power
+from .units import Energy, EnergyPerBit, FieldError, FlopCount, Power
+from .units import _checked_count, _checked_real
 
 __all__ = [
     "MlpArchitecture",
@@ -50,12 +51,10 @@ class MlpArchitecture:
         sizes = tuple(self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
-            raise ValueError("an MLP needs at least an input and an output layer")
-        for width in sizes:
-            if isinstance(width, bool) or not isinstance(width, int):
-                raise TypeError("layer widths must be integers")
-            if width < 1:
-                raise ValueError(f"layer widths must be >= 1, got {width}")
+            raise FieldError("layer_sizes", "must list at least an input and an output "
+                                            f"layer, got {len(sizes)} layer(s)")
+        for index, width in enumerate(sizes):
+            _checked_count(width, f"layer_sizes[{index}]", 1)
 
     @property
     def hidden_layers(self) -> int:
@@ -78,12 +77,9 @@ class ProcessingUnitProfile:
     flops_per_joule: float
 
     def __post_init__(self) -> None:
-        if not self.preprocessing_power.watts > 0:
-            raise ValueError("preprocessing_power must be positive")
-        if not 0 < self.preprocessing_flops_per_s < math.inf:
-            raise ValueError("preprocessing_flops_per_s must be positive and finite")
-        if not 0 < self.flops_per_joule < math.inf:
-            raise ValueError("flops_per_joule must be positive and finite")
+        _checked_real(self.preprocessing_power.watts, "preprocessing_power", positive=True)
+        for rate in ("preprocessing_flops_per_s", "flops_per_joule"):
+            object.__setattr__(self, rate, _checked_real(getattr(self, rate), rate, positive=True))
 
 
 DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(
@@ -106,23 +102,11 @@ class TrainSplit:
     train_count: int
     eval_count: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1], got {self.train_fraction!r}")
-        if self.train_count != math.floor(self.train_fraction * self.sample_count):
-            raise ValueError("train_count must equal floor(train_fraction * sample_count)")
-        if self.train_count + self.eval_count != self.sample_count:
-            raise ValueError("train_count + eval_count must equal sample_count")
-
 
 def make_split(sample_count: int, train_fraction: float) -> TrainSplit:
     """Split ``sample_count`` samples by ``train_fraction``, flooring the training side."""
-    if isinstance(sample_count, bool) or not isinstance(sample_count, int):
-        raise TypeError("sample_count must be an integer")
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
-    if not 0.0 < train_fraction <= 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction!r}")
+    _checked_count(sample_count, "sample_count")
+    train_fraction = _checked_real(train_fraction, "train_fraction", positive=True, maximum=1.0)
     train_count = math.floor(train_fraction * sample_count)
     return TrainSplit(sample_count, train_fraction, train_count, sample_count - train_count)
 
@@ -148,14 +132,8 @@ def forward_flops(arch: MlpArchitecture) -> FlopCount:
 
 def training_forward_flops(arch: MlpArchitecture, n_epochs: int, n_train: int) -> FlopCount:
     """Forward-pass FLOPs over a whole training run: epochs * samples * per-pass cost."""
-    if isinstance(n_epochs, bool) or not isinstance(n_epochs, int):
-        raise TypeError("n_epochs must be an integer")
-    if n_epochs < 1:
-        raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
-    if isinstance(n_train, bool) or not isinstance(n_train, int):
-        raise TypeError("n_train must be an integer")
-    if n_train < 0:
-        raise ValueError(f"n_train must be >= 0, got {n_train}")
+    _checked_count(n_epochs, "n_epochs", 1)
+    _checked_count(n_train, "n_train")
     return FlopCount(n_epochs * n_train * forward_flops(arch).flops)
 
 
@@ -193,10 +171,7 @@ def evaluation_energy(
     bits_per_sample: int,
 ) -> tuple[Energy, EnergyPerBit]:
     """Energy of evaluating ``n_eval`` samples (forward passes only) and its per-bit cost."""
-    if isinstance(n_eval, bool) or not isinstance(n_eval, int):
-        raise TypeError("n_eval must be an integer")
-    if n_eval < 0:
-        raise ValueError(f"n_eval must be >= 0, got {n_eval}")
+    _checked_count(n_eval, "n_eval")
     energy = Energy(forward_flops(arch).flops * n_eval / pu.flops_per_joule)
     return energy, forward_pass_energy_per_bit(arch, pu, bits_per_sample)
 
@@ -214,10 +189,7 @@ def forward_pass_energy_per_bit(
 
 def inference_flops(arch: MlpArchitecture, n_infer: int) -> FlopCount:
     """FLOPs of one inference request carrying ``n_infer`` input samples."""
-    if isinstance(n_infer, bool) or not isinstance(n_infer, int):
-        raise TypeError("n_infer must be an integer")
-    if n_infer < 0:
-        raise ValueError(f"n_infer must be >= 0, got {n_infer}")
+    _checked_count(n_infer, "n_infer")
     return FlopCount(forward_flops(arch).flops * n_infer)
 
 

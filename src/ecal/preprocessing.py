@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 
 from .mlp_cost import ProcessingUnitProfile
 from .transmission import PayloadSpec
-from .units import Energy, EnergyPerBit, FlopCount
+from .units import Energy, EnergyPerBit, FlopCount, _checked_count
 
 __all__ = [
     "DegenerateRangeError",
@@ -210,11 +210,8 @@ def preprocessing_flops(method: StandardizationMethod, n_s: int, n_nan: int) -> 
     and normalization costs 6v - 3.  This is the count all energy figures
     are priced on.
     """
-    for label, value in (("n_s", n_s), ("n_nan", n_nan)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{label} must be an integer")
-        if value < 0:
-            raise ValueError(f"{label} must be >= 0, got {value}")
+    _checked_count(n_s, "n_s")
+    _checked_count(n_nan, "n_nan")
     valid = n_s - n_nan
     if valid < 1:
         raise ValueError(

@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 from . import carbon as carbon_mod
 from .lifecycle import (
@@ -34,7 +34,7 @@ from .preprocessing import (
     preprocessing_energy_per_bit,
     preprocessing_flops,
 )
-from .storage import BUILTIN_STORAGE, StorageProfile
+from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import (
     BUILTIN_TECHNOLOGIES,
     PayloadSpec,
@@ -43,10 +43,11 @@ from .transmission import (
     fixed_overhead_profile,
     packet_count,
     payload_bits,
+    technology_profile,
     transmission_energy_per_bit,
     transmitted_bits,
 )
-from .units import BitCount, BitRate, Power
+from .units import BitCount, BitRate, FieldError, Power, _checked_count, _checked_real
 
 __all__ = [
     "ScenarioError",
@@ -105,99 +106,109 @@ def _reject_unknown(mapping: dict, allowed: Sequence[str], path: str) -> None:
         raise _fail(name, "unknown field")
 
 
-def _get_int(mapping: dict, key: str, path: str, *, default: int | None = None,
-             minimum: int | None = None, maximum: int | None = None) -> int:
-    if key not in mapping:
-        if default is None:
-            raise _fail(path, "required field is missing")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _fail(path, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise _fail(path, f"must be <= {maximum}, got {value}")
+_REQUIRED = object()
+
+
+def _in_float_range(value: Any, path: str) -> Any:
+    """Reject an integer the model's float arithmetic cannot take.
+
+    Constructors accept such integers; only a document is held to this
+    rule, so that its error names the field instead of pricing failing later.
+    """
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise _fail(path, f"too large for floating-point arithmetic "
+                              f"({value.bit_length()}-bit integer)") from None
     return value
 
 
-def _get_real(mapping: dict, key: str, path: str, *, default: float | None = None,
-              minimum: float | None = None, exclusive_minimum: bool = False,
-              maximum: float | None = None) -> float:
-    if key not in mapping:
-        if default is None:
-            raise _fail(path, "required field is missing")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise _fail(path, f"must be finite, got {value!r}")
-    if minimum is not None:
-        if exclusive_minimum and value <= minimum:
-            raise _fail(path, f"must be > {minimum}, got {value}")
-        if not exclusive_minimum and value < minimum:
-            raise _fail(path, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise _fail(path, f"must be <= {maximum}, got {value}")
-    return value
+def _get(mapping: dict, key: str, at: str = "", default: Any = _REQUIRED) -> Any:
+    """The value of ``key`` in the object at path prefix ``at``, held to the
+    float range; a key without a default is required."""
+    if key in mapping:
+        return _in_float_range(mapping[key], at + key)
+    if default is _REQUIRED:
+        raise _fail(at + key, "required field is missing")
+    return default
 
 
-def _request_count(value: int, path: str) -> int:
-    """Reject a request count the model's float arithmetic cannot take."""
+# Model attributes whose document field has another name.
+_JSON_NAMES = {
+    "sample_count": "samples",
+    "bits_per_sample": "bit_precision",
+    "train_fraction": "split_ratio",
+    "layer_sizes": "layers",
+    "packet_capacity": "f_u",
+    "transmit_power": "p_t_w",
+    "wh_per_terabyte": "wh_per_tb",
+    "preprocessing_power": "preprocessing_power_w",
+}
+
+
+def _build(path: str, factory: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Call a model constructor, reporting its FieldError at a document path.
+
+    A ``path`` that is empty or ends in "." is the object being built, and
+    the error names the failing field under it.  Any other ``path`` is the
+    one value being built, such as a unit whose errors name the unit.
+    """
     try:
-        float(value)
-    except OverflowError:
-        raise _fail(path, f"too large for floating-point arithmetic "
-                          f"({value.bit_length()}-bit integer)") from None
-    return value
+        return factory(*args, **kwargs)
+    except FieldError as exc:
+        if not path or path.endswith("."):
+            name, bracket, index = exc.field.partition("[")
+            path += _JSON_NAMES.get(name, name) + bracket + index
+        raise _fail(path, exc.reason) from None
+
+
+def _builtin(lookup: Callable[[str], Any], name: str, path: str) -> Any:
+    try:
+        return lookup(name)
+    except KeyError as exc:
+        raise _fail(path, exc.args[0]) from None
+
+
+def _name(mapping: dict, path: str) -> str:
+    name = mapping.get("name", "custom")
+    if not isinstance(name, str):
+        raise _fail(f"{path}.name", f"expected a string, got {name!r}")
+    return name
 
 
 def _parse_technology(value: Any, path: str) -> TechnologyProfile:
     if isinstance(value, str):
-        profile = BUILTIN_TECHNOLOGIES.get(value)
-        if profile is None:
-            known = ", ".join(sorted(BUILTIN_TECHNOLOGIES))
-            raise _fail(path, f"unknown technology {value!r}; built-ins: {known}")
-        return profile
+        return _builtin(technology_profile, value, path)
     mapping = _require_mapping(value, path)
     allowed = ["name", "f_u", "omega_u", "p_t_w", "r_t_bps", "packets_override"]
     _reject_unknown(mapping, allowed, path)
-    name = mapping.get("name", "custom")
-    if not isinstance(name, str):
-        raise _fail(f"{path}.name", f"expected a string, got {name!r}")
-    f_u = _get_int(mapping, "f_u", f"{path}.f_u", minimum=1)
-    omega_u = _get_int(mapping, "omega_u", f"{path}.omega_u", minimum=0)
-    p_t_w = _get_real(mapping, "p_t_w", f"{path}.p_t_w", minimum=0.0, exclusive_minimum=True)
-    r_t_bps = _get_real(mapping, "r_t_bps", f"{path}.r_t_bps", minimum=0.0, exclusive_minimum=True)
-    override: int | None = None
-    if "packets_override" in mapping:
-        override = _get_int(mapping, "packets_override", f"{path}.packets_override", minimum=1)
-    return TechnologyProfile(
+    name = _name(mapping, path)
+    at = f"{path}."
+    return _build(
+        at,
+        TechnologyProfile,
         name=name,
-        packet_capacity=BitCount(f_u),
-        packet_overhead=BitCount(omega_u),
-        transmit_power=Power(p_t_w),
-        transmit_rate=BitRate(r_t_bps),
-        packets_override=override,
+        packet_capacity=_build(at + "f_u", BitCount, _get(mapping, "f_u", at)),
+        packet_overhead=_build(at + "omega_u", BitCount, _get(mapping, "omega_u", at)),
+        transmit_power=_build(at + "p_t_w", Power, _get(mapping, "p_t_w", at)),
+        transmit_rate=_build(at + "r_t_bps", BitRate, _get(mapping, "r_t_bps", at)),
+        packets_override=_get(mapping, "packets_override", at, None),
     )
 
 
 def _parse_storage(value: Any, path: str) -> StorageProfile:
     if isinstance(value, str):
-        profile = BUILTIN_STORAGE.get(value)
-        if profile is None:
-            known = ", ".join(sorted(BUILTIN_STORAGE))
-            raise _fail(path, f"unknown storage medium {value!r}; built-ins: {known}")
-        return profile
+        return _builtin(storage_profile, value, path)
     mapping = _require_mapping(value, path)
     _reject_unknown(mapping, ["name", "wh_per_tb"], path)
-    name = mapping.get("name", "custom")
-    if not isinstance(name, str):
-        raise _fail(f"{path}.name", f"expected a string, got {name!r}")
-    wh_per_tb = _get_real(mapping, "wh_per_tb", f"{path}.wh_per_tb", minimum=0.0)
-    return StorageProfile(name, wh_per_tb)
+    at = f"{path}."
+    profile = _build(at, StorageProfile, _name(mapping, path), _get(mapping, "wh_per_tb", at))
+    # StorageProfile accepts an infinite density, which fails only when
+    # priced; a document must give a finite one.
+    if profile.wh_per_terabyte == math.inf:
+        raise _fail(at + "wh_per_tb", "must be finite, got inf")
+    return profile
 
 
 def _parse_processing_unit(value: Any, path: str) -> ProcessingUnitProfile:
@@ -205,33 +216,27 @@ def _parse_processing_unit(value: Any, path: str) -> ProcessingUnitProfile:
     allowed = ["preprocessing_power_w", "preprocessing_flops_per_s", "flops_per_joule"]
     _reject_unknown(mapping, allowed, path)
     defaults = DEFAULT_PROCESSING_UNIT
-    power = _get_real(mapping, "preprocessing_power_w", f"{path}.preprocessing_power_w",
-                      default=defaults.preprocessing_power.watts,
-                      minimum=0.0, exclusive_minimum=True)
-    throughput = _get_real(mapping, "preprocessing_flops_per_s",
-                           f"{path}.preprocessing_flops_per_s",
-                           default=defaults.preprocessing_flops_per_s,
-                           minimum=0.0, exclusive_minimum=True)
-    efficiency = _get_real(mapping, "flops_per_joule", f"{path}.flops_per_joule",
-                           default=defaults.flops_per_joule,
-                           minimum=0.0, exclusive_minimum=True)
-    return ProcessingUnitProfile(Power(power), throughput, efficiency)
+    at = f"{path}."
+    power = _get(mapping, "preprocessing_power_w", at, defaults.preprocessing_power.watts)
+    return _build(
+        at,
+        ProcessingUnitProfile,
+        _build(at + "preprocessing_power_w", Power, power),
+        _get(mapping, "preprocessing_flops_per_s", at, defaults.preprocessing_flops_per_s),
+        _get(mapping, "flops_per_joule", at, defaults.flops_per_joule),
+    )
 
 
 def _parse_mlp(value: Any, path: str) -> MlpArchitecture:
     mapping = _require_mapping(value, path)
     _reject_unknown(mapping, ["layers"], path)
-    if "layers" not in mapping:
-        raise _fail(f"{path}.layers", "required field is missing")
-    layers = mapping["layers"]
-    if not isinstance(layers, list) or len(layers) < 2:
-        raise _fail(f"{path}.layers", "expected a list of at least two layer widths")
-    sizes = []
+    at = f"{path}."
+    layers = _get(mapping, "layers", at)
+    if not isinstance(layers, list):
+        raise _fail(at + "layers", f"expected a list of layer widths, got {layers!r}")
     for index, width in enumerate(layers):
-        if isinstance(width, bool) or not isinstance(width, int) or width < 1:
-            raise _fail(f"{path}.layers[{index}]", f"expected an integer >= 1, got {width!r}")
-        sizes.append(width)
-    return MlpArchitecture(tuple(sizes))
+        _in_float_range(width, f"{at}layers[{index}]")
+    return _build(at, MlpArchitecture, layers)
 
 
 def _parse_countries(value: Any, path: str) -> tuple[str, ...]:
@@ -249,42 +254,22 @@ def _parse_sweeps(value: Any, path: str) -> Sweeps:
     mapping = _require_mapping(value, path)
     _reject_unknown(mapping, ["gamma", "overhead_pct", "invalid_samples"], path)
 
-    def int_list(key: str, minimum: int) -> tuple[int, ...]:
-        if key not in mapping:
-            return ()
-        raw = mapping[key]
+    def items(key: str, check: Callable[..., Any], *rule: Any) -> tuple:
+        raw = mapping.get(key, [])
         if not isinstance(raw, list):
             raise _fail(f"{path}.{key}", f"expected a list, got {raw!r}")
         out = []
         for index, item in enumerate(raw):
-            if isinstance(item, bool) or not isinstance(item, int) or item < minimum:
-                raise _fail(f"{path}.{key}[{index}]",
-                            f"expected an integer >= {minimum}, got {item!r}")
-            out.append(item)
+            at = f"{path}.{key}[{index}]"
+            out.append(_build(at, check, _in_float_range(item, at), key, *rule))
         return tuple(out)
 
-    overhead: tuple[float, ...] = ()
-    if "overhead_pct" in mapping:
-        raw = mapping["overhead_pct"]
-        if not isinstance(raw, list):
-            raise _fail(f"{path}.overhead_pct", f"expected a list, got {raw!r}")
-        values = []
-        for index, item in enumerate(raw):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise _fail(f"{path}.overhead_pct[{index}]", f"expected a number, got {item!r}")
-            item = float(item)
-            if not 0.0 <= item <= 100.0:
-                raise _fail(f"{path}.overhead_pct[{index}]",
-                            f"must be in [0, 100], got {item}")
-            values.append(item)
-        overhead = tuple(values)
-
-    return Sweeps(
-        gamma=tuple(_request_count(gamma, f"{path}.gamma[{index}]")
-                    for index, gamma in enumerate(int_list("gamma", 1))),
-        overhead_pct=overhead,
-        invalid_samples=int_list("invalid_samples", 0),
-    )
+    gammas = items("gamma", _checked_count, 1)
+    overhead = items("overhead_pct", _checked_real)
+    for index, pct in enumerate(overhead):
+        if pct > 100.0:
+            raise _fail(f"{path}.overhead_pct[{index}]", f"must be in [0, 100], got {pct!r}")
+    return Sweeps(gammas, overhead, items("invalid_samples", _checked_count))
 
 
 _TOP_LEVEL_FIELDS = [
@@ -311,19 +296,19 @@ def parse_scenario(text: str) -> ScenarioDocument:
 
     Unset optional fields take the documented defaults (double precision,
     BLE over HDD, normalization, a 70/30 split, the default processing
-    unit).  Violations raise :class:`ScenarioError` naming the field path.
+    unit).  Range rules are the model constructors'; a violation raises
+    :class:`ScenarioError` as ``<field path>: <reason>``.
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ScenarioError(f"invalid JSON: {exc}") from None
     mapping = _require_mapping(raw, "scenario")
     _reject_unknown(mapping, _TOP_LEVEL_FIELDS, "")
 
-    samples = _get_int(mapping, "samples", "samples", minimum=0)
-    invalid = _get_int(mapping, "invalid_samples", "invalid_samples", default=0,
-                       minimum=0, maximum=samples)
-    precision = _get_int(mapping, "bit_precision", "bit_precision", default=64, minimum=1)
+    samples = _get(mapping, "samples")
+    invalid = _get(mapping, "invalid_samples", "", 0)
+    payload = _build("", PayloadSpec, _get(mapping, "bit_precision", "", 64), samples)
     technology = _parse_technology(mapping.get("technology", "ble5"), "technology")
     storage = _parse_storage(mapping.get("storage", "hdd"), "storage")
 
@@ -334,25 +319,22 @@ def parse_scenario(text: str) -> ScenarioDocument:
         options = ", ".join(m.value for m in StandardizationMethod)
         raise _fail("preprocessing", f"expected one of {options}, got {method_name!r}") from None
 
-    split_ratio = _get_real(mapping, "split_ratio", "split_ratio", default=0.7,
-                            minimum=0.0, exclusive_minimum=True, maximum=1.0)
-    epochs = _get_int(mapping, "epochs", "epochs", minimum=1)
-    arch = _parse_mlp(mapping.get("mlp"), "mlp") if "mlp" in mapping else None
-    if arch is None:
-        raise _fail("mlp", "required field is missing")
-    inference_batch = _get_int(mapping, "inference_batch", "inference_batch", minimum=1)
-    inference_invalid = _get_int(mapping, "inference_invalid_samples",
-                                 "inference_invalid_samples", default=0,
-                                 minimum=0, maximum=inference_batch)
-    gamma = _request_count(_get_int(mapping, "gamma", "gamma", minimum=1), "gamma")
+    split_ratio = _get(mapping, "split_ratio", "", 0.7)
+    epochs = _get(mapping, "epochs")
+    arch = _parse_mlp(_get(mapping, "mlp"), "mlp")
+    inference_batch = _get(mapping, "inference_batch")
+    inference_invalid = _get(mapping, "inference_invalid_samples", "", 0)
+    gamma = _get(mapping, "gamma")
     pu = (_parse_processing_unit(mapping["processing_unit"], "processing_unit")
           if "processing_unit" in mapping else DEFAULT_PROCESSING_UNIT)
     countries = (_parse_countries(mapping["countries"], "countries")
                  if "countries" in mapping else ())
     sweeps = _parse_sweeps(mapping["sweeps"], "sweeps") if "sweeps" in mapping else Sweeps()
 
-    scenario = Scenario(
-        payload=PayloadSpec(bits_per_sample=precision, sample_count=samples),
+    scenario = _build(
+        "",
+        Scenario,
+        payload=payload,
         technology=technology,
         storage=storage,
         standardization=method,

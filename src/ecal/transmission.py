@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .units import BitCount, BitRate, Energy, EnergyPerBit, Power
+from .units import BitCount, BitRate, Energy, EnergyPerBit, Power, _checked_count, _checked_real
 
 __all__ = [
     "PayloadSpec",
@@ -44,14 +44,8 @@ class PayloadSpec:
     sample_count: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.bits_per_sample, bool) or not isinstance(self.bits_per_sample, int):
-            raise TypeError("bits_per_sample must be an integer")
-        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, int):
-            raise TypeError("sample_count must be an integer")
-        if self.bits_per_sample < 1:
-            raise ValueError(f"bits_per_sample must be >= 1, got {self.bits_per_sample}")
-        if self.sample_count < 0:
-            raise ValueError(f"sample_count must be >= 0, got {self.sample_count}")
+        _checked_count(self.bits_per_sample, "bits_per_sample", 1)
+        _checked_count(self.sample_count, "sample_count")
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,10 @@ class TechnologyProfile:
     packets_override: int | None = None
 
     def __post_init__(self) -> None:
-        if self.packet_capacity.bits <= 0:
-            raise ValueError("packet_capacity must be positive")
+        _checked_count(self.packet_capacity.bits, "packet_capacity", 1)
+        _checked_real(self.transmit_power.watts, "transmit_power", positive=True)
         if self.packets_override is not None:
-            if isinstance(self.packets_override, bool) or not isinstance(self.packets_override, int):
-                raise TypeError("packets_override must be an integer")
-            if self.packets_override < 1:
-                raise ValueError("packets_override must be >= 1")
+            _checked_count(self.packets_override, "packets_override", 1)
 
 
 BLE5 = TechnologyProfile(

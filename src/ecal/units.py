@@ -10,6 +10,7 @@ at the bottom of this module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -32,27 +33,54 @@ JOULES_PER_KWH = 3.6e6
 JOULES_PER_WH = 3600.0
 # Storage densities are quoted per decimal terabyte (10^12 bytes).
 BITS_PER_TERABYTE = 8e12
+_LARGEST_FLOAT = sys.float_info.max
 
 
-def _checked_real(value: float, label: str, *, positive: bool = False) -> float:
+class FieldError(ValueError):
+    """A value broke the rule of the field it was given for.
+
+    ``field`` names the attribute or argument, ``reason`` the rule and the
+    offending value; ``str()`` reads ``"<field> <reason>"``.
+    """
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field} {reason}")
+        self.field = field
+        self.reason = reason
+
+
+class FieldTypeError(FieldError, TypeError):
+    """A value of the wrong type for its field."""
+
+
+def _checked_real(value: float, field: str, *, positive: bool = False,
+                  maximum: float = _LARGEST_FLOAT) -> float:
+    """Return ``value`` as a float in [0, maximum], or in (0, maximum] when
+    ``positive``; by default that means finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{label} must be a real number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite, got {value!r}")
-    if positive:
-        if value <= 0.0:
-            raise ValueError(f"{label} must be positive, got {value!r}")
-    elif value < 0.0:
-        raise ValueError(f"{label} must be non-negative, got {value!r}")
+        raise FieldTypeError(field, f"must be a real number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if not ((0.0 < value if positive else 0.0 <= value) and value <= maximum):
+        if maximum == _LARGEST_FLOAT:
+            rule = f"{'positive' if positive else 'non-negative'} and finite"
+        else:
+            rule = f"in {'(' if positive else '['}0, {maximum:g}]"
+        raise FieldError(field, f"must be {rule}, got {value!r}")
     return value
 
 
-def _checked_count(value: int, label: str) -> int:
+def _checked_count(value: int, field: str, minimum: int = 0, maximum: int | None = None) -> int:
+    """Return ``value`` if it is an integer in [minimum, maximum]."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{label} must be an integer, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{label} must be non-negative, got {value}")
+        raise FieldTypeError(field, f"must be an integer, got {type(value).__name__}")
+    if maximum is not None:
+        if not minimum <= value <= maximum:
+            raise FieldError(field, f"must be in [{minimum}, {maximum}], got {value}")
+    elif value < minimum:
+        raise FieldError(field, f"must be >= {minimum}, got {value}")
     return value
 
 

@@ -170,3 +170,8 @@ def test_cf_vs_gamma_unknown_country():
 def test_cf_vs_gamma_rejects_bad_gamma():
     with pytest.raises(ValueError):
         cf_vs_gamma(default_scenario(), bundled_ci_table(), [0])
+
+
+def test_cf_vs_gamma_rejects_non_integer_gamma_as_type_error():
+    with pytest.raises(TypeError, match="gamma"):
+        cf_vs_gamma(default_scenario(), bundled_ci_table(), [1.5])

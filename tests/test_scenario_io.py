@@ -3,10 +3,10 @@ import json
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ecal.lifecycle import default_scenario
-from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, ProcessingUnitProfile
+from ecal.lifecycle import Scenario, default_scenario
+from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from ecal.preprocessing import StandardizationMethod
 from ecal.scenario_io import (
     REPRODUCE_TARGETS,
@@ -20,9 +20,9 @@ from ecal.scenario_io import (
     serialize_scenario,
     write_report,
 )
-from ecal.storage import StorageProfile
-from ecal.transmission import PayloadSpec, transmitted_bits
-from ecal.units import Power
+from ecal.storage import StorageProfile, storage_profile
+from ecal.transmission import PayloadSpec, TechnologyProfile, technology_profile, transmitted_bits
+from ecal.units import BitCount, BitRate, Power
 
 MINIMAL_DOC = json.dumps(
     {
@@ -162,6 +162,171 @@ def test_gamma_beyond_float_range_names_the_field():
         parse_scenario(_doc_with(gamma=huge))
     with pytest.raises(ScenarioError, match=r"^sweeps.gamma\[1\]: too large"):
         parse_scenario(_doc_with(sweeps={"gamma": [10, huge]}))
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"samples": 10**400}, "samples"),
+    ({"invalid_samples": 10**400}, "invalid_samples"),
+    ({"bit_precision": 10**400}, "bit_precision"),
+    ({"epochs": 10**400}, "epochs"),
+    ({"inference_batch": 10**400}, "inference_batch"),
+    ({"inference_invalid_samples": 10**400}, "inference_invalid_samples"),
+    ({"mlp": {"layers": [6, 10**400, 3]}}, r"mlp.layers\[1\]"),
+    ({"technology": {"f_u": 10**400, "omega_u": 8, "p_t_w": 0.01, "r_t_bps": 1e3}},
+     "technology.f_u"),
+    ({"technology": {"f_u": 2000, "omega_u": 10**400, "p_t_w": 0.01, "r_t_bps": 1e3}},
+     "technology.omega_u"),
+    ({"technology": {"f_u": 2000, "omega_u": 8, "p_t_w": 0.01, "r_t_bps": 1e3,
+                     "packets_override": 10**400}}, "technology.packets_override"),
+])
+def test_counts_beyond_float_range_name_the_field(overrides, path):
+    with pytest.raises(ScenarioError, match=f"^{path}: too large"):
+        parse_scenario(_doc_with(**overrides))
+
+
+def test_integer_over_the_digit_limit_is_a_scenario_error():
+    text = MINIMAL_DOC.replace('"gamma": 1000', '"gamma": ' + "1" * 5001)
+    with pytest.raises(ScenarioError):
+        parse_scenario(text)
+
+
+# --- agreement of the parser with the model constructors ----------------------
+
+_OMIT = object()
+
+
+@st.composite
+def boundary_documents(draw):
+    """A document whose fields sit at the edges of their rules, the paths of
+    the fields drawn out of range, and every (path, value) that would put
+    one more field out of range.  Half the documents keep every field in
+    range; the other half let any field leave it."""
+    free = draw(st.booleans())
+    doc: dict = {}
+    bad: set = set()
+    faults: list = []
+
+    def put(key, good, out, target=doc, at="", optional=False):
+        values = [_OMIT] * optional + list(good)
+        in_range = len(values)
+        if free:
+            values += out
+        index = draw(st.integers(0, len(values) - 1))
+        value = values[index]
+        if value is not _OMIT:
+            target[key] = value
+        if index >= in_range:
+            bad.add(at + key)
+        faults.extend((at + key, fault) for fault in out)
+        return value
+
+    samples = put("samples", [0, 1, 64], [-1])
+    put("invalid_samples", [0, max(samples, 0)], [samples + 1], optional=True)
+    put("bit_precision", [1, 64], [0], optional=True)
+    if draw(st.booleans()):
+        doc["technology"] = draw(st.sampled_from(["ble5", "zigbee", "lorawan"]))
+    else:
+        radio = doc["technology"] = {}
+        put("f_u", [1, 2048], [0], radio, "technology.")
+        put("omega_u", [0, 100], [-1], radio, "technology.")
+        put("p_t_w", [1e-3], [0], radio, "technology.")
+        put("r_t_bps", [1e6], [0.0], radio, "technology.")
+        put("packets_override", [1, 1000], [0], radio, "technology.", optional=True)
+    if draw(st.booleans()):
+        doc["storage"] = draw(st.sampled_from(["hdd", "ssd"]))
+    else:
+        put("wh_per_tb", [0.0, 0.65], [-1.0], doc.setdefault("storage", {}), "storage.")
+    put("preprocessing", ["minmax", "normalization"], ["zscore"], optional=True)
+    put("split_ratio", [0.5, 1], [0, 1.5], optional=True)
+    put("epochs", [1, 2], [-1, 0])
+    widths = draw(st.lists(st.sampled_from([1, 3, 0, 2.5] if free else [1, 3]),
+                           min_size=1 if free else 2, max_size=4))
+    doc["mlp"] = {"layers": widths}
+    bad.update(["mlp.layers"] if len(widths) < 2 else [])
+    bad.update(f"mlp.layers[{i}]" for i, width in enumerate(widths) if width in (0, 2.5))
+    faults.append(("mlp.layers", [1]))
+    faults.extend((f"mlp.layers[{i}]", width) for i in range(len(widths)) for width in (0, 2.5))
+    batch = put("inference_batch", [1, 5], [0])
+    put("inference_invalid_samples", [0, batch], [batch + 1], optional=True)
+    put("gamma", [1, 1000], [0])
+    if draw(st.booleans()):
+        unit = doc["processing_unit"] = {}
+        for key in ("preprocessing_power_w", "preprocessing_flops_per_s", "flops_per_joule"):
+            put(key, [1e9], [0.0], unit, "processing_unit.", optional=True)
+    return doc, bad, faults
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``."""
+    variant = json.loads(json.dumps(doc))
+    *parents, last = path.replace("[", ".").replace("]", "").split(".")
+    target = variant
+    for name in parents:
+        target = target[name]
+    target[int(last) if last.isdigit() else last] = value
+    return variant
+
+
+def _construct(doc):
+    """Build a document's scenario through the model constructors alone."""
+    technology = doc.get("technology", "ble5")
+    if isinstance(technology, str):
+        technology = technology_profile(technology)
+    else:
+        technology = TechnologyProfile(
+            "custom", BitCount(technology["f_u"]), BitCount(technology["omega_u"]),
+            Power(technology["p_t_w"]), BitRate(technology["r_t_bps"]),
+            technology.get("packets_override"),
+        )
+    storage = doc.get("storage", "hdd")
+    storage = (storage_profile(storage) if isinstance(storage, str)
+               else StorageProfile("custom", storage["wh_per_tb"]))
+    unit = doc.get("processing_unit", {})
+    pu = ProcessingUnitProfile(
+        Power(unit.get("preprocessing_power_w", 140.0)),
+        unit.get("preprocessing_flops_per_s", 1e10),
+        unit.get("flops_per_joule", 1.5351e8),
+    )
+    return Scenario(
+        payload=PayloadSpec(doc.get("bit_precision", 64), doc["samples"]),
+        technology=technology,
+        storage=storage,
+        standardization=StandardizationMethod(doc.get("preprocessing", "normalization")),
+        train_fraction=doc.get("split_ratio", 0.7),
+        epochs=doc["epochs"],
+        architecture=MlpArchitecture(tuple(doc["mlp"]["layers"])),
+        inference_batch=doc["inference_batch"],
+        gamma=doc["gamma"],
+        processing_unit=pu,
+        invalid_samples=doc.get("invalid_samples", 0),
+        inference_invalid_samples=doc.get("inference_invalid_samples", 0),
+    )
+
+
+def _assert_agreement(doc, out_of_range):
+    try:
+        expected = _construct(doc)
+    except ValueError:  # also a wrong type, which raises a TypeError subclass
+        expected = None
+    assert (expected is None) == bool(out_of_range), (doc, out_of_range)
+    try:
+        parsed = parse_scenario(json.dumps(doc)).scenario
+    except ScenarioError as exc:
+        assert expected is None, exc
+        assert str(exc).split(": ", 1)[0] in out_of_range, (exc, out_of_range)
+    else:
+        assert expected is not None, doc
+        assert parsed == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_documents())
+def test_parser_agrees_with_the_constructors(case):
+    doc, out_of_range, faults = case
+    _assert_agreement(doc, out_of_range)
+    if not out_of_range:  # break each rule alone
+        for path, value in faults:
+            _assert_agreement(_with(doc, path, value), {path})
 
 
 def test_round_trip_default_document():

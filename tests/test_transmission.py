@@ -48,6 +48,11 @@ def test_packet_override_must_cover_payload():
         packet_count(LORAWAN, PayloadSpec(64, 512))  # needs 16 > 9 packets
 
 
+def test_transmit_power_must_be_positive():
+    with pytest.raises(ValueError, match="transmit_power"):
+        TechnologyProfile("mute", BitCount(2000), BitCount(100), Power(0.0), BitRate(1e3))
+
+
 def test_transmitted_bits_published_values():
     assert transmitted_bits(BLE5, DOUBLE_256).bits == 17728
     assert transmitted_bits(ZIGBEE, DOUBLE_256).bits == 19920
