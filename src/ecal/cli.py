@@ -14,32 +14,16 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .lifecycle import gamma_sweep, lifecycle_report
-from .mlp_cost import (
-    ProcessingUnitProfile,
-    forward_flops,
-    inference_energy,
-    inference_flops,
-    make_split,
-    training_energy,
-    training_forward_flops,
-    training_total_flops,
-    evaluation_energy,
-)
+from .carbon import bundled_ci_table, cf_vs_gamma, load_ci_table
+from .lifecycle import _price, gamma_sweep, lifecycle_report
+from .mlp_cost import ProcessingUnitProfile
 from .preprocessing import (
     StandardizationMethod,
     preprocessing_energy,
     preprocessing_energy_per_bit,
     preprocessing_flops,
 )
-from .scenario_io import (
-    ReportTable,
-    ScenarioDocument,
-    load_scenario,
-    reproduce,
-    write_report,
-    REPRODUCE_TARGETS,
-)
+from .scenario_io import ReportTable, load_scenario, reproduce, REPRODUCE_TARGETS
 from .storage import storage_energy, storage_energy_per_bit, storage_profile
 from .transmission import (
     PayloadSpec,
@@ -63,11 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_on_error(message))
-
-    def exit_code_on_error(self, message: str) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -85,6 +65,7 @@ def _build_parser() -> _Parser:
     transmit.add_argument("--precision", type=int, default=64, help="bits per sample")
     transmit.add_argument("--strict-eq2", action="store_true",
                           help="ignore per-profile packet-count overrides")
+    transmit.set_defaults(handler=_cmd_transmit)
 
     storage = sub.add_parser("storage", parents=[output],
                              help="write energy of storing a dataset")
@@ -92,6 +73,7 @@ def _build_parser() -> _Parser:
                          help="storage medium name (hdd, ssd)")
     storage.add_argument("--samples", type=int, required=True)
     storage.add_argument("--precision", type=int, default=64)
+    storage.set_defaults(handler=_cmd_storage)
 
     preprocess = sub.add_parser("preprocess", parents=[output],
                                 help="FLOPs, time, and energy of preprocessing")
@@ -104,10 +86,12 @@ def _build_parser() -> _Parser:
                             help="preprocessing power draw")
     preprocess.add_argument("--flops-per-s", type=float, default=1e10,
                             help="preprocessing throughput")
+    preprocess.set_defaults(handler=_cmd_preprocess)
 
     train = sub.add_parser("train-cost", parents=[output],
                            help="training, evaluation, and inference cost")
     train.add_argument("--scenario", required=True, metavar="FILE")
+    train.set_defaults(handler=_cmd_train_cost)
 
     lifecycle = sub.add_parser("lifecycle", parents=[output],
                                help="full lifecycle report for a scenario")
@@ -116,6 +100,7 @@ def _build_parser() -> _Parser:
                            help="comma-separated request counts to sweep")
     lifecycle.add_argument("--strict-eq2", action="store_true",
                            help="ignore per-profile packet-count overrides")
+    lifecycle.set_defaults(handler=_cmd_lifecycle)
 
     carbon = sub.add_parser("carbon", parents=[output],
                             help="carbon footprint per country")
@@ -123,12 +108,14 @@ def _build_parser() -> _Parser:
     carbon.add_argument("--ci-file", metavar="FILE",
                         help=f"carbon-intensity CSV (default: bundled table, "
                              f"or ${CI_FILE_ENV_VAR})")
+    carbon.set_defaults(handler=_cmd_carbon)
 
     repro = sub.add_parser("reproduce", help="emit the bundled reference datasets")
     repro.add_argument("--target", required=True,
                        help=f"one of: {', '.join(REPRODUCE_TARGETS)}, or 'all'")
-    repro.add_argument("--out", dest="out_dir", metavar="DIR",
+    repro.add_argument("--out", metavar="DIR",
                        help="directory to write <target>.csv files into")
+    repro.set_defaults(handler=_cmd_reproduce, json=False)
 
     return parser
 
@@ -183,43 +170,27 @@ def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
-    doc = load_scenario(args.scenario)
-    s = doc.scenario
-    split = make_split(s.payload.sample_count, s.train_fraction)
-    fwd = forward_flops(s.architecture)
-    m_mlp_fp = training_forward_flops(s.architecture, s.epochs, split.train_count)
-    e_train, e_train_b = training_energy(
-        s.architecture, s.epochs, split.train_count, s.processing_unit,
-        s.payload.bits_per_sample,
-    )
-    e_eval, e_eval_b = evaluation_energy(
-        s.architecture, split.eval_count, s.processing_unit, s.payload.bits_per_sample
-    )
+    p = _price(load_scenario(args.scenario).scenario)
     return _key_value_table(
         [
-            ("M_FP", fwd.flops),
-            ("M_MLP_FP", m_mlp_fp.flops),
-            ("M_MLP", training_total_flops(m_mlp_fp).flops),
-            ("N_inf_flops", inference_flops(s.architecture, s.inference_batch).flops),
-            ("E_train_J", e_train.joules),
-            ("E_train_b_J_per_b", e_train_b.joules_per_bit),
-            ("E_eval_J", e_eval.joules),
-            ("E_eval_b_J_per_b", e_eval_b.joules_per_bit),
-            ("E_inf_J", inference_energy(s.architecture, s.inference_batch,
-                                         s.processing_unit).joules),
+            ("M_FP", p.forward_flops),
+            ("M_MLP_FP", p.training_forward_flops),
+            ("M_MLP", p.training_flops),
+            ("N_inf_flops", p.inference_flops),
+            ("E_train_J", p.training),
+            ("E_train_b_J_per_b", p.training_per_bit),
+            ("E_eval_J", p.evaluation),
+            ("E_eval_b_J_per_b", p.forward_per_bit),
+            ("E_inf_J", p.inference),
         ]
     )
 
 
-def _strict_scenario(doc: ScenarioDocument) -> ScenarioDocument:
-    scenario = replace(doc.scenario, technology=without_packet_override(doc.scenario.technology))
-    return replace(doc, scenario=scenario)
-
-
 def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     doc = load_scenario(args.scenario)
+    scenario = doc.scenario
     if args.strict_eq2:
-        doc = _strict_scenario(doc)
+        scenario = replace(scenario, technology=without_packet_override(scenario.technology))
     gammas: tuple[int, ...] = ()
     if args.gamma_sweep:
         try:
@@ -232,10 +203,10 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     if gammas:
         rows = [
             (row.gamma, row.ecal_abs.joules, row.ecal_abs_mean.joules, row.ecal.joules_per_bit)
-            for row in gamma_sweep(doc.scenario, gammas)
+            for row in gamma_sweep(scenario, gammas)
         ]
         return ReportTable(("gamma", "ecal_abs_J", "ecal_abs_mean_J", "eCAL_J_per_b"), rows)
-    report = lifecycle_report(doc.scenario)
+    report = lifecycle_report(scenario)
     return _key_value_table(
         [
             ("gamma", report.gamma),
@@ -264,13 +235,10 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
-    from . import carbon as carbon_mod
-
     doc = load_scenario(args.scenario)
     ci_path = args.ci_file or os.environ.get(CI_FILE_ENV_VAR)
-    records = (carbon_mod.load_ci_table(ci_path) if ci_path
-               else carbon_mod.bundled_ci_table())
-    report = carbon_mod.cf_vs_gamma(doc.scenario, records, [doc.scenario.gamma])
+    records = load_ci_table(ci_path) if ci_path else bundled_ci_table()
+    report = cf_vs_gamma(doc.scenario, records, [doc.scenario.gamma])
     rows = [
         (row.gamma, row.country_code, row.intensity.grams_co2e_per_kwh,
          row.cf_development_g, row.cf_inference_g, row.cf_total_g)
@@ -283,33 +251,37 @@ def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
     )
 
 
+def _cmd_reproduce(args: argparse.Namespace) -> ReportTable | None:
+    """One target's table, or None once ``--out DIR`` holds each target's CSV."""
+    targets = list(REPRODUCE_TARGETS) if args.target == "all" else [args.target]
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        for target in targets:
+            _write(os.path.join(args.out, f"{target}.csv"), reproduce(target).to_csv())
+        return None
+    if len(targets) > 1:
+        raise ValueError("writing multiple targets requires --out DIR")
+    return reproduce(targets[0])
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path!r}: {exc}") from exc
+
+
 def _emit(table: ReportTable, args: argparse.Namespace) -> None:
     if args.json:
         payload = {"columns": list(table.columns), "rows": [list(row) for row in table.rows]}
         text = json.dumps(payload, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    if args.out:
-        write_report(table, args.out)
     else:
-        sys.stdout.write(table.to_csv())
-
-
-def _cmd_reproduce(args: argparse.Namespace) -> int:
-    targets = list(REPRODUCE_TARGETS) if args.target == "all" else [args.target]
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        for target in targets:
-            write_report(reproduce(target), os.path.join(args.out_dir, f"{target}.csv"))
-        return 0
-    if len(targets) > 1:
-        raise ValueError("writing multiple targets requires --out DIR")
-    sys.stdout.write(reproduce(targets[0]).to_csv())
-    return 0
+        text = table.to_csv()
+    if args.out:
+        _write(args.out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -320,18 +292,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "reproduce":
-            return _cmd_reproduce(args)
-        handlers = {
-            "transmit": _cmd_transmit,
-            "storage": _cmd_storage,
-            "preprocess": _cmd_preprocess,
-            "train-cost": _cmd_train_cost,
-            "lifecycle": _cmd_lifecycle,
-            "carbon": _cmd_carbon,
-        }
-        table = handlers[args.command](args)
-        _emit(table, args)
+        table = args.handler(args)
+        if table is not None:
+            _emit(table, args)
         return 0
     except (ValueError, LookupError) as exc:
         print(f"ecal: error: {exc}", file=sys.stderr)

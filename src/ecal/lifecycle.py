@@ -95,9 +95,15 @@ def default_scenario(gamma: int = 1000) -> Scenario:
 
 
 class _Lifecycle(NamedTuple):
-    """One scenario priced in plain joules and bits: the itemized development
-    terms, one request's terms, and the bits each phase is amortized over."""
+    """One scenario priced in plain joules, FLOPs and bits: the itemized
+    development terms, one request's terms, and the bits each phase is
+    amortized over."""
 
+    forward_flops: int
+    training_forward_flops: int
+    training_flops: int
+    inference_flops: int
+    forward_per_bit: float
     transmission: float
     storage: float
     preprocessing: float
@@ -146,16 +152,20 @@ def _price(s: Scenario) -> _Lifecycle:
         b_t, e_t, e_storage, e_pre = _collection(s, s.payload, s.invalid_samples)
         train_count = math.floor(s.train_fraction * n)
         eval_count = n - train_count
-        e_train = 3 * (s.epochs * train_count * fwd) / fpj
+        m_mlp_fp = s.epochs * train_count * fwd
+        m_mlp = 3 * m_mlp_fp
+        e_train = m_mlp / fpj
         e_eval = fwd * eval_count / fpj
         development = e_t + e_storage + e_pre + e_train + e_eval
 
         req_b_t, req_t, req_storage, req_pre = _collection(
             s, request_spec, s.inference_invalid_samples
         )
-        e_inf = fwd * batch / fpj
+        n_inf = fwd * batch
+        e_inf = n_inf / fpj
         request = req_t + req_storage + req_pre + e_inf
         training_per_bit = 3 * fwd / (bits_per_sample * fpj)
+        forward_per_bit = fwd / (bits_per_sample * fpj)
     except OverflowError:
         raise ValueError(
             "scenario is too large to price: a count exceeds the floating-point range"
@@ -165,6 +175,11 @@ def _price(s: Scenario) -> _Lifecycle:
                          f"one request {request!r} J")
 
     return _Lifecycle(
+        forward_flops=fwd,
+        training_forward_flops=m_mlp_fp,
+        training_flops=m_mlp,
+        inference_flops=n_inf,
+        forward_per_bit=forward_per_bit,
         transmission=e_t,
         storage=e_storage,
         preprocessing=e_pre,

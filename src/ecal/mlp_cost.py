@@ -56,10 +56,6 @@ class MlpArchitecture:
         for index, width in enumerate(sizes):
             _checked_count(width, f"layer_sizes[{index}]", 1)
 
-    @property
-    def hidden_layers(self) -> int:
-        return len(self.layer_sizes) - 2
-
 
 @dataclass(frozen=True)
 class ProcessingUnitProfile:

@@ -8,7 +8,6 @@ line endings so identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TextIO
@@ -203,12 +202,7 @@ def _parse_storage(value: Any, path: str) -> StorageProfile:
     mapping = _require_mapping(value, path)
     _reject_unknown(mapping, ["name", "wh_per_tb"], path)
     at = f"{path}."
-    profile = _build(at, StorageProfile, _name(mapping, path), _get(mapping, "wh_per_tb", at))
-    # StorageProfile accepts an infinite density, which fails only when
-    # priced; a document must give a finite one.
-    if profile.wh_per_terabyte == math.inf:
-        raise _fail(at + "wh_per_tb", "must be finite, got inf")
-    return profile
+    return _build(at, StorageProfile, _name(mapping, path), _get(mapping, "wh_per_tb", at))
 
 
 def _parse_processing_unit(value: Any, path: str) -> ProcessingUnitProfile:
@@ -301,7 +295,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     """
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
         raise ScenarioError(f"invalid JSON: {exc}") from None
     mapping = _require_mapping(raw, "scenario")
     _reject_unknown(mapping, _TOP_LEVEL_FIELDS, "")

@@ -6,7 +6,6 @@ density; later reads for preprocessing or training are free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .units import BitCount, Energy, EnergyPerBit, _checked_real, wh_per_tb_to_j_per_bit
@@ -30,10 +29,8 @@ class StorageProfile:
     wh_per_terabyte: float
 
     def __post_init__(self) -> None:
-        # An infinite density is accepted; pricing it fails as a non-finite energy.
-        if self.wh_per_terabyte != math.inf:
-            object.__setattr__(self, "wh_per_terabyte",
-                               _checked_real(self.wh_per_terabyte, "wh_per_terabyte"))
+        object.__setattr__(self, "wh_per_terabyte",
+                           _checked_real(self.wh_per_terabyte, "wh_per_terabyte"))
 
 
 HDD = StorageProfile("hdd", 0.65)

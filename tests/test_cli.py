@@ -32,11 +32,19 @@ def test_transmit_prints_reference_bits(capsys):
     assert "E_T_b_J_per_b,3.1628e-09" in lines
 
 
-def test_transmit_strict_mode_drops_override(capsys):
+def test_transmit_strict_mode_drops_override(capsys, tmp_path):
     assert run(["transmit", "--tech", "lorawan", "--samples", "256"]) == 0
     assert "B_T,18796" in _lines(capsys)
     assert run(["transmit", "--tech", "lorawan", "--samples", "256", "--strict-eq2"]) == 0
     assert "B_T,18528" in _lines(capsys)
+    path = tmp_path / "lorawan.json"
+    path.write_text(json.dumps({**MINIMAL_SCENARIO, "technology": "lorawan"}), encoding="utf-8")
+    assert run(["lifecycle", "--scenario", str(path)]) == 0
+    lines = _lines(capsys)
+    assert "B_T_dev_bits,18796" in lines and "B_T_inf_bits,7340" in lines
+    assert run(["lifecycle", "--scenario", str(path), "--strict-eq2"]) == 0
+    lines = _lines(capsys)
+    assert "B_T_dev_bits,18528" in lines and "B_T_inf_bits,5732" in lines
 
 
 def test_storage_subcommand(capsys):
@@ -65,9 +73,22 @@ def test_train_cost_reports_flop_counts(capsys, scenario_file):
     assert "M_MLP_FP,404540" in lines
     assert "M_MLP,1213620" in lines
     assert "N_inf_flops,17402" in lines
-    assert any(line.startswith("E_train_J,") for line in lines)
-    assert any(line.startswith("E_eval_J,") for line in lines)
-    assert any(line.startswith("E_inf_J,") for line in lines)
+    # Every figure equals the typed per-module equations to the bit.
+    from ecal.lifecycle import default_scenario
+    from ecal.mlp_cost import evaluation_energy, inference_energy, make_split, training_energy
+
+    s = default_scenario()
+    split = make_split(256, 0.7)
+    e_train, e_train_b = training_energy(s.architecture, 10, split.train_count,
+                                         s.processing_unit, 64)
+    e_eval, e_eval_b = evaluation_energy(s.architecture, split.eval_count, s.processing_unit, 64)
+    assert lines[5:] == [
+        f"E_train_J,{e_train.joules}",
+        f"E_train_b_J_per_b,{e_train_b.joules_per_bit}",
+        f"E_eval_J,{e_eval.joules}",
+        f"E_eval_b_J_per_b,{e_eval_b.joules_per_bit}",
+        f"E_inf_J,{inference_energy(s.architecture, 77, s.processing_unit).joules}",
+    ]
 
 
 def test_lifecycle_full_report(capsys, scenario_file):
@@ -162,6 +183,20 @@ def test_invalid_scenario_contents_exit_1(capsys, tmp_path):
     path.write_text(json.dumps({"samples": 256}), encoding="utf-8")
     assert run(["lifecycle", "--scenario", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+    # Every subcommand that prices a scenario rejects what the model rejects.
+    path.write_text(json.dumps({**MINIMAL_SCENARIO, "samples": 0}), encoding="utf-8")
+    errors = []
+    for command in ("lifecycle", "train-cost", "carbon"):
+        assert run([command, "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["ecal: error: need at least one valid sample, got n_s=0 with n_nan=0\n"] * 3
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert run(["lifecycle", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ecal: error: invalid JSON:")
+    assert len(err.splitlines()) == 1
 
 
 def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
@@ -207,10 +242,15 @@ def test_json_output_mode(capsys):
     assert ["B_T", 17728] in payload["rows"]
 
 
-def test_out_flag_writes_file(tmp_path):
+def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.csv"
     assert run(["transmit", "--tech", "ble5", "--samples", "256", "--out", str(target)]) == 0
     assert "B_T,17728" in target.read_text(encoding="utf-8")
+    missing = str(tmp_path / "missing" / "report")
+    for extra in ([], ["--json"]):
+        assert run(["transmit", "--samples", "256", "--out", missing, *extra]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"ecal: i/o error: cannot write report to {missing!r}: ")
 
 
 def test_cli_values_match_library_calls(capsys):

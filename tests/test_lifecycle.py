@@ -450,7 +450,7 @@ def test_counts_beyond_float_range_are_value_errors():
 def test_non_finite_phase_energy_is_a_value_error():
     s = default_scenario()
     with pytest.raises(ValueError, match="lifecycle energy is not finite"):
-        development_energy(replace(s, storage=StorageProfile("inf", math.inf)))
+        development_energy(replace(s, storage=StorageProfile("dense", 1e308)))
     tiny = replace(s, processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 5e-324))
     with pytest.raises(ValueError, match="not finite"):
         inference_phase_energy(tiny)

@@ -107,6 +107,8 @@ def test_type_violations_name_the_field():
 def test_invalid_json_is_a_scenario_error():
     with pytest.raises(ScenarioError, match="invalid JSON"):
         parse_scenario("{not json")
+    with pytest.raises(ScenarioError, match="invalid JSON"):
+        parse_scenario("[" * 100_000)
 
 
 def test_unknown_profile_names():
@@ -143,6 +145,11 @@ def test_inline_storage_and_processing_unit():
     assert doc.scenario.storage == StorageProfile("cold", 0.3)
     # Unset processing-unit keys keep their defaults.
     assert doc.scenario.processing_unit == ProcessingUnitProfile(Power(140.0), 1e10, 2e8)
+    infinite = _doc_with(storage={"name": "x", "wh_per_tb": float("inf")})
+    assert '"wh_per_tb": Infinity' in infinite
+    with pytest.raises(ScenarioError, match=r"^storage.wh_per_tb: must be non-negative and "
+                                            r"finite, got inf$"):
+        parse_scenario(infinite)
 
 
 def test_sweep_blocks():
@@ -235,7 +242,8 @@ def boundary_documents(draw):
     if draw(st.booleans()):
         doc["storage"] = draw(st.sampled_from(["hdd", "ssd"]))
     else:
-        put("wh_per_tb", [0.0, 0.65], [-1.0], doc.setdefault("storage", {}), "storage.")
+        put("wh_per_tb", [0.0, 0.65], [-1.0, float("inf")], doc.setdefault("storage", {}),
+            "storage.")
     put("preprocessing", ["minmax", "normalization"], ["zscore"], optional=True)
     put("split_ratio", [0.5, 1], [0, 1.5], optional=True)
     put("epochs", [1, 2], [-1, 0])

@@ -41,6 +41,11 @@ def test_negative_density_rejected():
         StorageProfile("bad", -0.1)
 
 
+def test_infinite_density_rejected():
+    with pytest.raises(ValueError, match="wh_per_terabyte must be non-negative and finite"):
+        StorageProfile("x", math.inf)
+
+
 def test_unknown_profile_name():
     with pytest.raises(KeyError):
         storage_profile("tape")
