@@ -11,7 +11,7 @@ import csv
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .lifecycle import Scenario, _at, _price
 from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, joules_to_kwh
@@ -122,8 +122,7 @@ def bundled_ci_table() -> tuple[CarbonIntensityRecord, ...]:
         return _parse_ci_rows(handle)
 
 
-@dataclass(frozen=True)
-class CarbonReportRow:
+class CarbonReportRow(NamedTuple):
     """Footprint of one country at one request count."""
 
     gamma: int
@@ -167,21 +166,15 @@ def cf_vs_gamma(
     p = _price(s)
     dev_kwh = p.development / JOULES_PER_KWH
     request_kwh = p.request / JOULES_PER_KWH
-    intensities = [(record, record.intensity.grams_co2e_per_kwh) for record in chosen]
+    countries = []  # the gamma-independent cells of each country's rows
+    for record in chosen:
+        ci = record.intensity.grams_co2e_per_kwh
+        countries.append((record.country_code, record.country_name, record.intensity,
+                          dev_kwh * ci, request_kwh * ci, ci))
     rows = []
     for gamma in gammas:
         _checked_count(gamma, "gamma", 1)
-        total_kwh = _at(p, gamma)[0] / JOULES_PER_KWH
-        for record, ci in intensities:
-            rows.append(
-                CarbonReportRow(
-                    gamma=gamma,
-                    country_code=record.country_code,
-                    country_name=record.country_name,
-                    intensity=record.intensity,
-                    cf_development_g=dev_kwh * ci,
-                    cf_inference_g=request_kwh * ci,
-                    cf_total_g=total_kwh * ci,
-                )
-            )
+        kwh = _at(p, gamma)[0] / JOULES_PER_KWH  # lifecycle energy after gamma requests
+        for code, name, intensity, dev_g, inf_g, ci in countries:
+            rows.append(CarbonReportRow(gamma, code, name, intensity, dev_g, inf_g, kwh * ci))
     return CarbonReport(tuple(rows))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from .mlp_cost import (
@@ -29,7 +30,10 @@ from .preprocessing import StandardizationMethod, preprocessing_flops
 from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, packet_count
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
-from .units import _checked_count, _checked_real
+from .units import _checked_count, _checked_real, _proven
+
+# Wrap figures _price has proven in range; see its docstring.
+_energy, _per_bit, _count = (partial(_proven, unit) for unit in (Energy, EnergyPerBit, BitCount))
 
 __all__ = [
     "Scenario",
@@ -138,9 +142,9 @@ def _price(s: Scenario) -> _Lifecycle:
     """Price both phases of ``s`` once, in the operation order of the
     per-module equations, so every figure matches them bit for bit.
 
-    Raises ValueError when a count is beyond floating-point range or the
-    energy of development plus one request is not finite; every term is
-    non-negative, so a finite sum means finite terms.
+    Raises ValueError when a count is beyond floating-point range or a returned
+    float is not finite.  Every float is non-negative and in the guarded sum, so
+    callers may wrap them, and their quotients by positive counts, unchecked.
     """
     bits_per_sample = s.payload.bits_per_sample
     n = s.payload.sample_count
@@ -170,9 +174,9 @@ def _price(s: Scenario) -> _Lifecycle:
         raise ValueError(
             "scenario is too large to price: a count exceeds the floating-point range"
         ) from None
-    if not math.isfinite(development + request):
+    if not math.isfinite(development + request + training_per_bit + forward_per_bit):
         raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
-                         f"one request {request!r} J")
+                         f"one request {request!r} J, training {training_per_bit!r} J/b")
 
     return _Lifecycle(
         forward_flops=fwd,
@@ -275,9 +279,8 @@ def gamma_sweep(s: Scenario, gammas: Sequence[int]) -> list[GammaRow]:
     for gamma in gammas:
         _checked_count(gamma, "gamma", 1)
         joules, bits = _at(p, gamma)
-        rows.append(
-            GammaRow(gamma, Energy(joules), Energy(joules / gamma), EnergyPerBit(joules / bits))
-        )
+        rows.append(GammaRow(gamma, _energy(joules), _energy(joules / gamma),
+                             _per_bit(joules / bits)))
     return rows
 
 
@@ -320,25 +323,23 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
     trained_bits = s.payload.bits_per_sample * p.train_count
     return LifecycleReport(
         gamma=gamma,
-        transmission=Energy(p.transmission),
-        storage=Energy(p.storage),
-        preprocessing=Energy(p.preprocessing),
-        training=Energy(p.training),
-        evaluation=Energy(p.evaluation),
-        inference=Energy(p.inference),
-        development=Energy(p.development),
-        development_per_bit=EnergyPerBit(p.development / p.development_bits),
-        training_per_bit=EnergyPerBit(p.training_per_bit),
-        training_per_trained_bit=EnergyPerBit(
-            p.training / trained_bits if trained_bits else 0.0
-        ),
-        inference_phase=Energy(p.request),
-        inference_phase_per_bit=EnergyPerBit(p.request / p.request_bits),
-        ecal_abs=Energy(joules),
-        ecal_abs_mean=Energy(joules / gamma),
-        ecal=EnergyPerBit(joules / bits),
-        transmitted_bits_development=BitCount(p.development_b_t),
-        development_denominator_bits=BitCount(p.development_bits),
-        transmitted_bits_inference=BitCount(p.request_b_t),
-        inference_denominator_bits=BitCount(p.request_bits),
+        transmission=_energy(p.transmission),
+        storage=_energy(p.storage),
+        preprocessing=_energy(p.preprocessing),
+        training=_energy(p.training),
+        evaluation=_energy(p.evaluation),
+        inference=_energy(p.inference),
+        development=_energy(p.development),
+        development_per_bit=_per_bit(p.development / p.development_bits),
+        training_per_bit=_per_bit(p.training_per_bit),
+        training_per_trained_bit=_per_bit(p.training / trained_bits if trained_bits else 0.0),
+        inference_phase=_energy(p.request),
+        inference_phase_per_bit=_per_bit(p.request / p.request_bits),
+        ecal_abs=_energy(joules),
+        ecal_abs_mean=_energy(joules / gamma),
+        ecal=_per_bit(joules / bits),
+        transmitted_bits_development=_count(p.development_b_t),
+        development_denominator_bits=_count(p.development_bits),
+        transmitted_bits_inference=_count(p.request_b_t),
+        inference_denominator_bits=_count(p.request_bits),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Sequence, TextIO
 
 from . import carbon as carbon_mod
@@ -421,22 +422,19 @@ class ReportTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row {row!r} has {len(row)} cells, expected {len(self.columns)}"
-                )
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        width = len(self.columns)
+        if set(map(len, self.rows)) - {width}:
+            row = next(row for row in self.rows if len(row) != width)
+            raise ValueError(f"row {row!r} has {len(row)} cells, expected {width}")
 
     def to_csv(self) -> str:
         """Render as CSV: header first, LF endings, full-precision numbers
-        (``str`` of a float is its shortest round-tripping repr)."""
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            if bool in map(type, row):
-                raise TypeError("boolean cells are not supported in reports")
-            lines.append(",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+        (``%s`` formats with ``str``, and a float's ``str`` round-trips)."""
+        if bool in set(map(type, chain.from_iterable(self.rows))):
+            raise TypeError("boolean cells are not supported in reports")
+        template = ",".join(["%s"] * len(self.columns))
+        return "\n".join([",".join(self.columns), *[template % row for row in self.rows]]) + "\n"
 
 
 def write_report(table: ReportTable, destination: str | os.PathLike | TextIO) -> int:

@@ -84,6 +84,14 @@ def _checked_count(value: int, field: str, minimum: int = 0, maximum: int | None
     return value
 
 
+def _proven(cls, value):
+    """Wrap ``value`` in the one-field unit ``cls``, named by ``__match_args__``,
+    unchecked: the caller has shown it finite and non-negative (``int`` for counts)."""
+    unit = object.__new__(cls)
+    object.__setattr__(unit, cls.__match_args__[0], value)
+    return unit
+
+
 @dataclass(frozen=True)
 class Energy:
     """An amount of energy, stored in joules."""

@@ -5,6 +5,7 @@ import pytest
 
 from ecal.carbon import (
     CarbonIntensityRecord,
+    CarbonReportRow,
     CiTableError,
     DuplicateCountryError,
     UnknownCountryError,
@@ -110,18 +111,31 @@ def test_cf_vs_gamma_orders_by_descending_intensity():
     assert min(report.rows, key=lambda r: r.cf_total_g).country_code == "FI"
 
 
+def test_carbon_report_row_fields_are_pinned():
+    assert CarbonReportRow._fields == (
+        "gamma", "country_code", "country_name", "intensity",
+        "cf_development_g", "cf_inference_g", "cf_total_g",
+    )
+    row = cf_vs_gamma(default_scenario(), bundled_ci_table(), [1000]).rows[0]
+    assert row == tuple(getattr(row, name) for name in CarbonReportRow._fields)
+
+
 def test_cf_vs_gamma_rows_match_point_formula():
     s = default_scenario()
     records = bundled_ci_table()
-    report = cf_vs_gamma(s, records, [1, 1000])
+    gammas = [1, 1000, 7]
+    report = cf_vs_gamma(s, records, gammas)
     e_d, _ = development_energy(s)
     e_p, _ = inference_phase_energy(s)
-    for row in report.rows:
-        assert row.cf_development_g == carbon_footprint(e_d, row.intensity)
-        assert row.cf_inference_g == carbon_footprint(e_p, row.intensity)
-        assert row.cf_total_g == carbon_footprint(
-            ecal_abs(replace(s, gamma=row.gamma)), row.intensity
-        )
+    by_intensity = sorted(records, key=lambda r: (-r.intensity.grams_co2e_per_kwh,
+                                                  r.country_code))
+    expected = [
+        CarbonReportRow(gamma, r.country_code, r.country_name, r.intensity,
+                        carbon_footprint(e_d, r.intensity), carbon_footprint(e_p, r.intensity),
+                        carbon_footprint(ecal_abs(replace(s, gamma=gamma)), r.intensity))
+        for gamma in gammas for r in by_intensity
+    ]
+    assert list(report.rows) == expected
 
 
 def test_cf_ratio_between_countries_equals_ci_ratio():

@@ -199,6 +199,24 @@ def test_invalid_scenario_contents_exit_1(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_train_cost_rejects_an_overflowing_per_bit_training_energy(capsys, tmp_path):
+    # Development plus one request stays finite, but 3 * M_FP / (alpha * fpj) overflows.
+    doc = {**MINIMAL_SCENARIO, "bit_precision": 1, "samples": 1, "inference_batch": 1,
+           "mlp": {"layers": [6, 5, 3]},
+           "processing_unit": {"flops_per_joule": 1.474111431261021e-306}}
+    path = tmp_path / "tiny_fpj.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    errors = []
+    for command in ("train-cost", "lifecycle"):
+        assert run([command, "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("ecal: error: lifecycle energy is not finite:")
+    assert len(errors[0].splitlines()) == 1
+
+
 def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
     huge = "1" + "0" * 400
     assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge}"]) == 1

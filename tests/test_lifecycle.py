@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUn
 from ecal.preprocessing import StandardizationMethod
 from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile
 from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
-from ecal.units import BitCount, BitRate, Power
+from ecal.units import BitCount, BitRate, Energy, EnergyPerBit, Power
 
 
 def spreadsheet_oracle(
@@ -456,6 +456,20 @@ def test_non_finite_phase_energy_is_a_value_error():
         inference_phase_energy(tiny)
 
 
+def test_overflowing_per_bit_training_energy_is_a_value_error():
+    # Development plus one request stays finite at gamma 1, but the closed-form
+    # training energy per bit, 3 * M_FP / (alpha * fpj), overflows.
+    s = replace(
+        default_scenario(gamma=1), payload=PayloadSpec(1, 1), inference_batch=1,
+        architecture=MlpArchitecture((6, 5, 3)),
+        processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 1.474111431261021e-306),
+    )
+    finite_phases = r"development \S+e\+307 J, one request \S+e\+307 J, training inf J/b"
+    for price in (lifecycle_report, development_energy, lambda x: gamma_sweep(x, [1])):
+        with pytest.raises(ValueError, match=f"lifecycle energy is not finite: {finite_phases}"):
+            price(s)
+
+
 @st.composite
 def scenarios(draw):
     bits_per_sample = draw(st.sampled_from([16, 32, 64]))
@@ -515,3 +529,34 @@ def test_every_metric_agrees_exactly_with_the_report(s):
         assert cf_row.cf_total_g == carbon_footprint(report.ecal_abs, cf_row.intensity)
         assert cf_row.cf_development_g == carbon_footprint(report.development, cf_row.intensity)
         assert cf_row.cf_inference_g == carbon_footprint(report.inference_phase, cf_row.intensity)
+
+
+def _unit_fields(record):
+    return [value for value in (getattr(record, f.name) for f in fields(record))
+            if isinstance(value, (Energy, EnergyPerBit, BitCount))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios(), st.data())
+def test_trusted_outputs_are_what_the_checked_constructors_build(s, data):
+    # Half the draws take an energy efficiency so low that some terms approach
+    # or pass the float range: a call may then raise, but never hand back a
+    # unit that its public constructor would reject.
+    extreme = data.draw(st.booleans())
+    if extreme:
+        fpj = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(st.integers(-308, -290))
+        s = replace(s, processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, fpj))
+    gammas = (1, s.gamma, data.draw(st.integers(1, 10**12)))
+    calls = [lambda: _unit_fields(lifecycle_report(s))]
+    calls += [lambda gamma=gamma: list(gamma_sweep(s, [gamma])[0][1:]) for gamma in gammas]
+    units = []
+    for call in calls:
+        try:
+            units += call()
+        except ValueError:
+            assert extreme
+    assert extreme or len(units) == 19 + 3 * len(gammas)
+    for unit in units:
+        checked = type(unit)(*astuple(unit))
+        assert checked == unit
+        assert repr(checked) == repr(unit)

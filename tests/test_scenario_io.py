@@ -385,6 +385,12 @@ def test_builtin_profiles_serialize_by_name():
 def test_report_table_requires_rectangular_rows():
     with pytest.raises(ValueError):
         ReportTable(("a", "b"), ((1,),))
+    # The error names the first row whose width is wrong.
+    with pytest.raises(ValueError) as excinfo:
+        ReportTable(("a", "b"), ((1, 2), (3,), (4, 5, 6), (7,)))
+    assert str(excinfo.value) == "row (3,) has 1 cells, expected 2"
+    with pytest.raises(ValueError, match=r"^row \(\) has 0 cells, expected 1$"):
+        ReportTable(("a",), ((1,), ()))
 
 
 def test_empty_table_renders_header_only():
@@ -424,13 +430,22 @@ def test_table_renders_mixed_cells_like_the_per_cell_formatter():
     )
 
 
-@given(st.lists(st.tuples(st.floats(allow_nan=False), st.integers(), st.text(
-    alphabet=st.characters(blacklist_characters=",\n\r"), max_size=5))))
-def test_table_rendering_matches_the_per_cell_formatter(rows):
-    expected = "a,b,c\n" + "".join(
+_CELLS = st.one_of(
+    st.floats(), st.integers(), st.none(), st.tuples(st.integers()),
+    st.text(alphabet=st.characters(blacklist_characters=",\n\r"), max_size=5),
+)
+
+
+@given(st.integers(0, 6).flatmap(lambda width: st.tuples(
+    st.just(tuple("abcdef"[:width])), st.lists(st.lists(_CELLS, min_size=width, max_size=width)))))
+def test_table_rendering_matches_the_per_cell_formatter(table):
+    # Widths 0 to 6, one-column tables and tuple cells included: a row is
+    # formatted as a whole, so a lone tuple cell must still print as itself.
+    columns, rows = table
+    expected = ",".join(columns) + "\n" + "".join(
         ",".join(_reference_cell(cell) for cell in row) + "\n" for row in rows
     )
-    assert ReportTable(("a", "b", "c"), rows).to_csv() == expected
+    assert ReportTable(columns, rows).to_csv() == expected
 
 
 def test_boolean_cells_are_rejected():
