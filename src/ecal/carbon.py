@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .lifecycle import Scenario, _at, _price
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, joules_to_kwh
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _Value, joules_to_kwh
 
 __all__ = [
     "CiTableError",
@@ -44,19 +43,19 @@ class UnknownCountryError(LookupError):
     """A requested country is not present in the loaded intensity table."""
 
 
-@dataclass(frozen=True)
-class CarbonIntensityRecord:
+class CarbonIntensityRecord(_Value):
     """Average grid carbon intensity of one country in one year."""
 
-    country_code: str
-    country_name: str
-    year: int
-    intensity: CarbonIntensity
+    __slots__ = __match_args__ = ("country_code", "country_name", "year", "intensity")
 
-    def __post_init__(self) -> None:
-        if len(self.country_code) != 2 or not self.country_code.isalpha():
-            raise ValueError(f"country_code must be two letters, got {self.country_code!r}")
-        object.__setattr__(self, "country_code", self.country_code.upper())
+    def __init__(self, country_code: str, country_name: str, year: int,
+                 intensity: CarbonIntensity) -> None:
+        if len(country_code) != 2 or not country_code.isalpha():
+            raise ValueError(f"country_code must be two letters, got {country_code!r}")
+        object.__setattr__(self, "country_code", country_code.upper())
+        object.__setattr__(self, "country_name", country_name)
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "intensity", intensity)
 
 
 def carbon_footprint(e: Energy, ci: CarbonIntensity) -> float:
@@ -100,8 +99,6 @@ def _parse_ci_rows(stream: Iterable[str]) -> tuple[CarbonIntensityRecord, ...]:
             intensity = float(ci_text)
         except ValueError:
             raise CiTableError(f"line {lineno}: cannot parse {row!r}") from None
-        if intensity < 0:
-            raise CiTableError(f"line {lineno}: carbon intensity must be >= 0, got {intensity}")
         try:
             record = CarbonIntensityRecord(code, name, year, CarbonIntensity(intensity))
         except ValueError as exc:
@@ -134,11 +131,13 @@ class CarbonReportRow(NamedTuple):
     cf_total_g: float
 
 
-@dataclass(frozen=True)
-class CarbonReport:
+class CarbonReport(_Value):
     """Per-country carbon footprints, grouped by request count."""
 
-    rows: tuple[CarbonReportRow, ...]
+    __slots__ = __match_args__ = ("rows",)
+
+    def __init__(self, rows: tuple[CarbonReportRow, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
 
 
 def cf_vs_gamma(

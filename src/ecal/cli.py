@@ -2,40 +2,17 @@
 
 Every number the CLI prints comes straight from a library call; the CLI
 adds no arithmetic of its own.  Exit codes: 0 success, 1 validation or
-usage error, 2 I/O error.
+usage error, 2 I/O error.  Each subcommand imports only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
-from typing import Sequence
+from collections.abc import Sequence
 
-from .carbon import bundled_ci_table, cf_vs_gamma, load_ci_table
-from .lifecycle import _price, gamma_sweep, lifecycle_report
-from .mlp_cost import ProcessingUnitProfile
-from .preprocessing import (
-    StandardizationMethod,
-    preprocessing_energy,
-    preprocessing_energy_per_bit,
-    preprocessing_flops,
-)
-from .scenario_io import ReportTable, load_scenario, reproduce, REPRODUCE_TARGETS
-from .storage import storage_energy, storage_energy_per_bit, storage_profile
-from .transmission import (
-    PayloadSpec,
-    payload_bits,
-    packet_count,
-    technology_profile,
-    transmission_energy,
-    transmission_energy_per_bit,
-    transmitted_bits,
-    without_packet_override,
-)
-from .units import Power
+from .report import REPRODUCE_TARGETS, ReportTable
 
 __all__ = ["run", "main"]
 
@@ -51,6 +28,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from .preprocessing import StandardizationMethod
+
     parser = _Parser(prog="ecal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -125,6 +104,10 @@ def _key_value_table(pairs: Sequence[tuple[str, object]]) -> ReportTable:
 
 
 def _cmd_transmit(args: argparse.Namespace) -> ReportTable:
+    from .transmission import (PayloadSpec, packet_count, payload_bits, technology_profile,
+                               transmission_energy, transmission_energy_per_bit,
+                               transmitted_bits, without_packet_override)
+
     profile = technology_profile(args.tech)
     if args.strict_eq2:
         profile = without_packet_override(profile)
@@ -142,6 +125,9 @@ def _cmd_transmit(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_storage(args: argparse.Namespace) -> ReportTable:
+    from .storage import storage_energy, storage_energy_per_bit, storage_profile
+    from .transmission import PayloadSpec, payload_bits
+
     profile = storage_profile(args.medium)
     payload = payload_bits(PayloadSpec(args.precision, args.samples))
     return _key_value_table(
@@ -154,6 +140,12 @@ def _cmd_storage(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
+    from .mlp_cost import ProcessingUnitProfile
+    from .preprocessing import (StandardizationMethod, preprocessing_energy,
+                                preprocessing_energy_per_bit, preprocessing_flops)
+    from .transmission import PayloadSpec
+    from .units import Power
+
     method = StandardizationMethod(args.method)
     pu = ProcessingUnitProfile(Power(args.power_w), args.flops_per_s, 1.0)
     flops = preprocessing_flops(method, args.samples, args.invalid)
@@ -170,6 +162,9 @@ def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
+    from .lifecycle import _price
+    from .scenario_io import load_scenario
+
     p = _price(load_scenario(args.scenario).scenario)
     return _key_value_table(
         [
@@ -187,6 +182,12 @@ def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
+    from dataclasses import replace
+
+    from .lifecycle import gamma_sweep, lifecycle_report
+    from .scenario_io import load_scenario
+    from .transmission import without_packet_override
+
     doc = load_scenario(args.scenario)
     scenario = doc.scenario
     if args.strict_eq2:
@@ -235,6 +236,9 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
+    from .carbon import bundled_ci_table, cf_vs_gamma, load_ci_table
+    from .scenario_io import load_scenario
+
     doc = load_scenario(args.scenario)
     ci_path = args.ci_file or os.environ.get(CI_FILE_ENV_VAR)
     records = load_ci_table(ci_path) if ci_path else bundled_ci_table()
@@ -253,6 +257,8 @@ def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
 
 def _cmd_reproduce(args: argparse.Namespace) -> ReportTable | None:
     """One target's table, or None once ``--out DIR`` holds each target's CSV."""
+    from .report import reproduce
+
     targets = list(REPRODUCE_TARGETS) if args.target == "all" else [args.target]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -274,6 +280,8 @@ def _write(path: str, text: str) -> None:
 
 def _emit(table: ReportTable, args: argparse.Namespace) -> None:
     if args.json:
+        import json
+
         payload = {"columns": list(table.columns), "rows": [list(row) for row in table.rows]}
         text = json.dumps(payload, indent=2) + "\n"
     else:

@@ -11,10 +11,9 @@ per-bit energies coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .units import Energy, EnergyPerBit, FieldError, FlopCount, Power
-from .units import _checked_count, _checked_real
+from .units import _checked_count, _checked_real, _Value
 
 __all__ = [
     "MlpArchitecture",
@@ -41,24 +40,22 @@ __all__ = [
 DEFAULT_FLOPS_PER_JOULE = 1.5351e8
 
 
-@dataclass(frozen=True)
-class MlpArchitecture:
+class MlpArchitecture(_Value):
     """Layer widths of a fully connected MLP, input layer first."""
 
-    layer_sizes: tuple[int, ...]
+    __slots__ = __match_args__ = ("layer_sizes",)
 
-    def __post_init__(self) -> None:
-        sizes = tuple(self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
+    def __init__(self, layer_sizes: tuple[int, ...]) -> None:
+        sizes = tuple(layer_sizes)
         if len(sizes) < 2:
             raise FieldError("layer_sizes", "must list at least an input and an output "
                                             f"layer, got {len(sizes)} layer(s)")
         for index, width in enumerate(sizes):
             _checked_count(width, f"layer_sizes[{index}]", 1)
+        object.__setattr__(self, "layer_sizes", sizes)
 
 
-@dataclass(frozen=True)
-class ProcessingUnitProfile:
+class ProcessingUnitProfile(_Value):
     """Compute-side parameters of the machine running the pipeline.
 
     Args:
@@ -68,14 +65,17 @@ class ProcessingUnitProfile:
             inference FLOPs.
     """
 
-    preprocessing_power: Power
-    preprocessing_flops_per_s: float
-    flops_per_joule: float
+    __slots__ = __match_args__ = ("preprocessing_power", "preprocessing_flops_per_s",
+                                  "flops_per_joule")
 
-    def __post_init__(self) -> None:
-        _checked_real(self.preprocessing_power.watts, "preprocessing_power", positive=True)
-        for rate in ("preprocessing_flops_per_s", "flops_per_joule"):
-            object.__setattr__(self, rate, _checked_real(getattr(self, rate), rate, positive=True))
+    def __init__(self, preprocessing_power: Power, preprocessing_flops_per_s: float,
+                 flops_per_joule: float) -> None:
+        _checked_real(preprocessing_power.watts, "preprocessing_power", positive=True)
+        object.__setattr__(self, "preprocessing_power", preprocessing_power)
+        object.__setattr__(self, "preprocessing_flops_per_s", _checked_real(
+            preprocessing_flops_per_s, "preprocessing_flops_per_s", positive=True))
+        object.__setattr__(self, "flops_per_joule",
+                           _checked_real(flops_per_joule, "flops_per_joule", positive=True))
 
 
 DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(
@@ -85,18 +85,21 @@ DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(
 )
 
 
-@dataclass(frozen=True)
-class TrainSplit:
+class TrainSplit(_Value):
     """A dataset split into training and evaluation parts.
 
     The training side takes floor(train_fraction * sample_count) samples;
     the evaluation side takes the remainder.
     """
 
-    sample_count: int
-    train_fraction: float
-    train_count: int
-    eval_count: int
+    __slots__ = __match_args__ = ("sample_count", "train_fraction", "train_count", "eval_count")
+
+    def __init__(self, sample_count: int, train_fraction: float, train_count: int,
+                 eval_count: int) -> None:
+        object.__setattr__(self, "sample_count", sample_count)
+        object.__setattr__(self, "train_fraction", train_fraction)
+        object.__setattr__(self, "train_count", train_count)
+        object.__setattr__(self, "eval_count", eval_count)
 
 
 def make_split(sample_count: int, train_fraction: float) -> TrainSplit:

@@ -18,12 +18,11 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .mlp_cost import ProcessingUnitProfile
 from .transmission import PayloadSpec
-from .units import Energy, EnergyPerBit, FlopCount, _checked_count
+from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _Value
 
 __all__ = [
     "DegenerateRangeError",
@@ -56,14 +55,13 @@ class StandardizationMethod(enum.Enum):
     NORMALIZATION = "normalization"
 
 
-@dataclass(frozen=True)
-class RawDataset:
+class RawDataset(_Value):
     """A collected sample sequence in which non-finite entries mark invalid data."""
 
-    samples: tuple[float, ...]
+    __slots__ = __match_args__ = ("samples",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
+    def __init__(self, samples: tuple[float, ...]) -> None:
+        object.__setattr__(self, "samples", tuple(float(x) for x in samples))
 
     @property
     def sample_count(self) -> int:
@@ -74,15 +72,22 @@ class RawDataset:
         return sum(1 for x in self.samples if not math.isfinite(x))
 
 
-@dataclass
-class FlopLedger:
-    """Operation-by-operation count of one transform call."""
+class FlopLedger(_Value):
+    """Operation-by-operation count of one transform call; the one mutable value type."""
 
-    additions: int = 0
-    subtractions: int = 0
-    multiplications: int = 0
-    divisions: int = 0
-    square_roots: int = 0
+    __slots__ = __match_args__ = ("additions", "subtractions", "multiplications", "divisions",
+                                  "square_roots")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, additions: int = 0, subtractions: int = 0, multiplications: int = 0,
+                 divisions: int = 0, square_roots: int = 0) -> None:
+        self.additions = additions
+        self.subtractions = subtractions
+        self.multiplications = multiplications
+        self.divisions = divisions
+        self.square_roots = square_roots
 
     @property
     def total(self) -> FlopCount:

@@ -1,53 +1,24 @@
-"""Scenario files, report tables, and the bundled reference datasets.
+"""Scenario files and report writing.
 
 A scenario is a single strict-schema JSON document; unknown keys are
-rejected so parameter typos fail loudly.  Reports are plain CSV with LF
-line endings so identical inputs always produce byte-identical output.
+rejected so parameter typos fail loudly.  ``ReportTable``,
+``UnknownTargetError``, ``reproduce`` and ``REPRODUCE_TARGETS`` come from
+:mod:`ecal.report` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Callable, Sequence, TextIO
 
-from . import carbon as carbon_mod
-from .lifecycle import (
-    Scenario,
-    default_scenario,
-    gamma_sweep,
-    lifecycle_report,
-)
-from .mlp_cost import (
-    DEFAULT_PROCESSING_UNIT,
-    MlpArchitecture,
-    ProcessingUnitProfile,
-    forward_flops,
-    training_forward_flops,
-    uniform_architecture,
-)
-from .preprocessing import (
-    StandardizationMethod,
-    preprocessing_energy,
-    preprocessing_energy_per_bit,
-    preprocessing_flops,
-)
+from .lifecycle import Scenario
+from .mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
+from .preprocessing import StandardizationMethod
+from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, reproduce
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
-from .transmission import (
-    BUILTIN_TECHNOLOGIES,
-    PayloadSpec,
-    TechnologyProfile,
-    cumulative_transmission_energy,
-    fixed_overhead_profile,
-    packet_count,
-    payload_bits,
-    technology_profile,
-    transmission_energy_per_bit,
-    transmitted_bits,
-)
-from .units import BitCount, BitRate, FieldError, Power, _checked_count, _checked_real
+from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
+from .units import BitCount, BitRate, FieldError, Power, _checked_count, _checked_real, _Value
 
 __all__ = [
     "ScenarioError",
@@ -68,25 +39,26 @@ class ScenarioError(ValueError):
     """A scenario document failed validation; the message names the field path."""
 
 
-class UnknownTargetError(ValueError):
-    """An unknown reproduce target was requested; the message lists valid ones."""
-
-
-@dataclass(frozen=True)
-class Sweeps:
+class Sweeps(_Value):
     """Optional parameter sweeps attached to a scenario."""
 
-    gamma: tuple[int, ...] = ()
-    overhead_pct: tuple[float, ...] = ()
-    invalid_samples: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("gamma", "overhead_pct", "invalid_samples")
+
+    def __init__(self, gamma: tuple[int, ...] = (), overhead_pct: tuple[float, ...] = (),
+                 invalid_samples: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "overhead_pct", overhead_pct)
+        object.__setattr__(self, "invalid_samples", invalid_samples)
 
 
-@dataclass(frozen=True)
-class ScenarioDocument:
+class ScenarioDocument(_Value):
     """A parsed scenario plus its sweep blocks."""
 
-    scenario: Scenario
-    sweeps: Sweeps = field(default_factory=Sweeps)
+    __slots__ = __match_args__ = ("scenario", "sweeps")
+
+    def __init__(self, scenario: Scenario, sweeps: Sweeps | None = None) -> None:
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "sweeps", Sweeps() if sweeps is None else sweeps)
 
 
 def _fail(path: str, message: str) -> ScenarioError:
@@ -413,30 +385,6 @@ def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
         return parse_scenario(handle.read())
 
 
-@dataclass(frozen=True)
-class ReportTable:
-    """A rectangular, CSV-renderable table of results."""
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        width = len(self.columns)
-        if set(map(len, self.rows)) - {width}:
-            row = next(row for row in self.rows if len(row) != width)
-            raise ValueError(f"row {row!r} has {len(row)} cells, expected {width}")
-
-    def to_csv(self) -> str:
-        """Render as CSV: header first, LF endings, full-precision numbers
-        (``%s`` formats with ``str``, and a float's ``str`` round-trips)."""
-        if bool in set(map(type, chain.from_iterable(self.rows))):
-            raise TypeError("boolean cells are not supported in reports")
-        template = ",".join(["%s"] * len(self.columns))
-        return "\n".join([",".join(self.columns), *[template % row for row in self.rows]]) + "\n"
-
-
 def write_report(table: ReportTable, destination: str | os.PathLike | TextIO) -> int:
     """Write a table as UTF-8 CSV to a path or text stream; returns bytes written."""
     text = table.to_csv()
@@ -450,216 +398,3 @@ def write_report(table: ReportTable, destination: str | os.PathLike | TextIO) ->
     except OSError as exc:
         raise OSError(f"cannot write report to {os.fspath(destination)!r}: {exc}") from exc
     return len(data)
-
-
-# --- bundled reference datasets -------------------------------------------
-
-_GAMMA_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000)
-_REFERENCE_TECHNOLOGIES = ("ble5", "zigbee", "lorawan")
-
-
-def _technology_rows() -> list[TechnologyProfile]:
-    return [BUILTIN_TECHNOLOGIES[name] for name in _REFERENCE_TECHNOLOGIES]
-
-
-def _target_table1() -> ReportTable:
-    spec = PayloadSpec(64, 256)
-    rows = []
-    for profile in _technology_rows():
-        rows.append(
-            (
-                profile.name,
-                profile.packet_capacity.bits,
-                packet_count(profile, spec),
-                profile.packet_overhead.bits,
-                transmitted_bits(profile, spec).bits,
-                100.0 * profile.packet_overhead.bits / profile.packet_capacity.bits,
-            )
-        )
-    return ReportTable(
-        ("technology", "packet_capacity_bits", "packets", "overhead_bits_per_packet",
-         "b_t_bits", "overhead_pct"),
-        rows,
-    )
-
-
-def _target_table2() -> ReportTable:
-    rows = []
-    for profile in _technology_rows():
-        rows.append(
-            (
-                profile.name,
-                profile.transmit_power.watts * 1e3,
-                profile.transmit_rate.bits_per_second,
-                transmission_energy_per_bit(profile).joules_per_bit,
-            )
-        )
-    return ReportTable(("technology", "p_t_mw", "r_t_bps", "e_t_b_j"), rows)
-
-
-def _target_fig2() -> ReportTable:
-    rows = []
-    for n_samples in range(16, 513, 16):
-        spec = PayloadSpec(64, n_samples)
-        for pct in (1.0, 30.0, 50.0, 70.0):
-            profile = fixed_overhead_profile(pct)
-            rows.append(
-                (n_samples, pct, payload_bits(spec).bits, transmitted_bits(profile, spec).bits)
-            )
-    return ReportTable(("n_samples", "overhead_pct", "payload_bits", "b_t_bits"), rows)
-
-
-def _target_fig4() -> ReportTable:
-    rows = [
-        (profile.name, transmission_energy_per_bit(profile).joules_per_bit)
-        for profile in _technology_rows()
-    ]
-    return ReportTable(("technology", "e_t_b_j"), rows)
-
-
-def _target_fig5() -> ReportTable:
-    spec = PayloadSpec(64, 256)
-    rows = []
-    for profile in _technology_rows():
-        for time_s, energy in cumulative_transmission_energy(profile, spec, 60.0, 86400.0):
-            rows.append((profile.name, time_s, energy.joules))
-    return ReportTable(("technology", "time_s", "e_t_cumulative_j"), rows)
-
-
-def _target_fig6() -> ReportTable:
-    pu = DEFAULT_PROCESSING_UNIT
-    rows = []
-    for method in StandardizationMethod:
-        for n_samples in range(128, 1025, 128):
-            for n_invalid in (0, 32, 64, 96):
-                flops = preprocessing_flops(method, n_samples, n_invalid)
-                t_pre, e_pre = preprocessing_energy(pu, flops)
-                rows.append((method.value, n_samples, n_invalid, flops.flops, t_pre, e_pre.joules))
-    return ReportTable(
-        ("method", "n_samples", "n_invalid", "flops", "t_pre_s", "e_pre_j"), rows
-    )
-
-
-def _target_fig7() -> ReportTable:
-    pu = DEFAULT_PROCESSING_UNIT
-    spec = PayloadSpec(64, 256)
-    rows = []
-    for method in StandardizationMethod:
-        flops = preprocessing_flops(method, spec.sample_count, 0)
-        _, e_pre = preprocessing_energy(pu, flops)
-        per_bit = preprocessing_energy_per_bit(e_pre, spec)
-        rows.append((method.value, spec.sample_count, flops.flops, e_pre.joules,
-                     per_bit.joules_per_bit))
-    return ReportTable(("method", "n_samples", "flops", "e_pre_j", "e_pre_b_j"), rows)
-
-
-def _target_fig8() -> ReportTable:
-    report = lifecycle_report(default_scenario())
-    rows = [
-        ("transmission", report.transmission.joules),
-        ("storage", report.storage.joules),
-        ("preprocessing", report.preprocessing.joules),
-        ("training", report.training.joules),
-        ("evaluation", report.evaluation.joules),
-        ("inference", report.inference.joules),
-        ("development_total", report.development.joules),
-        ("inference_phase_total", report.inference_phase.joules),
-    ]
-    return ReportTable(("component", "energy_j"), rows)
-
-
-def _target_fig9ab() -> ReportTable:
-    rows = []
-    for width in range(1, 11):
-        for hidden in range(1, 6):
-            arch = uniform_architecture(6, width, hidden, 3)
-            fwd = forward_flops(arch)
-            rows.append(
-                ("a", width, hidden, 10, 256, fwd.flops,
-                 training_forward_flops(arch, 10, 256).flops)
-            )
-    reference = MlpArchitecture((6, 5, 5, 5, 3))
-    fwd = forward_flops(reference)
-    for epochs in (1, 5, 10, 15, 20):
-        for n_train in (64, 128, 179, 256, 384, 512):
-            rows.append(
-                ("b", 5, 3, epochs, n_train, fwd.flops,
-                 training_forward_flops(reference, epochs, n_train).flops)
-            )
-    return ReportTable(
-        ("part", "hidden_width", "hidden_layers", "n_epochs", "n_train",
-         "forward_flops", "training_forward_flops"),
-        rows,
-    )
-
-
-def _target_fig11() -> ReportTable:
-    scenario = default_scenario()
-    rows = [
-        (row.gamma, row.ecal_abs.joules, row.ecal_abs_mean.joules)
-        for row in gamma_sweep(scenario, _GAMMA_GRID)
-    ]
-    return ReportTable(("gamma", "ecal_abs_j", "ecal_abs_mean_j"), rows)
-
-
-def _target_fig12() -> ReportTable:
-    scenario = default_scenario()
-    rows = [(row.gamma, row.ecal.joules_per_bit) for row in gamma_sweep(scenario, _GAMMA_GRID)]
-    return ReportTable(("gamma", "ecal_j_per_b"), rows)
-
-
-def _target_table3() -> ReportTable:
-    scenario = default_scenario()
-    report = carbon_mod.cf_vs_gamma(scenario, carbon_mod.bundled_ci_table(), [scenario.gamma])
-    rows = [
-        (row.country_code, row.country_name, row.intensity.grams_co2e_per_kwh,
-         row.cf_development_g, row.cf_inference_g)
-        for row in report.rows
-    ]
-    return ReportTable(
-        ("country_code", "country_name", "ci_g_per_kwh", "cf_development_g", "cf_inference_g"),
-        rows,
-    )
-
-
-def _target_fig13() -> ReportTable:
-    scenario = default_scenario()
-    report = carbon_mod.cf_vs_gamma(scenario, carbon_mod.bundled_ci_table(), _GAMMA_GRID)
-    rows = [
-        (row.gamma, row.country_code, row.intensity.grams_co2e_per_kwh, row.cf_total_g)
-        for row in report.rows
-    ]
-    return ReportTable(("gamma", "country_code", "ci_g_per_kwh", "cf_total_g"), rows)
-
-
-_TARGETS = {
-    "table1": _target_table1,
-    "table2": _target_table2,
-    "fig2": _target_fig2,
-    "fig4": _target_fig4,
-    "fig5": _target_fig5,
-    "fig6": _target_fig6,
-    "fig7": _target_fig7,
-    "fig8": _target_fig8,
-    "fig9ab": _target_fig9ab,
-    "fig11": _target_fig11,
-    "fig12": _target_fig12,
-    "table3": _target_table3,
-    "fig13": _target_fig13,
-}
-
-REPRODUCE_TARGETS = tuple(_TARGETS)
-
-
-def reproduce(target: str) -> ReportTable:
-    """Compute the named reference dataset from the model.
-
-    Every value is produced by the library (the carbon-intensity inputs are
-    the bundled snapshot); nothing is hard-coded.
-    """
-    try:
-        builder = _TARGETS[target]
-    except KeyError:
-        known = ", ".join(REPRODUCE_TARGETS)
-        raise UnknownTargetError(f"unknown target {target!r}; known targets: {known}") from None
-    return builder()

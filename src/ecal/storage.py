@@ -6,9 +6,7 @@ density; later reads for preprocessing or training are free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .units import BitCount, Energy, EnergyPerBit, _checked_real, wh_per_tb_to_j_per_bit
+from .units import BitCount, Energy, EnergyPerBit, _checked_real, _Value, wh_per_tb_to_j_per_bit
 
 __all__ = [
     "StorageProfile",
@@ -21,16 +19,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StorageProfile:
+class StorageProfile(_Value):
     """A storage medium described by its write energy density in Wh/TB."""
 
-    name: str
-    wh_per_terabyte: float
+    __slots__ = __match_args__ = ("name", "wh_per_terabyte")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, wh_per_terabyte: float) -> None:
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "wh_per_terabyte",
-                           _checked_real(self.wh_per_terabyte, "wh_per_terabyte"))
+                           _checked_real(wh_per_terabyte, "wh_per_terabyte"))
 
 
 HDD = StorageProfile("hdd", 0.65)

@@ -9,9 +9,8 @@ bits on top.  Overhead is additive and does not consume packet capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .units import BitCount, BitRate, Energy, EnergyPerBit, Power, _checked_count, _checked_real
+from .units import BitCount, BitRate, Energy, EnergyPerBit, Power, _Value
+from .units import _checked_count, _checked_real
 
 __all__ = [
     "PayloadSpec",
@@ -32,24 +31,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PayloadSpec:
+class PayloadSpec(_Value):
     """What the application asks the device for: N samples at a bit precision.
 
     ``bits_per_sample`` is typically 32 (single precision) or 64 (double
     precision), but any positive width is accepted.
     """
 
-    bits_per_sample: int
-    sample_count: int
+    __slots__ = __match_args__ = ("bits_per_sample", "sample_count")
 
-    def __post_init__(self) -> None:
-        _checked_count(self.bits_per_sample, "bits_per_sample", 1)
-        _checked_count(self.sample_count, "sample_count")
+    def __init__(self, bits_per_sample: int, sample_count: int) -> None:
+        object.__setattr__(self, "bits_per_sample",
+                           _checked_count(bits_per_sample, "bits_per_sample", 1))
+        object.__setattr__(self, "sample_count", _checked_count(sample_count, "sample_count"))
 
 
-@dataclass(frozen=True)
-class TechnologyProfile:
+class TechnologyProfile(_Value):
     """Radio parameters of one wireless access technology.
 
     ``packets_override`` pins the packet count to a fixed value instead of
@@ -58,18 +55,22 @@ class TechnologyProfile:
     capture; it is only valid when it is at least the capacity-based count.
     """
 
-    name: str
-    packet_capacity: BitCount
-    packet_overhead: BitCount
-    transmit_power: Power
-    transmit_rate: BitRate
-    packets_override: int | None = None
+    __slots__ = __match_args__ = ("name", "packet_capacity", "packet_overhead",
+                                  "transmit_power", "transmit_rate", "packets_override")
 
-    def __post_init__(self) -> None:
-        _checked_count(self.packet_capacity.bits, "packet_capacity", 1)
-        _checked_real(self.transmit_power.watts, "transmit_power", positive=True)
-        if self.packets_override is not None:
-            _checked_count(self.packets_override, "packets_override", 1)
+    def __init__(self, name: str, packet_capacity: BitCount, packet_overhead: BitCount,
+                 transmit_power: Power, transmit_rate: BitRate,
+                 packets_override: int | None = None) -> None:
+        _checked_count(packet_capacity.bits, "packet_capacity", 1)
+        _checked_real(transmit_power.watts, "transmit_power", positive=True)
+        if packets_override is not None:
+            _checked_count(packets_override, "packets_override", 1)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "packet_capacity", packet_capacity)
+        object.__setattr__(self, "packet_overhead", packet_overhead)
+        object.__setattr__(self, "transmit_power", transmit_power)
+        object.__setattr__(self, "transmit_rate", transmit_rate)
+        object.__setattr__(self, "packets_override", packets_override)
 
 
 BLE5 = TechnologyProfile(
@@ -133,7 +134,8 @@ def without_packet_override(profile: TechnologyProfile) -> TechnologyProfile:
     """Return a copy of ``profile`` with any packet-count override removed."""
     if profile.packets_override is None:
         return profile
-    return replace(profile, packets_override=None)
+    return TechnologyProfile(profile.name, profile.packet_capacity, profile.packet_overhead,
+                             profile.transmit_power, profile.transmit_rate)
 
 
 def payload_bits(spec: PayloadSpec) -> BitCount:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 __all__ = [
     "Energy",
@@ -92,14 +91,50 @@ def _proven(cls, value):
     return unit
 
 
-@dataclass(frozen=True)
-class Energy:
+class _Value:
+    """Base of the immutable value types.
+
+    ``__match_args__`` names the fields (each class also takes them as its
+    ``__slots__``); ``__init__`` checks each and sets it once through
+    ``object.__setattr__``.  Equality, hashing, ``repr``, copying and
+    pickling go field by field, as for a frozen dataclass.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class Energy(_Value):
     """An amount of energy, stored in joules."""
 
-    joules: float
+    __slots__ = __match_args__ = ("joules",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "joules", _checked_real(self.joules, "energy [J]"))
+    def __init__(self, joules: float) -> None:
+        object.__setattr__(self, "joules", _checked_real(joules, "energy [J]"))
 
     def __add__(self, other: "Energy") -> "Energy":
         if not isinstance(other, Energy):
@@ -119,24 +154,22 @@ class Energy:
         return Energy(self.joules / divisor)
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(_Value):
     """A power draw, stored in watts."""
 
-    watts: float
+    __slots__ = __match_args__ = ("watts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "watts", _checked_real(self.watts, "power [W]"))
+    def __init__(self, watts: float) -> None:
+        object.__setattr__(self, "watts", _checked_real(watts, "power [W]"))
 
 
-@dataclass(frozen=True)
-class BitCount:
+class BitCount(_Value):
     """An exact number of bits; all counting stays in integer arithmetic."""
 
-    bits: int
+    __slots__ = __match_args__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        _checked_count(self.bits, "bit count")
+    def __init__(self, bits: int) -> None:
+        object.__setattr__(self, "bits", _checked_count(bits, "bit count"))
 
     def __add__(self, other: "BitCount") -> "BitCount":
         if not isinstance(other, BitCount):
@@ -151,54 +184,43 @@ class BitCount:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class BitRate:
+class BitRate(_Value):
     """A strictly positive transmission rate in bits per second."""
 
-    bits_per_second: float
+    __slots__ = __match_args__ = ("bits_per_second",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "bits_per_second",
-            _checked_real(self.bits_per_second, "bit rate [b/s]", positive=True),
-        )
+    def __init__(self, bits_per_second: float) -> None:
+        object.__setattr__(self, "bits_per_second",
+                           _checked_real(bits_per_second, "bit rate [b/s]", positive=True))
 
 
-@dataclass(frozen=True)
-class FlopCount:
+class FlopCount(_Value):
     """An exact number of floating-point operations."""
 
-    flops: int
+    __slots__ = __match_args__ = ("flops",)
 
-    def __post_init__(self) -> None:
-        _checked_count(self.flops, "FLOP count")
+    def __init__(self, flops: int) -> None:
+        object.__setattr__(self, "flops", _checked_count(flops, "FLOP count"))
 
 
-@dataclass(frozen=True)
-class EnergyPerBit:
+class EnergyPerBit(_Value):
     """Energy intensity in joules per bit."""
 
-    joules_per_bit: float
+    __slots__ = __match_args__ = ("joules_per_bit",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "joules_per_bit", _checked_real(self.joules_per_bit, "energy per bit [J/b]")
-        )
+    def __init__(self, joules_per_bit: float) -> None:
+        object.__setattr__(self, "joules_per_bit",
+                           _checked_real(joules_per_bit, "energy per bit [J/b]"))
 
 
-@dataclass(frozen=True)
-class CarbonIntensity:
+class CarbonIntensity(_Value):
     """Grid carbon intensity in grams CO2-equivalent per kWh."""
 
-    grams_co2e_per_kwh: float
+    __slots__ = __match_args__ = ("grams_co2e_per_kwh",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "grams_co2e_per_kwh",
-            _checked_real(self.grams_co2e_per_kwh, "carbon intensity [gCO2eq/kWh]"),
-        )
+    def __init__(self, grams_co2e_per_kwh: float) -> None:
+        object.__setattr__(self, "grams_co2e_per_kwh",
+                           _checked_real(grams_co2e_per_kwh, "carbon intensity [gCO2eq/kWh]"))
 
 
 def joules_to_kwh(energy: Energy) -> float:

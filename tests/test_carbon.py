@@ -74,8 +74,12 @@ def test_load_ci_table_rejects_malformed_row():
 
 
 def test_load_ci_table_rejects_negative_intensity():
-    with pytest.raises(CiTableError, match="line 2"):
-        load_ci_table(io.StringIO(CI_HEADER + "DE,Germany,2023,-5\n"))
+    # Negative and non-finite intensities break one rule and get one message.
+    for text, shown in (("-5", "-5.0"), ("nan", "nan"), ("inf", "inf")):
+        with pytest.raises(CiTableError) as caught:
+            load_ci_table(io.StringIO(CI_HEADER + f"DE,Germany,2023,{text}\n"))
+        assert str(caught.value) == ("line 2: carbon intensity [gCO2eq/kWh] must be "
+                                     f"non-negative and finite, got {shown}")
 
 
 def test_load_ci_table_rejects_duplicates():
