@@ -131,13 +131,10 @@ class CarbonReportRow(NamedTuple):
     cf_total_g: float
 
 
-class CarbonReport(_Value):
+class CarbonReport(NamedTuple):
     """Per-country carbon footprints, grouped by request count."""
 
-    __slots__ = __match_args__ = ("rows",)
-
-    def __init__(self, rows: tuple[CarbonReportRow, ...]) -> None:
-        object.__setattr__(self, "rows", rows)
+    rows: tuple[CarbonReportRow, ...]
 
 
 def cf_vs_gamma(

@@ -12,11 +12,14 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .report import REPRODUCE_TARGETS, ReportTable
+from .report import REPRODUCE_TARGETS, ReportTable, _write
 
 __all__ = ["run", "main"]
 
 CI_FILE_ENV_VAR = "ECAL_CI_FILE"
+# StandardizationMethod's values, written out so that building the parser
+# does not import ecal.preprocessing (and with it ecal.mlp_cost and typing).
+_METHODS = ("minmax", "normalization")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,8 +31,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    from .preprocessing import StandardizationMethod
-
     parser = _Parser(prog="ecal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -56,8 +57,7 @@ def _build_parser() -> _Parser:
 
     preprocess = sub.add_parser("preprocess", parents=[output],
                                 help="FLOPs, time, and energy of preprocessing")
-    preprocess.add_argument("--method", required=True,
-                            choices=[m.value for m in StandardizationMethod])
+    preprocess.add_argument("--method", required=True, choices=_METHODS)
     preprocess.add_argument("--samples", type=int, required=True)
     preprocess.add_argument("--invalid", type=int, default=0)
     preprocess.add_argument("--precision", type=int, default=64)
@@ -268,14 +268,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> ReportTable | None:
     if len(targets) > 1:
         raise ValueError("writing multiple targets requires --out DIR")
     return reproduce(targets[0])
-
-
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path!r}: {exc}") from exc
 
 
 def _emit(table: ReportTable, args: argparse.Namespace) -> None:

@@ -30,7 +30,7 @@ from .preprocessing import StandardizationMethod, preprocessing_flops
 from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, packet_count
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
-from .units import _checked_count, _checked_real, _proven, _Value
+from .units import _checked_count, _checked_real, _proven
 
 # Wrap figures _price has proven in range; see its docstring.
 _energy, _per_bit, _count = (partial(_proven, unit) for unit in (Energy, EnergyPerBit, BitCount))
@@ -284,48 +284,29 @@ def gamma_sweep(s: Scenario, gammas: Sequence[int]) -> list[GammaRow]:
     return rows
 
 
-class LifecycleReport(_Value):
+class LifecycleReport(NamedTuple):
     """Itemized energies, per-bit figures, and lifecycle metrics of a scenario."""
 
-    __slots__ = __match_args__ = (
-        "gamma", "transmission", "storage", "preprocessing", "training", "evaluation",
-        "inference", "development", "development_per_bit", "training_per_bit",
-        "training_per_trained_bit", "inference_phase", "inference_phase_per_bit", "ecal_abs",
-        "ecal_abs_mean", "ecal", "transmitted_bits_development", "development_denominator_bits",
-        "transmitted_bits_inference", "inference_denominator_bits",
-    )
-
-    def __init__(
-        self, gamma: int, transmission: Energy, storage: Energy, preprocessing: Energy,
-        training: Energy, evaluation: Energy, inference: Energy, development: Energy,
-        development_per_bit: EnergyPerBit, training_per_bit: EnergyPerBit,
-        training_per_trained_bit: EnergyPerBit, inference_phase: Energy,
-        inference_phase_per_bit: EnergyPerBit, ecal_abs: Energy, ecal_abs_mean: Energy,
-        ecal: EnergyPerBit, transmitted_bits_development: BitCount,
-        development_denominator_bits: BitCount, transmitted_bits_inference: BitCount,
-        inference_denominator_bits: BitCount,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "gamma", gamma)
-        set_(self, "transmission", transmission)
-        set_(self, "storage", storage)
-        set_(self, "preprocessing", preprocessing)
-        set_(self, "training", training)
-        set_(self, "evaluation", evaluation)
-        set_(self, "inference", inference)
-        set_(self, "development", development)
-        set_(self, "development_per_bit", development_per_bit)
-        set_(self, "training_per_bit", training_per_bit)
-        set_(self, "training_per_trained_bit", training_per_trained_bit)
-        set_(self, "inference_phase", inference_phase)
-        set_(self, "inference_phase_per_bit", inference_phase_per_bit)
-        set_(self, "ecal_abs", ecal_abs)
-        set_(self, "ecal_abs_mean", ecal_abs_mean)
-        set_(self, "ecal", ecal)
-        set_(self, "transmitted_bits_development", transmitted_bits_development)
-        set_(self, "development_denominator_bits", development_denominator_bits)
-        set_(self, "transmitted_bits_inference", transmitted_bits_inference)
-        set_(self, "inference_denominator_bits", inference_denominator_bits)
+    gamma: int
+    transmission: Energy
+    storage: Energy
+    preprocessing: Energy
+    training: Energy
+    evaluation: Energy
+    inference: Energy
+    development: Energy
+    development_per_bit: EnergyPerBit
+    training_per_bit: EnergyPerBit
+    training_per_trained_bit: EnergyPerBit
+    inference_phase: Energy
+    inference_phase_per_bit: EnergyPerBit
+    ecal_abs: Energy
+    ecal_abs_mean: Energy
+    ecal: EnergyPerBit
+    transmitted_bits_development: BitCount
+    development_denominator_bits: BitCount
+    transmitted_bits_inference: BitCount
+    inference_denominator_bits: BitCount
 
 
 def lifecycle_report(s: Scenario) -> LifecycleReport:

@@ -11,6 +11,7 @@ per-bit energies coincide.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .units import Energy, EnergyPerBit, FieldError, FlopCount, Power
 from .units import _checked_count, _checked_real, _Value
@@ -85,21 +86,17 @@ DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(
 )
 
 
-class TrainSplit(_Value):
+class TrainSplit(NamedTuple):
     """A dataset split into training and evaluation parts.
 
     The training side takes floor(train_fraction * sample_count) samples;
     the evaluation side takes the remainder.
     """
 
-    __slots__ = __match_args__ = ("sample_count", "train_fraction", "train_count", "eval_count")
-
-    def __init__(self, sample_count: int, train_fraction: float, train_count: int,
-                 eval_count: int) -> None:
-        object.__setattr__(self, "sample_count", sample_count)
-        object.__setattr__(self, "train_fraction", train_fraction)
-        object.__setattr__(self, "train_count", train_count)
-        object.__setattr__(self, "eval_count", eval_count)
+    sample_count: int
+    train_fraction: float
+    train_count: int
+    eval_count: int
 
 
 def make_split(sample_count: int, train_fraction: float) -> TrainSplit:

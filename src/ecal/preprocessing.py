@@ -1,4 +1,4 @@
-"""Data cleaning and standardization, with an instrumented FLOP counter.
+"""Data cleaning and standardization, with a count of the FLOPs performed.
 
 Counting convention: additions, subtractions, multiplications, divisions,
 and square roots cost one FLOP each; comparisons and memory moves are free.
@@ -7,10 +7,10 @@ FLOPs per valid sample plus the range subtraction, and normalization costs
 six FLOPs per valid sample plus the mean/deviation finalization.
 
 All energy accounting uses the closed-form counts from
-:func:`preprocessing_flops`.  The per-call ledgers returned by the
-executable transforms count the literal operations performed and sit within
-a small constant of the closed forms; they exist to validate the counting,
-not to price it.
+:func:`preprocessing_flops`.  Each executable transform counts the literal
+operations it performs and returns them as an immutable
+:class:`FlopLedger`; the ledgers sit within a small constant of the closed
+forms and exist to validate the counting, not to price it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .mlp_cost import ProcessingUnitProfile
 from .transmission import PayloadSpec
@@ -72,22 +72,14 @@ class RawDataset(_Value):
         return sum(1 for x in self.samples if not math.isfinite(x))
 
 
-class FlopLedger(_Value):
-    """Operation-by-operation count of one transform call; the one mutable value type."""
+class FlopLedger(NamedTuple):
+    """Operation-by-operation count of one transform call."""
 
-    __slots__ = __match_args__ = ("additions", "subtractions", "multiplications", "divisions",
-                                  "square_roots")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, additions: int = 0, subtractions: int = 0, multiplications: int = 0,
-                 divisions: int = 0, square_roots: int = 0) -> None:
-        self.additions = additions
-        self.subtractions = subtractions
-        self.multiplications = multiplications
-        self.divisions = divisions
-        self.square_roots = square_roots
+    additions: int = 0
+    subtractions: int = 0
+    multiplications: int = 0
+    divisions: int = 0
+    square_roots: int = 0
 
     @property
     def total(self) -> FlopCount:
@@ -145,7 +137,6 @@ def minmax_scale(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     """
     if len(valid) == 0:
         raise ValueError("minmax_scale needs at least one sample")
-    ledger = FlopLedger()
     low = valid[0]
     high = valid[0]
     for x in valid[1:]:
@@ -154,18 +145,19 @@ def minmax_scale(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
         if x > high:
             high = x
     value_range = high - low
-    ledger.subtractions += 1
+    subtractions = 1
     if value_range == 0.0:
         raise DegenerateRangeError(
             f"all {len(valid)} samples equal {low!r}; min-max range is zero"
         )
+    divisions = 0
     scaled = []
     for x in valid:
         shifted = x - low
-        ledger.subtractions += 1
+        subtractions += 1
         scaled.append(shifted / value_range)
-        ledger.divisions += 1
-    return scaled, ledger
+        divisions += 1
+    return scaled, FlopLedger(subtractions=subtractions, divisions=divisions)
 
 
 def normalize(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
@@ -177,24 +169,24 @@ def normalize(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     n = len(valid)
     if n < 2:
         raise ValueError(f"normalize needs at least two samples, got {n}")
-    ledger = FlopLedger()
+    additions = subtractions = multiplications = 0
     total = 0.0
     for x in valid:
         total += x
-        ledger.additions += 1
+        additions += 1
     mean = total / n
-    ledger.divisions += 1
+    divisions = 1
     squared_deviations = 0.0
     for x in valid:
         deviation = x - mean
-        ledger.subtractions += 1
+        subtractions += 1
         squared = deviation * deviation
-        ledger.multiplications += 1
+        multiplications += 1
         squared_deviations += squared
-        ledger.additions += 1
+        additions += 1
     std_dev = math.sqrt(squared_deviations / n)
-    ledger.divisions += 1
-    ledger.square_roots += 1
+    divisions += 1
+    square_roots = 1
     if std_dev == 0.0:
         raise DegenerateDeviationError(
             f"all {n} samples equal {valid[0]!r}; standard deviation is zero"
@@ -202,10 +194,11 @@ def normalize(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     normalized = []
     for x in valid:
         shifted = x - mean
-        ledger.subtractions += 1
+        subtractions += 1
         normalized.append(shifted / std_dev)
-        ledger.divisions += 1
-    return normalized, ledger
+        divisions += 1
+    return normalized, FlopLedger(additions, subtractions, multiplications, divisions,
+                                  square_roots)
 
 
 def preprocessing_flops(method: StandardizationMethod, n_s: int, n_nan: int) -> FlopCount:

@@ -7,6 +7,7 @@ its name in :mod:`ecal.figures`, which is imported only to reproduce one.
 
 from __future__ import annotations
 
+import os
 from itertools import chain
 
 from .units import _Value
@@ -57,3 +58,14 @@ def reproduce(target: str) -> ReportTable:
     from . import figures
 
     return getattr(figures, target)()
+
+
+def _write(path: str | os.PathLike, text: str) -> int:
+    """Write ``text`` to ``path`` as UTF-8; returns the bytes written."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError as exc:
+        raise OSError(f"cannot write report to {os.fspath(path)!r}: {exc}") from exc
+    return len(data)

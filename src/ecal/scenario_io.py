@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 from .lifecycle import Scenario
 from .mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from .preprocessing import StandardizationMethod
-from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, reproduce
+from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _write, reproduce
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
-from .units import BitCount, BitRate, FieldError, Power, _checked_count, _checked_real, _Value
+from .units import BitCount, BitRate, FieldError, Power, _checked_count, _checked_real
 
 __all__ = [
     "ScenarioError",
@@ -39,26 +39,19 @@ class ScenarioError(ValueError):
     """A scenario document failed validation; the message names the field path."""
 
 
-class Sweeps(_Value):
+class Sweeps(NamedTuple):
     """Optional parameter sweeps attached to a scenario."""
 
-    __slots__ = __match_args__ = ("gamma", "overhead_pct", "invalid_samples")
-
-    def __init__(self, gamma: tuple[int, ...] = (), overhead_pct: tuple[float, ...] = (),
-                 invalid_samples: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "overhead_pct", overhead_pct)
-        object.__setattr__(self, "invalid_samples", invalid_samples)
+    gamma: tuple[int, ...] = ()
+    overhead_pct: tuple[float, ...] = ()
+    invalid_samples: tuple[int, ...] = ()
 
 
-class ScenarioDocument(_Value):
+class ScenarioDocument(NamedTuple):
     """A parsed scenario plus its sweep blocks."""
 
-    __slots__ = __match_args__ = ("scenario", "sweeps")
-
-    def __init__(self, scenario: Scenario, sweeps: Sweeps | None = None) -> None:
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "sweeps", Sweeps() if sweeps is None else sweeps)
+    scenario: Scenario
+    sweeps: Sweeps = Sweeps()
 
 
 def _fail(path: str, message: str) -> ScenarioError:
@@ -388,13 +381,7 @@ def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
 def write_report(table: ReportTable, destination: str | os.PathLike | TextIO) -> int:
     """Write a table as UTF-8 CSV to a path or text stream; returns bytes written."""
     text = table.to_csv()
-    data = text.encode("utf-8")
     if hasattr(destination, "write"):
         destination.write(text)
-        return len(data)
-    try:
-        with open(destination, "wb") as handle:
-            handle.write(data)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {os.fspath(destination)!r}: {exc}") from exc
-    return len(data)
+        return len(text.encode("utf-8"))
+    return _write(destination, text)

@@ -113,20 +113,16 @@ def technology_profile(name: str) -> TechnologyProfile:
         raise KeyError(f"unknown technology {name!r}; built-ins: {known}") from None
 
 
-def fixed_overhead_profile(
-    overhead_pct: float,
-    packet_capacity_bits: int = 2000,
-    transmit_power_w: float = 10e-3,
-    transmit_rate_bps: float = 1e3,
-) -> TechnologyProfile:
-    """Build a generic profile whose per-packet overhead is a percentage of capacity."""
-    overhead = int(round(packet_capacity_bits * overhead_pct / 100.0))
+def fixed_overhead_profile(overhead_pct: float) -> TechnologyProfile:
+    """Build a generic profile whose per-packet overhead is a percentage of
+    capacity: 2000-bit packets sent at 10 mW and 1 kb/s."""
+    capacity = 2000
     return TechnologyProfile(
         name=f"generic_{overhead_pct:g}pct",
-        packet_capacity=BitCount(packet_capacity_bits),
-        packet_overhead=BitCount(overhead),
-        transmit_power=Power(transmit_power_w),
-        transmit_rate=BitRate(transmit_rate_bps),
+        packet_capacity=BitCount(capacity),
+        packet_overhead=BitCount(int(round(capacity * overhead_pct / 100.0))),
+        transmit_power=Power(10e-3),
+        transmit_rate=BitRate(1e3),
     )
 
 

@@ -92,12 +92,13 @@ def _proven(cls, value):
 
 
 class _Value:
-    """Base of the immutable value types.
+    """Base of the immutable types that validate or convert a field.
 
     ``__match_args__`` names the fields (each class also takes them as its
     ``__slots__``); ``__init__`` checks each and sets it once through
     ``object.__setattr__``.  Equality, hashing, ``repr``, copying and
-    pickling go field by field, as for a frozen dataclass.
+    pickling go field by field, as for a frozen dataclass.  A record that
+    only stores what it is given is a ``typing.NamedTuple`` instead.
     """
 
     __slots__ = ()

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ecal.cli import run
+from ecal.cli import _METHODS, run
+from ecal.preprocessing import StandardizationMethod
 from ecal.scenario_io import REPRODUCE_TARGETS, reproduce
 
 MINIMAL_SCENARIO = {
@@ -64,6 +65,10 @@ def test_preprocess_normalization_reference(capsys):
     lines = _lines(capsys)
     assert "flops,1533" in lines
     assert "E_pre_J,2.1462e-05" in lines
+
+
+def test_method_choices_are_the_standardization_methods():
+    assert list(_METHODS) == [m.value for m in StandardizationMethod]
 
 
 def test_train_cost_reports_flop_counts(capsys, scenario_file):

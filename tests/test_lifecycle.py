@@ -76,8 +76,11 @@ def spreadsheet_oracle(
         "e_storage": e_sto,
         "e_pre": e_pre,
         "e_train": e_train,
+        "e_train_b": 3 * fwd / (alpha * fpj),
+        "e_train_trained_b": e_train / (alpha * n_t) if n_t else 0.0,
         "e_eval": e_eval,
         "e_d": e_d,
+        "e_d_b": e_d / dev_bits,
         "b_t": b_t,
         "dev_bits": dev_bits,
         "e_t_inf": e_t_i,
@@ -85,9 +88,11 @@ def spreadsheet_oracle(
         "e_pre_inf": e_pre_i,
         "e_inf": e_inf,
         "e_inf_p": e_inf_p,
+        "e_inf_p_b": e_inf_p / inf_bits,
         "b_t_inf": b_t_inf,
         "inf_bits": inf_bits,
         "ecal_abs": e_d + gamma * e_inf_p,
+        "ecal_abs_mean": (e_d + gamma * e_inf_p) / gamma,
         "ecal": (e_d + gamma * e_inf_p) / (dev_bits + gamma * inf_bits),
     }
 
@@ -529,6 +534,45 @@ def test_every_metric_agrees_exactly_with_the_report(s):
         assert cf_row.cf_total_g == carbon_footprint(report.ecal_abs, cf_row.intensity)
         assert cf_row.cf_development_g == carbon_footprint(report.development, cf_row.intensity)
         assert cf_row.cf_inference_g == carbon_footprint(report.inference_phase, cf_row.intensity)
+
+
+# Each LifecycleReport field, by the spreadsheet_oracle term it must equal.
+ORACLE_TERMS = {
+    "transmission": "e_t", "storage": "e_storage", "preprocessing": "e_pre",
+    "training": "e_train", "evaluation": "e_eval", "inference": "e_inf", "development": "e_d",
+    "development_per_bit": "e_d_b", "training_per_bit": "e_train_b",
+    "training_per_trained_bit": "e_train_trained_b", "inference_phase": "e_inf_p",
+    "inference_phase_per_bit": "e_inf_p_b", "ecal_abs": "ecal_abs",
+    "ecal_abs_mean": "ecal_abs_mean", "ecal": "ecal", "transmitted_bits_development": "b_t",
+    "development_denominator_bits": "dev_bits", "transmitted_bits_inference": "b_t_inf",
+    "inference_denominator_bits": "inf_bits",
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_every_report_term_agrees_with_the_oracle(s):
+    tech, pu = s.technology, s.processing_unit
+    expected = spreadsheet_oracle(
+        alpha=s.payload.bits_per_sample, n_s=s.payload.sample_count, n_nan=s.invalid_samples,
+        f_u=tech.packet_capacity.bits, omega_u=tech.packet_overhead.bits,
+        packets_override=tech.packets_override, p_t_w=tech.transmit_power.watts,
+        r_t_bps=tech.transmit_rate.bits_per_second, wh_per_tb=s.storage.wh_per_terabyte,
+        method=s.standardization.value, beta=s.train_fraction, epochs=s.epochs,
+        layers=s.architecture.layer_sizes, n_ip=s.inference_batch,
+        inf_nan=s.inference_invalid_samples, gamma=s.gamma,
+        p_pre_w=pu.preprocessing_power.watts, m_pu=pu.preprocessing_flops_per_s,
+        fpj=pu.flops_per_joule,
+    )
+    report = lifecycle_report(s)
+    assert set(ORACLE_TERMS) == set(report.__match_args__) - {"gamma"}
+    assert report.gamma == s.gamma
+    for field, term in ORACLE_TERMS.items():
+        (value,) = _field_values(getattr(report, field))
+        if isinstance(value, int):
+            assert value == expected[term], field
+        else:
+            assert value == approx(expected[term]), field
 
 
 def _field_values(record):
