@@ -11,8 +11,9 @@ importing the package loads none of the submodules.
 
 __version__ = "0.1.0"
 
-# Each submodule with the names exported from it, led by the submodule's own
-# name where that is exported too.
+# The one list of public names: each submodule with the names exported from
+# it, led by the submodule's own name where that is exported too.  Each
+# submodule's __all__ is read from here through _all_of.
 _EXPORTS = {
     "units": "units BitCount BitRate CarbonIntensity Energy EnergyPerBit FlopCount Power "
              "joules_to_kwh kwh_to_joules wh_per_tb_to_j_per_bit",
@@ -44,6 +45,12 @@ _EXPORTS = {
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_SUBMODULE)
+
+
+def _all_of(module: str) -> list[str]:
+    """``__all__`` of the submodule named ``module``: its exports, less its own name."""
+    own = module.rpartition(".")[2]
+    return [name for name in _EXPORTS[own].split() if name != own]
 
 
 def __getattr__(name: str) -> object:

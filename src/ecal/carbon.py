@@ -12,21 +12,12 @@ import os
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
+from . import _all_of
 from .lifecycle import Scenario, _at, _price
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _Value, joules_to_kwh
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _checked_country
+from .units import _Value, joules_to_kwh
 
-__all__ = [
-    "CiTableError",
-    "DuplicateCountryError",
-    "UnknownCountryError",
-    "CarbonIntensityRecord",
-    "CarbonReportRow",
-    "CarbonReport",
-    "carbon_footprint",
-    "load_ci_table",
-    "bundled_ci_table",
-    "cf_vs_gamma",
-]
+__all__ = _all_of(__name__)
 
 _CI_HEADER = ["country_code", "country_name", "year", "ci_g_per_kwh"]
 
@@ -50,9 +41,7 @@ class CarbonIntensityRecord(_Value):
 
     def __init__(self, country_code: str, country_name: str, year: int,
                  intensity: CarbonIntensity) -> None:
-        if len(country_code) != 2 or not country_code.isalpha():
-            raise ValueError(f"country_code must be two letters, got {country_code!r}")
-        object.__setattr__(self, "country_code", country_code.upper())
+        object.__setattr__(self, "country_code", _checked_country(country_code, "country_code"))
         object.__setattr__(self, "country_name", country_name)
         object.__setattr__(self, "year", year)
         object.__setattr__(self, "intensity", intensity)
@@ -150,7 +139,7 @@ def cf_vs_gamma(
     by_code = {record.country_code: record for record in records}
     if s.countries:
         try:
-            chosen = [by_code[code.upper()] for code in s.countries]
+            chosen = [by_code[code] for code in s.countries]
         except KeyError as exc:
             known = ", ".join(sorted(by_code))
             raise UnknownCountryError(

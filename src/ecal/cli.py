@@ -193,7 +193,7 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     if args.strict_eq2:
         scenario = replace(scenario, technology=without_packet_override(scenario.technology))
     gammas: tuple[int, ...] = ()
-    if args.gamma_sweep:
+    if args.gamma_sweep is not None:
         try:
             gammas = tuple(int(part) for part in args.gamma_sweep.split(","))
         except ValueError:

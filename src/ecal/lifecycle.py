@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Sequence
 
+from . import _all_of
 from .mlp_cost import (
     DEFAULT_PROCESSING_UNIT,
     MlpArchitecture,
@@ -30,24 +31,12 @@ from .preprocessing import StandardizationMethod, preprocessing_flops
 from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, packet_count
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
-from .units import _checked_count, _checked_real, _proven
+from .units import _checked_count, _checked_country, _checked_real, _proven
 
 # Wrap figures _price has proven in range; see its docstring.
 _energy, _per_bit, _count = (partial(_proven, unit) for unit in (Energy, EnergyPerBit, BitCount))
 
-__all__ = [
-    "Scenario",
-    "LifecycleReport",
-    "GammaRow",
-    "default_scenario",
-    "development_energy",
-    "inference_phase_energy",
-    "ecal_abs",
-    "ecal_abs_mean",
-    "ecal",
-    "gamma_sweep",
-    "lifecycle_report",
-]
+__all__ = _all_of(__name__)
 
 
 @dataclass(frozen=True)
@@ -69,6 +58,8 @@ class Scenario:
     countries: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "countries", tuple(
+            _checked_country(code, f"countries[{i}]") for i, code in enumerate(self.countries)))
         _checked_count(self.invalid_samples, "invalid_samples", 0, self.payload.sample_count)
         object.__setattr__(self, "train_fraction", _checked_real(
             self.train_fraction, "train_fraction", positive=True, maximum=1.0))
@@ -77,7 +68,6 @@ class Scenario:
         _checked_count(self.inference_invalid_samples, "inference_invalid_samples",
                        0, self.inference_batch)
         _checked_count(self.gamma, "gamma", 1)
-        object.__setattr__(self, "countries", tuple(self.countries))
 
 
 def default_scenario(gamma: int = 1000) -> Scenario:

@@ -13,26 +13,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import _all_of
 from .units import Energy, EnergyPerBit, FieldError, FlopCount, Power
 from .units import _checked_count, _checked_real, _Value
 
-__all__ = [
-    "MlpArchitecture",
-    "ProcessingUnitProfile",
-    "TrainSplit",
-    "DEFAULT_PROCESSING_UNIT",
-    "DEFAULT_FLOPS_PER_JOULE",
-    "uniform_architecture",
-    "forward_flops",
-    "make_split",
-    "training_forward_flops",
-    "training_total_flops",
-    "training_energy",
-    "evaluation_energy",
-    "forward_pass_energy_per_bit",
-    "inference_flops",
-    "inference_energy",
-]
+__all__ = _all_of(__name__)
 
 # Training efficiency used when a scenario does not set its own value,
 # calibrated so that training the default configuration (10 epochs, 179

@@ -20,24 +20,12 @@ import math
 import os
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
+from . import _all_of
 from .mlp_cost import ProcessingUnitProfile
 from .transmission import PayloadSpec
 from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _Value
 
-__all__ = [
-    "DegenerateRangeError",
-    "DegenerateDeviationError",
-    "RawDataset",
-    "StandardizationMethod",
-    "FlopLedger",
-    "load_raw_dataset",
-    "clean",
-    "minmax_scale",
-    "normalize",
-    "preprocessing_flops",
-    "preprocessing_energy",
-    "preprocessing_energy_per_bit",
-]
+__all__ = _all_of(__name__)
 
 
 class DegenerateRangeError(ValueError):

@@ -10,9 +10,10 @@ from __future__ import annotations
 import os
 from itertools import chain
 
+from . import _all_of
 from .units import _Value
 
-__all__ = ["ReportTable", "UnknownTargetError", "REPRODUCE_TARGETS", "reproduce"]
+__all__ = _all_of(__name__)
 
 REPRODUCE_TARGETS = ("table1", "table2", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
                      "fig9ab", "fig11", "fig12", "table3", "fig13")

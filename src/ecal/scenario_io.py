@@ -2,8 +2,8 @@
 
 A scenario is a single strict-schema JSON document; unknown keys are
 rejected so parameter typos fail loudly.  ``ReportTable``,
-``UnknownTargetError``, ``reproduce`` and ``REPRODUCE_TARGETS`` come from
-:mod:`ecal.report` and are re-exported here.
+``UnknownTargetError``, ``reproduce`` and ``REPRODUCE_TARGETS`` belong to
+:mod:`ecal.report` and can be imported from here too.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import os
 from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
+from . import _all_of
 from .lifecycle import Scenario
 from .mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from .preprocessing import StandardizationMethod
@@ -20,19 +21,7 @@ from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
 from .units import BitCount, BitRate, FieldError, Power, _checked_count, _checked_real
 
-__all__ = [
-    "ScenarioError",
-    "UnknownTargetError",
-    "Sweeps",
-    "ScenarioDocument",
-    "ReportTable",
-    "parse_scenario",
-    "serialize_scenario",
-    "load_scenario",
-    "write_report",
-    "reproduce",
-    "REPRODUCE_TARGETS",
-]
+__all__ = _all_of(__name__)
 
 
 class ScenarioError(ValueError):
@@ -202,12 +191,7 @@ def _parse_mlp(value: Any, path: str) -> MlpArchitecture:
 def _parse_countries(value: Any, path: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise _fail(path, f"expected a list of country codes, got {value!r}")
-    codes = []
-    for index, code in enumerate(value):
-        if not isinstance(code, str) or len(code) != 2 or not code.isalpha():
-            raise _fail(f"{path}[{index}]", f"expected a two-letter country code, got {code!r}")
-        codes.append(code.upper())
-    return tuple(codes)
+    return tuple(value)
 
 
 def _parse_sweeps(value: Any, path: str) -> Sweeps:

@@ -6,17 +6,10 @@ density; later reads for preprocessing or training are free.
 
 from __future__ import annotations
 
+from . import _all_of
 from .units import BitCount, Energy, EnergyPerBit, _checked_real, _Value, wh_per_tb_to_j_per_bit
 
-__all__ = [
-    "StorageProfile",
-    "HDD",
-    "SSD",
-    "BUILTIN_STORAGE",
-    "storage_profile",
-    "storage_energy",
-    "storage_energy_per_bit",
-]
+__all__ = _all_of(__name__)
 
 
 class StorageProfile(_Value):

@@ -9,26 +9,11 @@ bits on top.  Overhead is additive and does not consume packet capacity.
 
 from __future__ import annotations
 
+from . import _all_of
 from .units import BitCount, BitRate, Energy, EnergyPerBit, Power, _Value
 from .units import _checked_count, _checked_real
 
-__all__ = [
-    "PayloadSpec",
-    "TechnologyProfile",
-    "BLE5",
-    "ZIGBEE",
-    "LORAWAN",
-    "BUILTIN_TECHNOLOGIES",
-    "technology_profile",
-    "fixed_overhead_profile",
-    "without_packet_override",
-    "payload_bits",
-    "packet_count",
-    "transmitted_bits",
-    "transmission_energy",
-    "transmission_energy_per_bit",
-    "cumulative_transmission_energy",
-]
+__all__ = _all_of(__name__)
 
 
 class PayloadSpec(_Value):

@@ -12,21 +12,9 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = [
-    "Energy",
-    "Power",
-    "BitCount",
-    "BitRate",
-    "FlopCount",
-    "EnergyPerBit",
-    "CarbonIntensity",
-    "JOULES_PER_KWH",
-    "JOULES_PER_WH",
-    "BITS_PER_TERABYTE",
-    "joules_to_kwh",
-    "kwh_to_joules",
-    "wh_per_tb_to_j_per_bit",
-]
+from . import _all_of
+
+__all__ = _all_of(__name__)
 
 JOULES_PER_KWH = 3.6e6
 JOULES_PER_WH = 3600.0
@@ -81,6 +69,14 @@ def _checked_count(value: int, field: str, minimum: int = 0, maximum: int | None
     elif value < minimum:
         raise FieldError(field, f"must be >= {minimum}, got {value}")
     return value
+
+
+def _checked_country(code: str, field: str) -> str:
+    """Return ``code`` in upper case if it is two ASCII letters."""
+    if not isinstance(code, str) or len(code) != 2 or not code.isascii() or not code.isalpha():
+        error = FieldError if isinstance(code, str) else FieldTypeError
+        raise error(field, f"must be a two-letter country code, got {code!r}")
+    return code.upper()
 
 
 def _proven(cls, value):

@@ -61,6 +61,9 @@ def test_bundled_table_snapshot():
 
 def test_load_ci_table_empty_after_header():
     assert load_ci_table(io.StringIO(CI_HEADER)) == ()
+    with pytest.raises(CiTableError, match=r"^carbon-intensity table is empty "
+                                           r"\(missing header\)$"):
+        load_ci_table(io.StringIO(""))
 
 
 def test_load_ci_table_rejects_wrong_header():
@@ -71,6 +74,8 @@ def test_load_ci_table_rejects_wrong_header():
 def test_load_ci_table_rejects_malformed_row():
     with pytest.raises(CiTableError, match="line 3"):
         load_ci_table(io.StringIO(CI_HEADER + "DE,Germany,2023,425\nIE,Ireland,notayear,382\n"))
+    with pytest.raises(CiTableError, match=r"^line 2: expected 4 fields, got 3$"):
+        load_ci_table(io.StringIO(CI_HEADER + "DE,Germany,425\n"))
 
 
 def test_load_ci_table_rejects_negative_intensity():
@@ -91,12 +96,17 @@ def test_load_ci_table_rejects_duplicates():
 def test_load_ci_table_rejects_bad_country_code():
     with pytest.raises(CiTableError, match="line 2"):
         load_ci_table(io.StringIO(CI_HEADER + "D3,Germany,2023,425\n"))
+    with pytest.raises(CiTableError, match=r"^line 2: country_code must be a two-letter country "
+                                           r"code, got 'D1'$"):
+        load_ci_table(io.StringIO(CI_HEADER + "D1,Germany,2023,425\n"))
 
 
 def test_load_ci_table_from_path(tmp_path):
     path = tmp_path / "ci.csv"
-    path.write_text(CI_HEADER + "NO,Norway,2023,30\n", encoding="utf-8")
+    # Blank lines are skipped.
+    path.write_text(CI_HEADER + "\nNO,Norway,2023,30\n\n", encoding="utf-8")
     records = load_ci_table(path)
+    assert len(records) == 1
     assert records[0].country_code == "NO"
     assert records[0].intensity.grams_co2e_per_kwh == 30.0
 

@@ -115,6 +115,15 @@ def test_lifecycle_gamma_sweep_is_decreasing(capsys, scenario_file):
     assert float(first[3]) > float(second[3])
 
 
+@pytest.mark.parametrize("sweep", ["", "1,x"])
+def test_lifecycle_rejects_a_malformed_gamma_sweep(capsys, scenario_file, sweep):
+    assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", sweep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ecal: error: --gamma-sweep expects comma-separated integers, "
+                            f"got {sweep!r}\n")
+
+
 def test_lifecycle_uses_scenario_sweep_block(capsys, tmp_path):
     doc = dict(MINIMAL_SCENARIO)
     doc["sweeps"] = {"gamma": [1, 10]}
@@ -166,6 +175,13 @@ def test_reproduce_all_targets_to_directory(tmp_path):
     written = sorted(p.name for p in out_dir.iterdir())
     assert written == sorted(f"{t}.csv" for t in REPRODUCE_TARGETS)
     assert (out_dir / "table2.csv").read_text(encoding="utf-8") == reproduce("table2").to_csv()
+
+
+def test_reproduce_all_targets_needs_a_directory(capsys):
+    assert run(["reproduce", "--target", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ecal: error: writing multiple targets requires --out DIR\n"
 
 
 def test_reproduce_unknown_target_exits_1(capsys):

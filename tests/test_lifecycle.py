@@ -221,6 +221,15 @@ def test_scenario_validation():
         replace(s, invalid_samples=257)
     with pytest.raises(ValueError):
         replace(s, epochs=0)
+    with pytest.raises(ValueError, match=r"^countries\[0\] must be a two-letter country code, "
+                                         r"got 'DEU'$"):
+        replace(s, countries=("DEU",))
+    with pytest.raises(TypeError, match=r"^countries\[0\] must be a two-letter country code, "
+                                        r"got 5$"):
+        replace(s, countries=(5,))
+    assert replace(s, countries=("fi", "De")).countries == ("FI", "DE")
+    with pytest.raises(ValueError, match=r"^countries\[1\] must be .* got 'ßa'$"):
+        replace(s, countries=("DE", "ßa"))  # not ASCII, and would upper-case to "SSA"
 
 
 def test_ecal_abs_is_the_affine_combination_of_published_components():

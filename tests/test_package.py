@@ -6,6 +6,7 @@ Import checks run in a fresh ``python -S`` interpreter, so modules that a
 site hook happens to import cannot hide an import of ecal's own.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -60,6 +61,19 @@ def _fresh_python(code, *args):
 def test_public_names_are_pinned():
     assert len(NAMES) == len(set(NAMES)) == 99
     assert sorted(ecal.__all__) == sorted(NAMES)
+
+
+def test_each_public_name_is_in_one_submodule_all():
+    modules = ["units", "transmission", "storage", "preprocessing", "mlp_cost", "lifecycle",
+               "carbon", "report", "scenario_io"]
+    lists = {module: importlib.import_module(f"ecal.{module}").__all__ for module in modules}
+    listed = [name for names in lists.values() for name in names]
+    assert len(listed) == len(set(listed))  # the lists are pairwise disjoint
+    assert set(listed) == set(ecal.__all__) - set(modules)
+    assert len(listed) == 99 - 8
+    for module, names in lists.items():
+        own = importlib.import_module(f"ecal.{module}")
+        assert [name for name in names if not hasattr(own, name)] == [], module
 
 
 def test_names_resolve_lazily_in_a_fresh_interpreter():

@@ -1,6 +1,7 @@
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,29 @@ def test_type_violations_name_the_field():
         parse_scenario(_doc_with(countries=["DEU"]))
     with pytest.raises(ScenarioError, match="preprocessing"):
         parse_scenario(_doc_with(preprocessing="zscore"))
+
+
+# A document of the wrong shape or type, and the whole message it gets.
+SHAPE_ERRORS = [
+    ("[]", "scenario: expected an object, got list"),
+    (_doc_with(technology=5), "technology: expected an object, got int"),
+    (_doc_with(technology={"name": 5}), "technology.name: expected a string, got 5"),
+    (_doc_with(mlp={"layers": 6}), "mlp.layers: expected a list of layer widths, got 6"),
+    (_doc_with(countries="DE"), "countries: expected a list of country codes, got 'DE'"),
+    (_doc_with(countries=["DE", "DEU"]),
+     "countries[1]: must be a two-letter country code, got 'DEU'"),
+    (_doc_with(countries=[5]), "countries[0]: must be a two-letter country code, got 5"),
+    (_doc_with(sweeps={"gamma": 10}), "sweeps.gamma: expected a list, got 10"),
+    (_doc_with(split_ratio="0.7"), "split_ratio: must be a real number, got str"),
+]
+
+
+@pytest.mark.parametrize("text, message", SHAPE_ERRORS,
+                         ids=[message.split(":")[0] for _, message in SHAPE_ERRORS])
+def test_shape_and_type_errors_are_pinned(text, message):
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(text)
+    assert str(caught.value) == message
 
 
 def test_invalid_json_is_a_scenario_error():
@@ -258,6 +282,11 @@ def boundary_documents(draw):
     put("inference_invalid_samples", [0, batch], [batch + 1], optional=True)
     put("gamma", [1, 1000], [0])
     if draw(st.booleans()):
+        codes = draw(st.sampled_from([["DE"], ["fi", "ES"]] + [["DEU"], [5]] * free))
+        doc["countries"] = codes
+        bad.update(["countries[0]"] if codes[0] in ("DEU", 5) else [])
+        faults.extend(("countries[0]", code) for code in ("DEU", 5))
+    if draw(st.booleans()):
         unit = doc["processing_unit"] = {}
         for key in ("preprocessing_power_w", "preprocessing_flops_per_s", "flops_per_joule"):
             put(key, [1e9], [0.0], unit, "processing_unit.", optional=True)
@@ -308,6 +337,7 @@ def _construct(doc):
         processing_unit=pu,
         invalid_samples=doc.get("invalid_samples", 0),
         inference_invalid_samples=doc.get("inference_invalid_samples", 0),
+        countries=tuple(doc.get("countries", ())),
     )
 
 
@@ -365,12 +395,20 @@ def test_round_trip_fully_custom_document():
             "flops_per_joule": 9.9e7,
         },
         countries=["fi", "DE"],
-        sweeps={"gamma": [1, 10, 100]},
+        sweeps={"gamma": [1, 10, 100], "overhead_pct": [0, 12.5], "invalid_samples": [0, 7]},
     )
     doc = parse_scenario(text)
     assert doc.scenario.countries == ("FI", "DE")
+    assert doc.sweeps == Sweeps((1, 10, 100), (0.0, 12.5), (0, 7))
     round_tripped = parse_scenario(serialize_scenario(doc))
     assert round_tripped == doc
+
+
+def test_round_trip_scenario_built_in_code():
+    # Scenario upper-cases its country codes, so the document reads them back equal.
+    doc = ScenarioDocument(replace(default_scenario(), countries=("fi", "de")))
+    assert doc.scenario.countries == ("FI", "DE")
+    assert parse_scenario(serialize_scenario(doc)) == doc
 
 
 def test_builtin_profiles_serialize_by_name():

@@ -37,6 +37,7 @@ def test_packet_counts_for_builtin_profiles():
     # (ceil(16384 / 2048)) yields 8.
     assert packet_count(LORAWAN, DOUBLE_256) == 9
     assert packet_count(without_packet_override(LORAWAN), DOUBLE_256) == 8
+    assert without_packet_override(BLE5) is BLE5  # nothing pinned, nothing to drop
 
 
 def test_packet_count_empty_payload_is_zero_even_with_override():
