@@ -13,8 +13,8 @@ from importlib import resources
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from . import _all_of
-from .lifecycle import Scenario, _at, _price
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _checked_country
+from .lifecycle import Scenario, _gammas, _price
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_country
 from .units import _Value, joules_to_kwh
 
 __all__ = _all_of(__name__)
@@ -129,7 +129,7 @@ class CarbonReport(NamedTuple):
 def cf_vs_gamma(
     s: Scenario,
     records: Sequence[CarbonIntensityRecord],
-    gammas: Sequence[int],
+    gammas: Iterable[int],
 ) -> CarbonReport:
     """Carbon footprint per country at each request count in ``gammas``.
 
@@ -149,6 +149,7 @@ def cf_vs_gamma(
         chosen = list(records)
     chosen.sort(key=lambda r: (-r.intensity.grams_co2e_per_kwh, r.country_code))
     p = _price(s)
+    gs = _gammas(p, gammas)
     dev_kwh = p.development / JOULES_PER_KWH
     request_kwh = p.request / JOULES_PER_KWH
     countries = []  # the gamma-independent cells of each country's rows
@@ -156,10 +157,8 @@ def cf_vs_gamma(
         ci = record.intensity.grams_co2e_per_kwh
         countries.append((record.country_code, record.country_name, record.intensity,
                           dev_kwh * ci, request_kwh * ci, ci))
-    rows = []
-    for gamma in gammas:
-        _checked_count(gamma, "gamma", 1)
-        kwh = _at(p, gamma)[0] / JOULES_PER_KWH  # lifecycle energy after gamma requests
-        for code, name, intensity, dev_g, inf_g, ci in countries:
-            rows.append(CarbonReportRow(gamma, code, name, intensity, dev_g, inf_g, kwh * ci))
-    return CarbonReport(tuple(rows))
+    dev, request, new = p.development, p.request, tuple.__new__
+    kwhs = [(dev + g * request) / JOULES_PER_KWH for g in gs]  # _at's joules, in kWh
+    return CarbonReport(tuple([
+        new(CarbonReportRow, (g, code, name, intensity, dev_g, inf_g, kwh * ci))
+        for g, kwh in zip(gs, kwhs) for code, name, intensity, dev_g, inf_g, ci in countries]))

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from operator import truediv
+from typing import Iterable, NamedTuple
 
 from . import _all_of
 from .mlp_cost import (
@@ -31,10 +32,7 @@ from .preprocessing import StandardizationMethod, preprocessing_flops
 from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, packet_count
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
-from .units import _checked_count, _checked_country, _checked_real, _proven
-
-# Wrap figures _price has proven in range; see its docstring.
-_energy, _per_bit, _count = (partial(_proven, unit) for unit in (Energy, EnergyPerBit, BitCount))
+from .units import FieldError, _checked_count, _checked_country, _checked_real, _proven
 
 __all__ = _all_of(__name__)
 
@@ -58,8 +56,12 @@ class Scenario:
     countries: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "countries", tuple(
-            _checked_country(code, f"countries[{i}]") for i, code in enumerate(self.countries)))
+        countries = []
+        for i, code in enumerate(self.countries):
+            if (code := _checked_country(code, f"countries[{i}]")) in countries:
+                raise FieldError(f"countries[{i}]", f"repeats {code!r}")
+            countries.append(code)
+        object.__setattr__(self, "countries", tuple(countries))
         _checked_count(self.invalid_samples, "invalid_samples", 0, self.payload.sample_count)
         object.__setattr__(self, "train_fraction", _checked_real(
             self.train_fraction, "train_fraction", positive=True, maximum=1.0))
@@ -209,6 +211,24 @@ def _at(p: _Lifecycle, gamma: int) -> tuple[float, float]:
     return joules, bits
 
 
+def _gammas(p: _Lifecycle, gammas: Iterable[int]) -> tuple[int, ...]:
+    """``gammas`` as a tuple, once each is shown an integer >= 1 that ``p`` prices.
+
+    Joules and bits are non-decreasing in gamma, so the largest stands for all;
+    failing that, a check in list order raises for the first bad gamma.
+    """
+    gs = tuple(gammas)
+    if gs and set(map(type, gs)) == {int} and min(gs) >= 1:
+        try:
+            _at(p, max(gs))
+            return gs
+        except ValueError:
+            pass
+    for gamma in gs:
+        _at(p, _checked_count(gamma, "gamma", 1))
+    return gs
+
+
 def development_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
     """Total energy of developing the model and its per-bit figure.
 
@@ -259,19 +279,18 @@ class GammaRow(NamedTuple):
     ecal: EnergyPerBit
 
 
-def gamma_sweep(s: Scenario, gammas: Sequence[int]) -> list[GammaRow]:
+def gamma_sweep(s: Scenario, gammas: Iterable[int]) -> list[GammaRow]:
     """Evaluate the lifecycle metrics at each request count in ``gammas``.
 
     Rows are independent and returned in input order.
     """
     p = _price(s)
-    rows = []
-    for gamma in gammas:
-        _checked_count(gamma, "gamma", 1)
-        joules, bits = _at(p, gamma)
-        rows.append(GammaRow(gamma, _energy(joules), _energy(joules / gamma),
-                             _per_bit(joules / bits)))
-    return rows
+    gs = _gammas(p, gammas)
+    joules = [p.development + g * p.request for g in gs]  # _at's arithmetic, row by row
+    bits = [float(p.development_bits + g * p.request_bits) for g in gs]
+    columns = (gs, _proven(Energy, joules), _proven(Energy, list(map(truediv, joules, gs))),
+               _proven(EnergyPerBit, list(map(truediv, joules, bits))))
+    return list(map(tuple.__new__, repeat(GammaRow), zip(*columns)))
 
 
 class LifecycleReport(NamedTuple):
@@ -310,25 +329,24 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
     gamma = s.gamma
     joules, bits = _at(p, gamma)
     trained_bits = s.payload.bits_per_sample * p.train_count
+    (transmission, storage, preprocessing, training, evaluation, inference, development,
+     inference_phase, ecal_abs_, ecal_abs_mean_) = _proven(Energy, [
+        p.transmission, p.storage, p.preprocessing, p.training, p.evaluation, p.inference,
+        p.development, p.request, joules, joules / gamma])
+    (development_per_bit, training_per_bit, training_per_trained_bit, inference_phase_per_bit,
+     ecal_) = _proven(EnergyPerBit, [
+        p.development / p.development_bits, p.training_per_bit,
+        p.training / trained_bits if trained_bits else 0.0, p.request / p.request_bits,
+        joules / bits])
+    b_t_development, bits_development, b_t_inference, bits_inference = _proven(BitCount, [
+        p.development_b_t, p.development_bits, p.request_b_t, p.request_bits])
     return LifecycleReport(
-        gamma=gamma,
-        transmission=_energy(p.transmission),
-        storage=_energy(p.storage),
-        preprocessing=_energy(p.preprocessing),
-        training=_energy(p.training),
-        evaluation=_energy(p.evaluation),
-        inference=_energy(p.inference),
-        development=_energy(p.development),
-        development_per_bit=_per_bit(p.development / p.development_bits),
-        training_per_bit=_per_bit(p.training_per_bit),
-        training_per_trained_bit=_per_bit(p.training / trained_bits if trained_bits else 0.0),
-        inference_phase=_energy(p.request),
-        inference_phase_per_bit=_per_bit(p.request / p.request_bits),
-        ecal_abs=_energy(joules),
-        ecal_abs_mean=_energy(joules / gamma),
-        ecal=_per_bit(joules / bits),
-        transmitted_bits_development=_count(p.development_b_t),
-        development_denominator_bits=_count(p.development_bits),
-        transmitted_bits_inference=_count(p.request_b_t),
-        inference_denominator_bits=_count(p.request_bits),
-    )
+        gamma=gamma, transmission=transmission, storage=storage, preprocessing=preprocessing,
+        training=training, evaluation=evaluation, inference=inference, development=development,
+        development_per_bit=development_per_bit, training_per_bit=training_per_bit,
+        training_per_trained_bit=training_per_trained_bit, inference_phase=inference_phase,
+        inference_phase_per_bit=inference_phase_per_bit, ecal_abs=ecal_abs_,
+        ecal_abs_mean=ecal_abs_mean_, ecal=ecal_,
+        transmitted_bits_development=b_t_development,
+        development_denominator_bits=bits_development,
+        transmitted_bits_inference=b_t_inference, inference_denominator_bits=bits_inference)

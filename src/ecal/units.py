@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
 
 from . import _all_of
 
@@ -79,12 +80,15 @@ def _checked_country(code: str, field: str) -> str:
     return code.upper()
 
 
-def _proven(cls, value):
-    """Wrap ``value`` in the one-field unit ``cls``, named by ``__match_args__``,
-    unchecked: the caller has shown it finite and non-negative (``int`` for counts)."""
-    unit = object.__new__(cls)
-    object.__setattr__(unit, cls.__match_args__[0], value)
-    return unit
+def _proven(cls, values) -> list:
+    """Wrap each of ``values`` in the one-field unit ``cls``, named by
+    ``__match_args__``, unchecked: the caller has shown each finite and
+    non-negative (``int`` for counts).  No Python frame is entered per value."""
+    units = list(map(object.__new__, repeat(cls, len(values))))
+    set_field = getattr(cls, cls.__match_args__[0]).__set__
+    for unit, value in zip(units, values):
+        set_field(unit, value)
+    return units
 
 
 class _Value:

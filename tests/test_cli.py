@@ -124,6 +124,13 @@ def test_lifecycle_rejects_a_malformed_gamma_sweep(capsys, scenario_file, sweep)
                             f"got {sweep!r}\n")
 
 
+def test_lifecycle_rejects_a_gamma_below_one_in_the_sweep(capsys, scenario_file):
+    assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", "5,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ecal: error: gamma must be >= 1, got 0\n"
+
+
 def test_lifecycle_uses_scenario_sweep_block(capsys, tmp_path):
     doc = dict(MINIMAL_SCENARIO)
     doc["sweeps"] = {"gamma": [1, 10]}
@@ -146,6 +153,15 @@ def test_carbon_uses_bundled_table(capsys, scenario_file):
     assert lines[5].startswith("1000,FI,92")
     totals = [float(line.split(",")[5]) for line in lines[1:]]
     assert totals == sorted(totals, reverse=True)
+
+
+def test_carbon_rejects_a_repeated_country(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({**MINIMAL_SCENARIO, "countries": ["de", "DE"]}), encoding="utf-8")
+    assert run(["carbon", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ecal: error: countries[1]: repeats 'DE'\n"
 
 
 def test_carbon_ci_file_flag_and_env(capsys, scenario_file, tmp_path, monkeypatch):

@@ -1,12 +1,16 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecal.carbon import bundled_ci_table, carbon_footprint, cf_vs_gamma
+from ecal.carbon import CarbonReportRow, bundled_ci_table, carbon_footprint, cf_vs_gamma
 from ecal.lifecycle import (
+    GammaRow,
     Scenario,
+    _at,
+    _price,
     default_scenario,
     development_energy,
     ecal,
@@ -20,7 +24,8 @@ from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUn
 from ecal.preprocessing import StandardizationMethod
 from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile
 from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
-from ecal.units import BitCount, BitRate, Energy, EnergyPerBit, Power
+from ecal.units import JOULES_PER_KWH, BitCount, BitRate, Energy, EnergyPerBit, FieldError
+from ecal.units import FieldTypeError, Power, _checked_count
 
 
 def spreadsheet_oracle(
@@ -230,6 +235,16 @@ def test_scenario_validation():
     assert replace(s, countries=("fi", "De")).countries == ("FI", "DE")
     with pytest.raises(ValueError, match=r"^countries\[1\] must be .* got 'ßa'$"):
         replace(s, countries=("DE", "ßa"))  # not ASCII, and would upper-case to "SSA"
+
+
+def test_a_repeated_country_is_rejected_at_its_second_occurrence():
+    s = default_scenario()
+    for countries, field, code in ((("de", "DE"), "countries[1]", "DE"),
+                                   (("FI", "ES", "fi"), "countries[2]", "FI")):
+        with pytest.raises(FieldError) as caught:
+            replace(s, countries=countries)
+        assert (caught.value.field, caught.value.reason) == (field, f"repeats {code!r}")
+        assert type(caught.value) is FieldError
 
 
 def test_ecal_abs_is_the_affine_combination_of_published_components():
@@ -617,3 +632,106 @@ def test_trusted_outputs_are_what_the_checked_constructors_build(s, data):
         checked = type(unit)(*_field_values(unit))
         assert checked == unit
         assert repr(checked) == repr(unit)
+
+
+def _row_by_row(s, records, gammas):
+    """gamma_sweep's and cf_vs_gamma's rows as a per-gamma loop through ``_at``
+    and the checked constructors builds them."""
+    p = _price(s)
+    chosen = sorted(records, key=lambda r: (-r.intensity.grams_co2e_per_kwh, r.country_code))
+    sweep, carbon = [], []
+    for gamma in gammas:
+        _checked_count(gamma, "gamma", 1)
+        joules, bits = _at(p, gamma)
+        sweep.append(GammaRow(gamma, Energy(joules), Energy(joules / gamma),
+                              EnergyPerBit(joules / bits)))
+        for r in chosen:
+            ci = r.intensity.grams_co2e_per_kwh
+            carbon.append(CarbonReportRow(
+                gamma, r.country_code, r.country_name, r.intensity,
+                p.development / JOULES_PER_KWH * ci, p.request / JOULES_PER_KWH * ci,
+                joules / JOULES_PER_KWH * ci))
+    return sweep, carbon
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios(), st.data())
+def test_bulk_rows_are_bit_identical_to_the_row_by_row_formula(s, data):
+    # Gammas around the largest that prices, in any order, repeated or none at
+    # all: each row matches bit for bit, or both sides raise the same error.
+    p = _price(s)
+    edge = int(min(sys.float_info.max / p.request, sys.float_info.max / p.request_bits))
+    gamma = st.one_of(st.integers(1, 10**9), st.integers(1, 2 * edge),
+                      st.integers(edge - (edge >> 48), edge + (edge >> 48)))
+    gammas = data.draw(st.lists(gamma, max_size=12))
+    gammas += data.draw(st.lists(st.sampled_from(gammas), max_size=3)) if gammas else []
+    records = bundled_ci_table()
+    expected = _outcome(lambda: _row_by_row(s, records, gammas))
+    sweep = _outcome(lambda: gamma_sweep(s, gammas))
+    report = _outcome(lambda: cf_vs_gamma(s, records, iter(gammas)))
+    if isinstance(expected[0], type):
+        assert sweep == report == expected
+    else:
+        # repr spells each float exactly, so equal reprs are equal bits
+        assert sweep == expected[0] and repr(sweep) == repr(expected[0])
+        assert report.rows == tuple(expected[1])
+        assert repr(report.rows) == repr(tuple(expected[1]))
+
+
+_TOO_LARGE = ("gamma is too large to price: lifecycle energy or bits exceed the "
+              "floating-point range (gamma has {} bits)")
+# One bad gamma, and the exact type and message it raises.
+BAD_GAMMAS = [
+    (0, FieldError, "gamma must be >= 1, got 0"),
+    (-1, FieldError, "gamma must be >= 1, got -1"),
+    (True, FieldTypeError, "gamma must be an integer, got bool"),
+    (1.5, FieldTypeError, "gamma must be an integer, got float"),
+    ("3", FieldTypeError, "gamma must be an integer, got str"),
+    (10**308, ValueError, _TOO_LARGE.format(1024)),
+    (10**400, ValueError, _TOO_LARGE.format(1329)),
+]
+
+
+@pytest.mark.parametrize("bad, error, message", BAD_GAMMAS,
+                         ids=["0", "-1", "True", "1.5", "'3'", "10**308", "10**400"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_bad_gamma_raises_the_same_error_anywhere_in_the_list(bad, error, message, position):
+    s = default_scenario()
+    gammas = [5, 7]
+    gammas.insert(position, bad)
+    for sweep in (lambda: gamma_sweep(s, gammas),
+                  lambda: cf_vs_gamma(s, bundled_ci_table(), gammas)):
+        with pytest.raises(Exception) as caught:
+            sweep()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
+def test_the_first_bad_gamma_in_list_order_is_the_one_named():
+    s = default_scenario()
+    for gammas, message in (([10**308, 0], _TOO_LARGE.format(1024)),
+                            ([0, 10**308], "gamma must be >= 1, got 0"),
+                            ([3, 2.5, 10**400], "gamma must be an integer, got float")):
+        for sweep in (lambda: gamma_sweep(s, gammas),
+                      lambda: cf_vs_gamma(s, bundled_ci_table(), gammas)):
+            with pytest.raises(ValueError) as caught:
+                sweep()
+            assert str(caught.value) == message
+
+
+def test_an_empty_gamma_list_still_prices_the_scenario():
+    s = default_scenario()
+    assert gamma_sweep(s, []) == []
+    assert cf_vs_gamma(s, bundled_ci_table(), iter(())).rows == ()
+    tiny = replace(s, processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 1e-308))
+    for sweep in (lambda: gamma_sweep(tiny, []), lambda: cf_vs_gamma(tiny, [], [])):
+        with pytest.raises(ValueError, match="lifecycle energy is not finite"):
+            sweep()

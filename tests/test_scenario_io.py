@@ -128,6 +128,12 @@ def test_shape_and_type_errors_are_pinned(text, message):
     assert str(caught.value) == message
 
 
+def test_a_repeated_country_is_rejected_at_its_second_occurrence():
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(_doc_with(countries=["de", "FI", "DE"]))
+    assert str(caught.value) == "countries[2]: repeats 'DE'"
+
+
 def test_invalid_json_is_a_scenario_error():
     with pytest.raises(ScenarioError, match="invalid JSON"):
         parse_scenario("{not json")
