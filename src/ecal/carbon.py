@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import os
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from . import _all_of
 from .lifecycle import Scenario, _gammas, _price
@@ -23,7 +23,8 @@ _CI_HEADER = ["country_code", "country_name", "year", "ci_g_per_kwh"]
 
 
 class CiTableError(ValueError):
-    """A carbon-intensity table could not be parsed."""
+    """A carbon-intensity table could not be parsed, or holds several years of a
+    country to price."""
 
 
 class DuplicateCountryError(CiTableError):
@@ -128,14 +129,17 @@ class CarbonReport(NamedTuple):
 
 def cf_vs_gamma(
     s: Scenario,
-    records: Sequence[CarbonIntensityRecord],
+    records: Iterable[CarbonIntensityRecord],
     gammas: Iterable[int],
 ) -> CarbonReport:
     """Carbon footprint per country at each request count in ``gammas``.
 
     Uses the scenario's country list, or every loaded record when the list
     is empty.  Within one gamma, rows are ordered by descending intensity.
+    Raises :class:`CiTableError` when a country to price has records for
+    more than one year.
     """
+    records = tuple(records)
     by_code = {record.country_code: record for record in records}
     if s.countries:
         try:
@@ -147,6 +151,14 @@ def cf_vs_gamma(
             ) from None
     else:
         chosen = list(records)
+    if len(by_code) < len(records):
+        for record in chosen:
+            years = [r.year for r in records if r.country_code == record.country_code]
+            if len(years) > 1:
+                raise CiTableError(
+                    f"carbon-intensity table has {len(years)} records for "
+                    f"{record.country_code!r} (years {', '.join(map(str, years))}); "
+                    f"keep one year per country")
     chosen.sort(key=lambda r: (-r.intensity.grams_co2e_per_kwh, r.country_code))
     p = _price(s)
     gs = _gammas(p, gammas)

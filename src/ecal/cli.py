@@ -162,29 +162,17 @@ def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
-    from .lifecycle import _price
+    from .lifecycle import _PRICED, _price
     from .scenario_io import load_scenario
 
     p = _price(load_scenario(args.scenario).scenario)
-    return _key_value_table(
-        [
-            ("M_FP", p.forward_flops),
-            ("M_MLP_FP", p.training_forward_flops),
-            ("M_MLP", p.training_flops),
-            ("N_inf_flops", p.inference_flops),
-            ("E_train_J", p.training),
-            ("E_train_b_J_per_b", p.training_per_bit),
-            ("E_eval_J", p.evaluation),
-            ("E_eval_b_J_per_b", p.forward_per_bit),
-            ("E_inf_J", p.inference),
-        ]
-    )
+    return _key_value_table([(row, value) for (_, _, row), value in zip(_PRICED, p) if row])
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     from dataclasses import replace
 
-    from .lifecycle import gamma_sweep, lifecycle_report
+    from .lifecycle import _TERMS, gamma_sweep, lifecycle_report
     from .scenario_io import load_scenario
     from .transmission import without_packet_override
 
@@ -202,37 +190,12 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     elif doc.sweeps.gamma:
         gammas = doc.sweeps.gamma
     if gammas:
-        rows = [
-            (row.gamma, row.ecal_abs.joules, row.ecal_abs_mean.joules, row.ecal.joules_per_bit)
-            for row in gamma_sweep(scenario, gammas)
-        ]
+        rows = [(g, total.joules, mean.joules, per_bit.joules_per_bit)
+                for g, total, mean, per_bit in gamma_sweep(scenario, gammas)]
         return ReportTable(("gamma", "ecal_abs_J", "ecal_abs_mean_J", "eCAL_J_per_b"), rows)
-    report = lifecycle_report(scenario)
-    return _key_value_table(
-        [
-            ("gamma", report.gamma),
-            ("B_T_dev_bits", report.transmitted_bits_development.bits),
-            ("dev_denominator_bits", report.development_denominator_bits.bits),
-            ("B_T_inf_bits", report.transmitted_bits_inference.bits),
-            ("inf_denominator_bits", report.inference_denominator_bits.bits),
-            ("E_T_J", report.transmission.joules),
-            ("E_storage_J", report.storage.joules),
-            ("E_pre_J", report.preprocessing.joules),
-            ("E_train_J", report.training.joules),
-            ("E_eval_J", report.evaluation.joules),
-            ("E_inf_J", report.inference.joules),
-            ("E_D_J", report.development.joules),
-            ("E_D_b_J_per_b", report.development_per_bit.joules_per_bit),
-            ("E_train_b_J_per_b", report.training_per_bit.joules_per_bit),
-            ("E_train_per_trained_bit_J_per_b",
-             report.training_per_trained_bit.joules_per_bit),
-            ("E_inf_p_J", report.inference_phase.joules),
-            ("E_inf_p_b_J_per_b", report.inference_phase_per_bit.joules_per_bit),
-            ("eCAL_abs_J", report.ecal_abs.joules),
-            ("eCAL_abs_mean_J", report.ecal_abs_mean.joules),
-            ("eCAL_J_per_b", report.ecal.joules_per_bit),
-        ]
-    )
+    return _key_value_table([  # each unit printed as its one field
+        (row, value if kind is int else getattr(value, kind.__match_args__[0]))
+        for (_, kind, row), value in zip(_TERMS, lifecycle_report(scenario))])
 
 
 def _cmd_carbon(args: argparse.Namespace) -> ReportTable:

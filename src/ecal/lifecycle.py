@@ -90,30 +90,33 @@ def default_scenario(gamma: int = 1000) -> Scenario:
     )
 
 
-class _Lifecycle(NamedTuple):
-    """One scenario priced in plain joules, FLOPs and bits: the itemized
-    development terms, one request's terms, and the bits each phase is
-    amortized over."""
-
-    forward_flops: int
-    training_forward_flops: int
-    training_flops: int
-    inference_flops: int
-    forward_per_bit: float
-    transmission: float
-    storage: float
-    preprocessing: float
-    training: float
-    training_per_bit: float
-    evaluation: float
-    development: float
-    development_bits: int
-    development_b_t: int
-    train_count: int
-    inference: float
-    request: float
-    request_bits: int
-    request_b_t: int
+# _Lifecycle's fields, each with its type and its `ecal train-cost` row name
+# (None: not printed); the printed fields come first, in print order.
+_PRICED = (
+    ("forward_flops", int, "M_FP"),
+    ("training_forward_flops", int, "M_MLP_FP"),
+    ("training_flops", int, "M_MLP"),
+    ("inference_flops", int, "N_inf_flops"),
+    ("training", float, "E_train_J"),
+    ("training_per_bit", float, "E_train_b_J_per_b"),
+    ("evaluation", float, "E_eval_J"),
+    ("forward_per_bit", float, "E_eval_b_J_per_b"),
+    ("inference", float, "E_inf_J"),
+    ("transmission", float, None),
+    ("storage", float, None),
+    ("preprocessing", float, None),
+    ("development", float, None),
+    ("development_bits", int, None),
+    ("development_b_t", int, None),
+    ("train_count", int, None),
+    ("request", float, None),
+    ("request_bits", int, None),
+    ("request_b_t", int, None),
+)
+_Lifecycle = NamedTuple("_Lifecycle", [term[:2] for term in _PRICED])
+_Lifecycle.__doc__ = """One scenario priced in plain joules, FLOPs and bits: the itemized
+development terms, one request's terms, and the bits each phase is
+amortized over."""
 
 
 def _collection(s: Scenario, spec: PayloadSpec, invalid: int) -> tuple[int, float, float, float]:
@@ -293,29 +296,33 @@ def gamma_sweep(s: Scenario, gammas: Iterable[int]) -> list[GammaRow]:
     return list(map(tuple.__new__, repeat(GammaRow), zip(*columns)))
 
 
-class LifecycleReport(NamedTuple):
-    """Itemized energies, per-bit figures, and lifecycle metrics of a scenario."""
-
-    gamma: int
-    transmission: Energy
-    storage: Energy
-    preprocessing: Energy
-    training: Energy
-    evaluation: Energy
-    inference: Energy
-    development: Energy
-    development_per_bit: EnergyPerBit
-    training_per_bit: EnergyPerBit
-    training_per_trained_bit: EnergyPerBit
-    inference_phase: Energy
-    inference_phase_per_bit: EnergyPerBit
-    ecal_abs: Energy
-    ecal_abs_mean: Energy
-    ecal: EnergyPerBit
-    transmitted_bits_development: BitCount
-    development_denominator_bits: BitCount
-    transmitted_bits_inference: BitCount
-    inference_denominator_bits: BitCount
+# LifecycleReport's fields, each with its type and its `ecal lifecycle` row
+# name, in print order.
+_TERMS = (
+    ("gamma", int, "gamma"),
+    ("transmitted_bits_development", BitCount, "B_T_dev_bits"),
+    ("development_denominator_bits", BitCount, "dev_denominator_bits"),
+    ("transmitted_bits_inference", BitCount, "B_T_inf_bits"),
+    ("inference_denominator_bits", BitCount, "inf_denominator_bits"),
+    ("transmission", Energy, "E_T_J"),
+    ("storage", Energy, "E_storage_J"),
+    ("preprocessing", Energy, "E_pre_J"),
+    ("training", Energy, "E_train_J"),
+    ("evaluation", Energy, "E_eval_J"),
+    ("inference", Energy, "E_inf_J"),
+    ("development", Energy, "E_D_J"),
+    ("development_per_bit", EnergyPerBit, "E_D_b_J_per_b"),
+    ("training_per_bit", EnergyPerBit, "E_train_b_J_per_b"),
+    ("training_per_trained_bit", EnergyPerBit, "E_train_per_trained_bit_J_per_b"),
+    ("inference_phase", Energy, "E_inf_p_J"),
+    ("inference_phase_per_bit", EnergyPerBit, "E_inf_p_b_J_per_b"),
+    ("ecal_abs", Energy, "eCAL_abs_J"),
+    ("ecal_abs_mean", Energy, "eCAL_abs_mean_J"),
+    ("ecal", EnergyPerBit, "eCAL_J_per_b"),
+)
+LifecycleReport = NamedTuple("LifecycleReport", [term[:2] for term in _TERMS])
+LifecycleReport.__doc__ = """Itemized energies, per-bit figures, and lifecycle metrics of a
+scenario."""
 
 
 def lifecycle_report(s: Scenario) -> LifecycleReport:

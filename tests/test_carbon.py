@@ -195,6 +195,34 @@ def test_cf_vs_gamma_unknown_country():
         cf_vs_gamma(s, bundled_ci_table(), [1])
 
 
+def test_cf_vs_gamma_takes_records_from_an_iterator():
+    # An iterator used to be spent building the country index, leaving no rows.
+    table = bundled_ci_table()
+    s = default_scenario()
+    assert cf_vs_gamma(s, iter(table), [1]) == cf_vs_gamma(s, table, [1])
+    assert len(cf_vs_gamma(s, iter(table), [1]).rows) == len(table)
+
+
+TWO_YEARS_OF_DE = CI_HEADER + "DE,Germany,2023,425\nFI,Finland,2023,92\nDE,Germany,2022,400\n"
+
+
+@pytest.mark.parametrize("countries", [("DE",), ()])
+def test_cf_vs_gamma_rejects_a_priced_country_with_several_years(countries):
+    # Pricing one of the years would depend on the table's row order.
+    records = load_ci_table(io.StringIO(TWO_YEARS_OF_DE))
+    s = replace(default_scenario(), countries=countries)
+    with pytest.raises(CiTableError) as caught:
+        cf_vs_gamma(s, records, [1])
+    assert str(caught.value) == ("carbon-intensity table has 2 records for 'DE' "
+                                 "(years 2023, 2022); keep one year per country")
+
+
+def test_cf_vs_gamma_ignores_extra_years_of_a_country_it_does_not_price():
+    records = load_ci_table(io.StringIO(TWO_YEARS_OF_DE))
+    s = replace(default_scenario(), countries=("FI",))
+    assert [row.country_code for row in cf_vs_gamma(s, records, [1]).rows] == ["FI"]
+
+
 def test_cf_vs_gamma_rejects_bad_gamma():
     with pytest.raises(ValueError):
         cf_vs_gamma(default_scenario(), bundled_ci_table(), [0])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -103,6 +104,67 @@ def test_lifecycle_full_report(capsys, scenario_file):
     assert "dev_denominator_bits,66880" in lines
     assert "inf_denominator_bits,20216" in lines
     assert any(line.startswith("eCAL_J_per_b,") for line in lines)
+
+
+TRAIN_COST_ROWS = [
+    ("M_FP", 226), ("M_MLP_FP", 404540), ("M_MLP", 1213620), ("N_inf_flops", 17402),
+    ("E_train_J", 0.007905804182137972), ("E_train_b_J_per_b", 6.901016220441664e-08),
+    ("E_eval_J", 0.00011336069311445508), ("E_eval_b_J_per_b", 2.3003387401472218e-08),
+    ("E_inf_J", 0.00011336069311445508),
+]
+LIFECYCLE_ROWS = [
+    ("gamma", 1000), ("B_T_dev_bits", 17728), ("dev_denominator_bits", 66880),
+    ("B_T_inf_bits", 5432), ("inf_denominator_bits", 20216), ("E_T_J", 5.60701184e-05),
+    ("E_storage_J", 4.79232e-06), ("E_pre_J", 2.1462e-05), ("E_train_J", 0.007905804182137972),
+    ("E_eval_J", 0.00011336069311445508), ("E_inf_J", 0.00011336069311445508),
+    ("E_D_J", 0.008101489313652427), ("E_D_b_J_per_b", 1.2113470863714753e-07),
+    ("E_train_b_J_per_b", 6.901016220441664e-08),
+    ("E_train_per_trained_bit_J_per_b", 6.901016220441665e-07),
+    ("E_inf_p_J", 0.00013840846271445507), ("E_inf_p_b_J_per_b", 6.84648113941705e-09),
+    ("eCAL_abs_J", 0.1465099520281075), ("eCAL_abs_mean_J", 0.0001465099520281075),
+    ("eCAL_J_per_b", 7.223330810422755e-09),
+]
+LORAWAN_STRICT_LIFECYCLE_ROWS = [
+    ("gamma", 1000), ("B_T_dev_bits", 18528), ("dev_denominator_bits", 67680),
+    ("B_T_inf_bits", 5732), ("inf_denominator_bits", 20516), ("E_T_J", 0.037056),
+    ("E_storage_J", 4.79232e-06), ("E_pre_J", 2.1462e-05), ("E_train_J", 0.007905804182137972),
+    ("E_eval_J", 0.00011336069311445508), ("E_inf_J", 0.00011336069311445508),
+    ("E_D_J", 0.04510141919525243), ("E_D_b_J_per_b", 6.663921275894272e-07),
+    ("E_train_b_J_per_b", 6.901016220441664e-08),
+    ("E_train_per_trained_bit_J_per_b", 6.901016220441665e-07),
+    ("E_inf_p_J", 0.011585228133114455), ("E_inf_p_b_J_per_b", 5.646923441759824e-07),
+    ("eCAL_abs_J", 11.630329552309707), ("eCAL_abs_mean_J", 0.011630329552309707),
+    ("eCAL_J_per_b", 5.650267373137217e-07),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("command, lorawan, flags, expected", [
+    ("train-cost", False, [], TRAIN_COST_ROWS),
+    ("train-cost", True, [], TRAIN_COST_ROWS),
+    ("lifecycle", False, [], LIFECYCLE_ROWS),
+    ("lifecycle", True, ["--strict-eq2"], LORAWAN_STRICT_LIFECYCLE_ROWS),
+], ids=["train-cost-default", "train-cost-lorawan", "lifecycle-default",
+        "lifecycle-lorawan-strict-eq2"])
+def test_key_value_reports_print_every_row_in_order(capsys, tmp_path, command, lorawan, flags,
+                                                     expected, as_json):
+    # Pins each report's row names, their order, and each value's type and repr.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "default.json")
+    if lorawan:
+        path = tmp_path / "lorawan.json"
+        path.write_text(json.dumps({**MINIMAL_SCENARIO, "technology": "lorawan"}),
+                        encoding="utf-8")
+    argv = [command, "--scenario", str(path), *flags] + (["--json"] if as_json else [])
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if as_json:
+        payload = json.loads(out)
+        assert payload["columns"] == ["metric", "value"]
+        assert [(name, repr(value)) for name, value in payload["rows"]] == [
+            (name, repr(value)) for name, value in expected]
+    else:
+        assert out == "metric,value\n" + "".join(f"{name},{value!r}\n"
+                                                  for name, value in expected)
 
 
 def test_lifecycle_gamma_sweep_is_decreasing(capsys, scenario_file):
@@ -280,6 +342,18 @@ def test_unknown_tech_exits_1(capsys):
 
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
+
+
+def test_carbon_rejects_a_ci_file_with_several_years_of_a_country(capsys, scenario_file,
+                                                                   tmp_path):
+    ci = tmp_path / "ci.csv"
+    ci.write_text("country_code,country_name,year,ci_g_per_kwh\n"
+                  "DE,Germany,2023,425\nDE,Germany,2022,400\n", encoding="utf-8")
+    assert run(["carbon", "--scenario", scenario_file, "--ci-file", str(ci)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ecal: error: carbon-intensity table has 2 records for 'DE' "
+                            "(years 2023, 2022); keep one year per country\n")
 
 
 def test_output_is_deterministic(capsys, scenario_file):

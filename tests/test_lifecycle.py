@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from ecal.carbon import CarbonReportRow, bundled_ci_table, carbon_footprint, cf_vs_gamma
 from ecal.lifecycle import (
     GammaRow,
+    LifecycleReport,
     Scenario,
+    _TERMS,
     _at,
     _price,
     default_scenario,
@@ -319,6 +321,28 @@ def test_ecal_improvement_ratio_100_to_1000():
     assert 1.2 <= ratio <= 1.6
 
 
+def test_the_headline_ratio_is_set_by_two_phase_ratios():
+    # eCAL(100) / eCAL(1000) = R(e, b) with e = E_D / E_req and b = B_D / B_req;
+    # the abstract's 1.43 needs e = 55.40 at this b, or b = 5.286 at this e.
+    def r(e, b):
+        return (e + 100) * (b + 1000) / ((b + 100) * (e + 1000))
+
+    s = default_scenario()
+    p = _price(s)
+    e = p.development / p.request
+    b = p.development_bits / p.request_bits
+    assert (round(e, 3), round(b, 4)) == (58.533, 3.3083)
+    expected = ecal(replace(s, gamma=100)).joules_per_bit / ecal(s).joules_per_bit
+    assert r(e, b) == approx(expected)
+    assert round(expected, 6) == 1.454504
+    k = (b + 1000) / (b + 100)
+    e_at_143 = (1430 - 100 * k) / (k - 1.43)
+    b_at_143 = (143 * (e + 1000) - 1000 * (e + 100)) / ((e + 100) - 1.43 * (e + 1000))
+    assert (round(e_at_143, 2), round(b_at_143, 3)) == (55.40, 5.286)
+    assert r(e_at_143, b) == approx(1.43)
+    assert r(e, b_at_143) == approx(1.43)
+
+
 def test_ecal_single_phase_degenerate_reduces_to_total_over_bits():
     s = replace(default_scenario(), gamma=1)
     report = lifecycle_report(s)
@@ -560,6 +584,13 @@ def test_every_metric_agrees_exactly_with_the_report(s):
         assert cf_row.cf_inference_g == carbon_footprint(report.inference_phase, cf_row.intensity)
 
 
+def test_report_fields_are_the_term_table_in_print_order():
+    assert LifecycleReport._fields == tuple(field for field, _, _ in _TERMS)
+    assert LifecycleReport._fields[:5] == (
+        "gamma", "transmitted_bits_development", "development_denominator_bits",
+        "transmitted_bits_inference", "inference_denominator_bits")
+
+
 # Each LifecycleReport field, by the spreadsheet_oracle term it must equal.
 ORACLE_TERMS = {
     "transmission": "e_t", "storage": "e_storage", "preprocessing": "e_pre",
@@ -590,6 +621,7 @@ def test_every_report_term_agrees_with_the_oracle(s):
     )
     report = lifecycle_report(s)
     assert set(ORACLE_TERMS) == set(report.__match_args__) - {"gamma"}
+    assert [type(value) for value in report] == [kind for _, kind, _ in _TERMS]
     assert report.gamma == s.gamma
     for field, term in ORACLE_TERMS.items():
         (value,) = _field_values(getattr(report, field))
