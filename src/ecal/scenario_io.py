@@ -13,13 +13,14 @@ import os
 from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 from . import _all_of
-from .lifecycle import Scenario
+from .lifecycle import Scenario, default_scenario
 from .mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from .preprocessing import StandardizationMethod
 from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _write, reproduce
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
-from .units import BitCount, BitRate, FieldError, Power, _checked_count, _checked_real
+from .units import BitCount, BitRate, FieldError, Power, _Value
+from .units import _checked_count, _checked_name, _checked_real
 
 __all__ = _all_of(__name__)
 
@@ -88,17 +89,41 @@ def _get(mapping: dict, key: str, at: str = "", default: Any = _REQUIRED) -> Any
     return default
 
 
-# Model attributes whose document field has another name.
+_DEFAULT = default_scenario()
+
+# Each inline profile: its built-ins by name, the lookup whose KeyError names
+# them, and per constructor argument, in order, the document key, the unit or
+# rule its value goes through (None: as given) and its default.
+_PROFILES = {
+    TechnologyProfile: (BUILTIN_TECHNOLOGIES, technology_profile, (
+        ("name", _checked_name, "custom"),
+        ("f_u", BitCount, _REQUIRED),
+        ("omega_u", BitCount, _REQUIRED),
+        ("p_t_w", Power, _REQUIRED),
+        ("r_t_bps", BitRate, _REQUIRED),
+        ("packets_override", None, None),
+    )),
+    StorageProfile: (BUILTIN_STORAGE, storage_profile, (
+        ("name", _checked_name, "custom"),
+        ("wh_per_tb", None, _REQUIRED),
+    )),
+    ProcessingUnitProfile: (None, None, (
+        ("preprocessing_power_w", Power, DEFAULT_PROCESSING_UNIT.preprocessing_power.watts),
+        ("preprocessing_flops_per_s", None, DEFAULT_PROCESSING_UNIT.preprocessing_flops_per_s),
+        ("flops_per_joule", None, DEFAULT_PROCESSING_UNIT.flops_per_joule),
+    )),
+}
+
+# Model attributes whose document field has another name; each profile
+# attribute is paired with its key from _PROFILES.
 _JSON_NAMES = {
     "sample_count": "samples",
     "bits_per_sample": "bit_precision",
     "train_fraction": "split_ratio",
     "layer_sizes": "layers",
-    "packet_capacity": "f_u",
-    "transmit_power": "p_t_w",
-    "wh_per_terabyte": "wh_per_tb",
-    "preprocessing_power": "preprocessing_power_w",
 }
+_JSON_NAMES.update((attr, key) for cls, (_, _, fields) in _PROFILES.items()
+                   for attr, (key, _, _) in zip(cls.__match_args__, fields))
 
 
 def _build(path: str, factory: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -117,63 +142,67 @@ def _build(path: str, factory: Callable[..., Any], *args: Any, **kwargs: Any) ->
         raise _fail(path, exc.reason) from None
 
 
-def _builtin(lookup: Callable[[str], Any], name: str, path: str) -> Any:
-    try:
-        return lookup(name)
-    except KeyError as exc:
-        raise _fail(path, exc.args[0]) from None
+def _parse_profile(cls: type, mapping: dict, key: str, default: Any) -> Any:
+    """The ``cls`` profile under ``key``: a built-in's name or an inline
+    object, or ``default`` when the key is absent."""
+    if key not in mapping:
+        return default
+    _, lookup, fields = _PROFILES[cls]
+    value = mapping[key]
+    if lookup and isinstance(value, str):
+        try:
+            return lookup(value)
+        except KeyError as exc:
+            raise _fail(key, exc.args[0]) from None
+    inline = _require_mapping(value, key)
+    _reject_unknown(inline, [name for name, _, _ in fields], key)
+    at = f"{key}."
+    args = []
+    for name, rule, fallback in fields:
+        # A name is held to the string rule alone, not to the float range.
+        value = (inline.get(name, fallback) if rule is _checked_name
+                 else _get(inline, name, at, fallback))
+        args.append(_build(at + name, rule, value) if rule else value)
+    return _build(at, cls, *args)
 
 
-def _name(mapping: dict, path: str) -> str:
-    name = mapping.get("name", "custom")
-    if not isinstance(name, str):
-        raise _fail(f"{path}.name", f"expected a string, got {name!r}")
-    return name
+def _profile_to_json(profile: Any) -> str | dict:
+    """A built-in profile's name, or the inline object of any other."""
+    builtins, _, fields = _PROFILES[type(profile)]
+    if builtins and builtins.get(profile.name) == profile:
+        return profile.name
+    inline = {}
+    for attr, (key, _, _) in zip(profile.__match_args__, fields):
+        value = getattr(profile, attr)
+        if value is not None:  # an unset packets_override is left out
+            inline[key] = value._values()[0] if isinstance(value, _Value) else value
+    return inline
 
 
-def _parse_technology(value: Any, path: str) -> TechnologyProfile:
-    if isinstance(value, str):
-        return _builtin(technology_profile, value, path)
-    mapping = _require_mapping(value, path)
-    allowed = ["name", "f_u", "omega_u", "p_t_w", "r_t_bps", "packets_override"]
-    _reject_unknown(mapping, allowed, path)
-    name = _name(mapping, path)
-    at = f"{path}."
-    return _build(
-        at,
-        TechnologyProfile,
-        name=name,
-        packet_capacity=_build(at + "f_u", BitCount, _get(mapping, "f_u", at)),
-        packet_overhead=_build(at + "omega_u", BitCount, _get(mapping, "omega_u", at)),
-        transmit_power=_build(at + "p_t_w", Power, _get(mapping, "p_t_w", at)),
-        transmit_rate=_build(at + "r_t_bps", BitRate, _get(mapping, "r_t_bps", at)),
-        packets_override=_get(mapping, "packets_override", at, None),
-    )
+def _document(doc: ScenarioDocument) -> dict[str, Any]:
+    """``doc`` as a JSON object holding every top-level key, in the order
+    :func:`serialize_scenario` writes them."""
+    s = doc.scenario
+    return {
+        "samples": s.payload.sample_count,
+        "invalid_samples": s.invalid_samples,
+        "bit_precision": s.payload.bits_per_sample,
+        "technology": _profile_to_json(s.technology),
+        "storage": _profile_to_json(s.storage),
+        "preprocessing": s.standardization.value,
+        "split_ratio": s.train_fraction,
+        "epochs": s.epochs,
+        "mlp": {"layers": list(s.architecture.layer_sizes)},
+        "inference_batch": s.inference_batch,
+        "inference_invalid_samples": s.inference_invalid_samples,
+        "gamma": s.gamma,
+        "processing_unit": _profile_to_json(s.processing_unit),
+        "countries": list(s.countries),
+        "sweeps": {key: list(values) for key, values in zip(Sweeps._fields, doc.sweeps) if values},
+    }
 
 
-def _parse_storage(value: Any, path: str) -> StorageProfile:
-    if isinstance(value, str):
-        return _builtin(storage_profile, value, path)
-    mapping = _require_mapping(value, path)
-    _reject_unknown(mapping, ["name", "wh_per_tb"], path)
-    at = f"{path}."
-    return _build(at, StorageProfile, _name(mapping, path), _get(mapping, "wh_per_tb", at))
-
-
-def _parse_processing_unit(value: Any, path: str) -> ProcessingUnitProfile:
-    mapping = _require_mapping(value, path)
-    allowed = ["preprocessing_power_w", "preprocessing_flops_per_s", "flops_per_joule"]
-    _reject_unknown(mapping, allowed, path)
-    defaults = DEFAULT_PROCESSING_UNIT
-    at = f"{path}."
-    power = _get(mapping, "preprocessing_power_w", at, defaults.preprocessing_power.watts)
-    return _build(
-        at,
-        ProcessingUnitProfile,
-        _build(at + "preprocessing_power_w", Power, power),
-        _get(mapping, "preprocessing_flops_per_s", at, defaults.preprocessing_flops_per_s),
-        _get(mapping, "flops_per_joule", at, defaults.flops_per_joule),
-    )
+_TOP_LEVEL = tuple(_document(ScenarioDocument(_DEFAULT)))
 
 
 def _parse_mlp(value: Any, path: str) -> MlpArchitecture:
@@ -196,7 +225,7 @@ def _parse_countries(value: Any, path: str) -> tuple[str, ...]:
 
 def _parse_sweeps(value: Any, path: str) -> Sweeps:
     mapping = _require_mapping(value, path)
-    _reject_unknown(mapping, ["gamma", "overhead_pct", "invalid_samples"], path)
+    _reject_unknown(mapping, Sweeps._fields, path)
 
     def items(key: str, check: Callable[..., Any], *rule: Any) -> tuple:
         raw = mapping.get(key, [])
@@ -216,63 +245,45 @@ def _parse_sweeps(value: Any, path: str) -> Sweeps:
     return Sweeps(gammas, overhead, items("invalid_samples", _checked_count))
 
 
-_TOP_LEVEL_FIELDS = [
-    "samples",
-    "invalid_samples",
-    "bit_precision",
-    "technology",
-    "storage",
-    "preprocessing",
-    "split_ratio",
-    "epochs",
-    "mlp",
-    "inference_batch",
-    "inference_invalid_samples",
-    "gamma",
-    "processing_unit",
-    "countries",
-    "sweeps",
-]
-
-
 def parse_scenario(text: str) -> ScenarioDocument:
     """Parse and validate a scenario JSON document.
 
-    Unset optional fields take the documented defaults (double precision,
-    BLE over HDD, normalization, a 70/30 split, the default processing
-    unit).  Range rules are the model constructors'; a violation raises
-    :class:`ScenarioError` as ``<field path>: <reason>``.
+    Unset optional fields take the values of :func:`~ecal.lifecycle.default_scenario`
+    (double precision, BLE over HDD, normalization, a 70/30 split, the
+    default processing unit).  Range rules are the model constructors'; a
+    violation raises :class:`ScenarioError` as ``<field path>: <reason>``.
     """
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
         raise ScenarioError(f"invalid JSON: {exc}") from None
     mapping = _require_mapping(raw, "scenario")
-    _reject_unknown(mapping, _TOP_LEVEL_FIELDS, "")
+    _reject_unknown(mapping, _TOP_LEVEL, "")
+    d = _DEFAULT
 
     samples = _get(mapping, "samples")
-    invalid = _get(mapping, "invalid_samples", "", 0)
-    payload = _build("", PayloadSpec, _get(mapping, "bit_precision", "", 64), samples)
-    technology = _parse_technology(mapping.get("technology", "ble5"), "technology")
-    storage = _parse_storage(mapping.get("storage", "hdd"), "storage")
+    invalid = _get(mapping, "invalid_samples", "", d.invalid_samples)
+    bits = _get(mapping, "bit_precision", "", d.payload.bits_per_sample)
+    payload = _build("", PayloadSpec, bits, samples)
+    technology = _parse_profile(TechnologyProfile, mapping, "technology", d.technology)
+    storage = _parse_profile(StorageProfile, mapping, "storage", d.storage)
 
-    method_name = mapping.get("preprocessing", "normalization")
+    method_name = mapping.get("preprocessing", d.standardization)
     try:
         method = StandardizationMethod(method_name)
     except ValueError:
         options = ", ".join(m.value for m in StandardizationMethod)
         raise _fail("preprocessing", f"expected one of {options}, got {method_name!r}") from None
 
-    split_ratio = _get(mapping, "split_ratio", "", 0.7)
+    split_ratio = _get(mapping, "split_ratio", "", d.train_fraction)
     epochs = _get(mapping, "epochs")
     arch = _parse_mlp(_get(mapping, "mlp"), "mlp")
     inference_batch = _get(mapping, "inference_batch")
-    inference_invalid = _get(mapping, "inference_invalid_samples", "", 0)
+    inference_invalid = _get(mapping, "inference_invalid_samples", "", d.inference_invalid_samples)
     gamma = _get(mapping, "gamma")
-    pu = (_parse_processing_unit(mapping["processing_unit"], "processing_unit")
-          if "processing_unit" in mapping else DEFAULT_PROCESSING_UNIT)
+    pu = _parse_profile(ProcessingUnitProfile, mapping, "processing_unit", d.processing_unit)
     countries = (_parse_countries(mapping["countries"], "countries")
-                 if "countries" in mapping else ())
+                 if "countries" in mapping else d.countries)
     sweeps = _parse_sweeps(mapping["sweeps"], "sweeps") if "sweeps" in mapping else Sweeps()
 
     scenario = _build(
@@ -295,64 +306,13 @@ def parse_scenario(text: str) -> ScenarioDocument:
     return ScenarioDocument(scenario, sweeps)
 
 
-def _technology_to_json(profile: TechnologyProfile) -> str | dict:
-    if BUILTIN_TECHNOLOGIES.get(profile.name) == profile:
-        return profile.name
-    doc: dict[str, Any] = {
-        "name": profile.name,
-        "f_u": profile.packet_capacity.bits,
-        "omega_u": profile.packet_overhead.bits,
-        "p_t_w": profile.transmit_power.watts,
-        "r_t_bps": profile.transmit_rate.bits_per_second,
-    }
-    if profile.packets_override is not None:
-        doc["packets_override"] = profile.packets_override
-    return doc
-
-
-def _storage_to_json(profile: StorageProfile) -> str | dict:
-    if BUILTIN_STORAGE.get(profile.name) == profile:
-        return profile.name
-    return {"name": profile.name, "wh_per_tb": profile.wh_per_terabyte}
-
-
 def serialize_scenario(doc: ScenarioDocument) -> str:
-    """Render a scenario document back to canonical JSON text.
+    """Render a scenario document back to canonical JSON text, every key
+    but an empty ``countries`` or ``sweeps``.
 
     ``parse_scenario(serialize_scenario(doc))`` reproduces ``doc`` exactly.
     """
-    s = doc.scenario
-    out: dict[str, Any] = {
-        "samples": s.payload.sample_count,
-        "invalid_samples": s.invalid_samples,
-        "bit_precision": s.payload.bits_per_sample,
-        "technology": _technology_to_json(s.technology),
-        "storage": _storage_to_json(s.storage),
-        "preprocessing": s.standardization.value,
-        "split_ratio": s.train_fraction,
-        "epochs": s.epochs,
-        "mlp": {"layers": list(s.architecture.layer_sizes)},
-        "inference_batch": s.inference_batch,
-        "inference_invalid_samples": s.inference_invalid_samples,
-        "gamma": s.gamma,
-        "processing_unit": {
-            "preprocessing_power_w": s.processing_unit.preprocessing_power.watts,
-            "preprocessing_flops_per_s": s.processing_unit.preprocessing_flops_per_s,
-            "flops_per_joule": s.processing_unit.flops_per_joule,
-        },
-    }
-    if s.countries:
-        out["countries"] = list(s.countries)
-    sweeps = doc.sweeps
-    if sweeps.gamma or sweeps.overhead_pct or sweeps.invalid_samples:
-        block: dict[str, Any] = {}
-        if sweeps.gamma:
-            block["gamma"] = list(sweeps.gamma)
-        if sweeps.overhead_pct:
-            block["overhead_pct"] = list(sweeps.overhead_pct)
-        if sweeps.invalid_samples:
-            block["invalid_samples"] = list(sweeps.invalid_samples)
-        out["sweeps"] = block
+    out = {key: value for key, value in _document(doc).items() if value not in ([], {})}
     return json.dumps(out, indent=2) + "\n"
 
 

@@ -7,7 +7,8 @@ density; later reads for preprocessing or training are free.
 from __future__ import annotations
 
 from . import _all_of
-from .units import BitCount, Energy, EnergyPerBit, _checked_real, _Value, wh_per_tb_to_j_per_bit
+from .units import BitCount, Energy, EnergyPerBit, _checked_name, _checked_real, _Value
+from .units import wh_per_tb_to_j_per_bit
 
 __all__ = _all_of(__name__)
 
@@ -18,7 +19,7 @@ class StorageProfile(_Value):
     __slots__ = __match_args__ = ("name", "wh_per_terabyte")
 
     def __init__(self, name: str, wh_per_terabyte: float) -> None:
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "name", _checked_name(name))
         object.__setattr__(self, "wh_per_terabyte",
                            _checked_real(wh_per_terabyte, "wh_per_terabyte"))
 

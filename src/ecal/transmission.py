@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import _all_of
 from .units import BitCount, BitRate, Energy, EnergyPerBit, Power, _Value
-from .units import _checked_count, _checked_real
+from .units import _checked_count, _checked_name, _checked_real
 
 __all__ = _all_of(__name__)
 
@@ -46,6 +46,7 @@ class TechnologyProfile(_Value):
     def __init__(self, name: str, packet_capacity: BitCount, packet_overhead: BitCount,
                  transmit_power: Power, transmit_rate: BitRate,
                  packets_override: int | None = None) -> None:
+        _checked_name(name)
         _checked_count(packet_capacity.bits, "packet_capacity", 1)
         _checked_real(transmit_power.watts, "transmit_power", positive=True)
         if packets_override is not None:

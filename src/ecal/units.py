@@ -80,6 +80,13 @@ def _checked_country(code: str, field: str) -> str:
     return code.upper()
 
 
+def _checked_name(name: str) -> str:
+    """Return ``name`` if it is a string."""
+    if not isinstance(name, str):
+        raise FieldTypeError("name", f"expected a string, got {name!r}")
+    return name
+
+
 def _proven(cls, values) -> list:
     """Wrap each of ``values`` in the one-field unit ``cls``, named by
     ``__match_args__``, unchecked: the caller has shown each finite and

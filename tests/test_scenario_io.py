@@ -1,7 +1,9 @@
 import io
 import json
+import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,8 @@ from ecal.scenario_io import (
 )
 from ecal.storage import StorageProfile, storage_profile
 from ecal.transmission import PayloadSpec, TechnologyProfile, technology_profile, transmitted_bits
-from ecal.units import BitCount, BitRate, Power
+from ecal.units import BitCount, BitRate, FieldTypeError, Power
+from test_lifecycle import scenarios
 
 MINIMAL_DOC = json.dumps(
     {
@@ -354,13 +357,14 @@ def _assert_agreement(doc, out_of_range):
         expected = None
     assert (expected is None) == bool(out_of_range), (doc, out_of_range)
     try:
-        parsed = parse_scenario(json.dumps(doc)).scenario
+        parsed = parse_scenario(json.dumps(doc))
     except ScenarioError as exc:
         assert expected is None, exc
         assert str(exc).split(": ", 1)[0] in out_of_range, (exc, out_of_range)
     else:
         assert expected is not None, doc
-        assert parsed == expected
+        assert parsed.scenario == expected
+        _assert_round_trip(parsed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -373,37 +377,64 @@ def test_parser_agrees_with_the_constructors(case):
             _assert_agreement(_with(doc, path, value), {path})
 
 
+# Every key set, each inline profile inline, with every one of its keys.
+FULL_DOC = _doc_with(
+    samples=512,
+    invalid_samples=13,
+    bit_precision=32,
+    technology={
+        "name": "custom-radio",
+        "f_u": 1500,
+        "omega_u": 111,
+        "p_t_w": 0.025,
+        "r_t_bps": 7.5e4,
+        "packets_override": 23,
+    },
+    storage={"name": "cold", "wh_per_tb": 0.31},
+    preprocessing="minmax",
+    split_ratio=0.85,
+    inference_invalid_samples=3,
+    processing_unit={
+        "preprocessing_power_w": 65.0,
+        "preprocessing_flops_per_s": 5e9,
+        "flops_per_joule": 9.9e7,
+    },
+    countries=["fi", "DE"],
+    sweeps={"gamma": [1, 10, 100], "overhead_pct": [0, 12.5], "invalid_samples": [0, 7]},
+)
+
+
+def _assert_round_trip(doc):
+    """``doc`` serializes to text that parses back to ``doc`` and serializes
+    to the same text again."""
+    text = serialize_scenario(doc)
+    again = parse_scenario(text)
+    assert again == doc
+    assert serialize_scenario(again) == text
+
+
+_SWEEPS = st.builds(
+    Sweeps,
+    st.lists(st.integers(1, 10**9), max_size=4).map(tuple),
+    st.lists(st.floats(0.0, 100.0), max_size=4).map(tuple),
+    st.lists(st.integers(0, 10**9), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.lists(st.sampled_from(["DE", "fi", "ES", "us"]), max_size=3,
+                             unique_by=str.upper), _SWEEPS)
+def test_any_scenario_round_trips(scenario, countries, sweeps):
+    _assert_round_trip(ScenarioDocument(replace(scenario, countries=tuple(countries)), sweeps))
+
+
 def test_round_trip_default_document():
     doc = parse_scenario(MINIMAL_DOC)
     assert parse_scenario(serialize_scenario(doc)) == doc
 
 
 def test_round_trip_fully_custom_document():
-    text = _doc_with(
-        samples=512,
-        invalid_samples=13,
-        bit_precision=32,
-        technology={
-            "name": "custom-radio",
-            "f_u": 1500,
-            "omega_u": 111,
-            "p_t_w": 0.025,
-            "r_t_bps": 7.5e4,
-            "packets_override": 23,
-        },
-        storage={"name": "cold", "wh_per_tb": 0.31},
-        preprocessing="minmax",
-        split_ratio=0.85,
-        inference_invalid_samples=3,
-        processing_unit={
-            "preprocessing_power_w": 65.0,
-            "preprocessing_flops_per_s": 5e9,
-            "flops_per_joule": 9.9e7,
-        },
-        countries=["fi", "DE"],
-        sweeps={"gamma": [1, 10, 100], "overhead_pct": [0, 12.5], "invalid_samples": [0, 7]},
-    )
-    doc = parse_scenario(text)
+    doc = parse_scenario(FULL_DOC)
     assert doc.scenario.countries == ("FI", "DE")
     assert doc.sweeps == Sweeps((1, 10, 100), (0.0, 12.5), (0, 7))
     round_tripped = parse_scenario(serialize_scenario(doc))
@@ -415,6 +446,33 @@ def test_round_trip_scenario_built_in_code():
     doc = ScenarioDocument(replace(default_scenario(), countries=("fi", "de")))
     assert doc.scenario.countries == ("FI", "DE")
     assert parse_scenario(serialize_scenario(doc)) == doc
+
+
+@pytest.mark.parametrize("name", [5, None])
+@pytest.mark.parametrize("build", [
+    lambda name: TechnologyProfile(name, BitCount(2000), BitCount(8), Power(0.01), BitRate(1e3)),
+    lambda name: StorageProfile(name, 1.0),
+], ids=["technology", "storage"])
+def test_a_profile_name_must_be_a_string(build, name):
+    # Else serialize_scenario writes a document that parse_scenario rejects.
+    with pytest.raises(FieldTypeError) as caught:
+        build(name)
+    assert caught.value.field == "name"
+    assert str(caught.value) == f"name expected a string, got {name!r}"
+
+
+def test_readme_lists_the_document_keys_in_serialization_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    written = json.loads(serialize_scenario(parse_scenario(FULL_DOC)))
+    # The table: every top-level key, with `mlp.layers` standing for `mlp`.
+    table = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
+    assert [key.removesuffix(".layers") for key in table] == list(written)
+    # The inline profiles: each one's keys, in order.
+    inline = dict(re.findall(r"`(\w+)` takes\s+`\{([^}]*)\}`", section))
+    assert {profile: re.findall(r'"(\w+)"', keys) for profile, keys in inline.items()} == {
+        profile: list(written[profile]) for profile in ("technology", "storage", "processing_unit")
+    }
 
 
 def test_builtin_profiles_serialize_by_name():
