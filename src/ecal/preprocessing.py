@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from . import _all_of
 from .mlp_cost import ProcessingUnitProfile
-from .transmission import PayloadSpec
+from .transmission import PayloadSpec, payload_bits
 from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _Value
 
 __all__ = _all_of(__name__)
@@ -220,7 +220,7 @@ def preprocessing_energy(
 
 def preprocessing_energy_per_bit(e_pre: Energy, spec: PayloadSpec) -> EnergyPerBit:
     """Preprocessing energy divided by the payload bits it applies to."""
-    denominator = spec.bits_per_sample * spec.sample_count
+    denominator = payload_bits(spec).bits
     if denominator == 0:
         raise ValueError("per-bit preprocessing energy is undefined for an empty payload")
     return EnergyPerBit(e_pre.joules / denominator)

@@ -29,12 +29,22 @@ class ScenarioError(ValueError):
     """A scenario document failed validation; the message names the field path."""
 
 
-class Sweeps(NamedTuple):
-    """Optional parameter sweeps attached to a scenario."""
+class Sweeps(_Value):
+    """Optional parameter sweeps attached to a scenario: request counts
+    (each >= 1), overhead percentages (each in [0, 100]) and invalid-sample
+    counts."""
 
-    gamma: tuple[int, ...] = ()
-    overhead_pct: tuple[float, ...] = ()
-    invalid_samples: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("gamma", "overhead_pct", "invalid_samples")
+
+    def __init__(self, gamma: Sequence[int] = (), overhead_pct: Sequence[float] = (),
+                 invalid_samples: Sequence[int] = ()) -> None:
+        object.__setattr__(self, "gamma", tuple(
+            [_checked_count(g, f"gamma[{i}]", 1) for i, g in enumerate(gamma)]))
+        object.__setattr__(self, "overhead_pct", tuple(
+            [_checked_real(pct, f"overhead_pct[{i}]", maximum=100.0)
+             for i, pct in enumerate(overhead_pct)]))
+        object.__setattr__(self, "invalid_samples", tuple(
+            [_checked_count(n, f"invalid_samples[{i}]") for i, n in enumerate(invalid_samples)]))
 
 
 class ScenarioDocument(NamedTuple):
@@ -61,29 +71,20 @@ def _reject_unknown(mapping: dict, allowed: Sequence[str], path: str) -> None:
         raise _fail(name, "unknown field")
 
 
+def _require_list(value: Any, path: str, items: str = "") -> tuple:
+    if not isinstance(value, list):
+        raise _fail(path, f"expected a list{items}, got {value!r}")
+    return tuple(value)
+
+
 _REQUIRED = object()
 
 
-def _in_float_range(value: Any, path: str) -> Any:
-    """Reject an integer the model's float arithmetic cannot take.
-
-    Constructors accept such integers; only a document is held to this
-    rule, so that its error names the field instead of pricing failing later.
-    """
-    if isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            raise _fail(path, f"too large for floating-point arithmetic "
-                              f"({value.bit_length()}-bit integer)") from None
-    return value
-
-
 def _get(mapping: dict, key: str, at: str = "", default: Any = _REQUIRED) -> Any:
-    """The value of ``key`` in the object at path prefix ``at``, held to the
-    float range; a key without a default is required."""
+    """The value of ``key`` in the object at path prefix ``at``; a key
+    without a default is required."""
     if key in mapping:
-        return _in_float_range(mapping[key], at + key)
+        return mapping[key]
     if default is _REQUIRED:
         raise _fail(at + key, "required field is missing")
     return default
@@ -159,9 +160,7 @@ def _parse_profile(cls: type, mapping: dict, key: str, default: Any) -> Any:
     at = f"{key}."
     args = []
     for name, rule, fallback in fields:
-        # A name is held to the string rule alone, not to the float range.
-        value = (inline.get(name, fallback) if rule is _checked_name
-                 else _get(inline, name, at, fallback))
+        value = _get(inline, name, at, fallback)
         args.append(_build(at + name, rule, value) if rule else value)
     return _build(at, cls, *args)
 
@@ -198,7 +197,8 @@ def _document(doc: ScenarioDocument) -> dict[str, Any]:
         "gamma": s.gamma,
         "processing_unit": _profile_to_json(s.processing_unit),
         "countries": list(s.countries),
-        "sweeps": {key: list(values) for key, values in zip(Sweeps._fields, doc.sweeps) if values},
+        "sweeps": {key: list(values)
+                   for key, values in zip(Sweeps.__match_args__, doc.sweeps._values()) if values},
     }
 
 
@@ -209,40 +209,16 @@ def _parse_mlp(value: Any, path: str) -> MlpArchitecture:
     mapping = _require_mapping(value, path)
     _reject_unknown(mapping, ["layers"], path)
     at = f"{path}."
-    layers = _get(mapping, "layers", at)
-    if not isinstance(layers, list):
-        raise _fail(at + "layers", f"expected a list of layer widths, got {layers!r}")
-    for index, width in enumerate(layers):
-        _in_float_range(width, f"{at}layers[{index}]")
+    layers = _require_list(_get(mapping, "layers", at), at + "layers", " of layer widths")
     return _build(at, MlpArchitecture, layers)
-
-
-def _parse_countries(value: Any, path: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise _fail(path, f"expected a list of country codes, got {value!r}")
-    return tuple(value)
 
 
 def _parse_sweeps(value: Any, path: str) -> Sweeps:
     mapping = _require_mapping(value, path)
-    _reject_unknown(mapping, Sweeps._fields, path)
-
-    def items(key: str, check: Callable[..., Any], *rule: Any) -> tuple:
-        raw = mapping.get(key, [])
-        if not isinstance(raw, list):
-            raise _fail(f"{path}.{key}", f"expected a list, got {raw!r}")
-        out = []
-        for index, item in enumerate(raw):
-            at = f"{path}.{key}[{index}]"
-            out.append(_build(at, check, _in_float_range(item, at), key, *rule))
-        return tuple(out)
-
-    gammas = items("gamma", _checked_count, 1)
-    overhead = items("overhead_pct", _checked_real)
-    for index, pct in enumerate(overhead):
-        if pct > 100.0:
-            raise _fail(f"{path}.overhead_pct[{index}]", f"must be in [0, 100], got {pct!r}")
-    return Sweeps(gammas, overhead, items("invalid_samples", _checked_count))
+    _reject_unknown(mapping, Sweeps.__match_args__, path)
+    at = f"{path}."
+    return _build(at, Sweeps, *[_require_list(mapping.get(key, []), at + key)
+                                for key in Sweeps.__match_args__])
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -282,7 +258,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     inference_invalid = _get(mapping, "inference_invalid_samples", "", d.inference_invalid_samples)
     gamma = _get(mapping, "gamma")
     pu = _parse_profile(ProcessingUnitProfile, mapping, "processing_unit", d.processing_unit)
-    countries = (_parse_countries(mapping["countries"], "countries")
+    countries = (_require_list(mapping["countries"], "countries", " of country codes")
                  if "countries" in mapping else d.countries)
     sweeps = _parse_sweeps(mapping["sweeps"], "sweeps") if "sweeps" in mapping else Sweeps()
 

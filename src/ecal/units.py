@@ -9,7 +9,6 @@ at the bottom of this module.
 
 from __future__ import annotations
 
-import math
 import sys
 from itertools import repeat
 
@@ -41,6 +40,11 @@ class FieldTypeError(FieldError, TypeError):
     """A value of the wrong type for its field."""
 
 
+def _beyond_float(value: int, field: str) -> FieldError:
+    return FieldError(field, f"too large for floating-point arithmetic "
+                             f"({value.bit_length()}-bit integer)")
+
+
 def _checked_real(value: float, field: str, *, positive: bool = False,
                   maximum: float = _LARGEST_FLOAT) -> float:
     """Return ``value`` as a float in [0, maximum], or in (0, maximum] when
@@ -50,7 +54,7 @@ def _checked_real(value: float, field: str, *, positive: bool = False,
     try:
         value = float(value)
     except OverflowError:
-        value = math.inf if value > 0 else -math.inf
+        raise _beyond_float(value, field) from None
     if not ((0.0 < value if positive else 0.0 <= value) and value <= maximum):
         if maximum == _LARGEST_FLOAT:
             rule = f"{'positive' if positive else 'non-negative'} and finite"
@@ -61,9 +65,14 @@ def _checked_real(value: float, field: str, *, positive: bool = False,
 
 
 def _checked_count(value: int, field: str, minimum: int = 0, maximum: int | None = None) -> int:
-    """Return ``value`` if it is an integer in [minimum, maximum]."""
+    """Return ``value`` if it is an integer that a float can hold, in
+    [minimum, maximum]."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise FieldTypeError(field, f"must be an integer, got {type(value).__name__}")
+    try:
+        float(value)
+    except OverflowError:
+        raise _beyond_float(value, field) from None
     if maximum is not None:
         if not minimum <= value <= maximum:
             raise FieldError(field, f"must be in [{minimum}, {maximum}], got {value}")

@@ -6,6 +6,7 @@ import pytest
 from ecal.cli import _METHODS, run
 from ecal.preprocessing import StandardizationMethod
 from ecal.scenario_io import REPRODUCE_TARGETS, reproduce
+from test_units import beyond_float
 
 MINIMAL_SCENARIO = {
     "samples": 256,
@@ -319,6 +320,9 @@ def test_train_cost_rejects_an_overflowing_per_bit_training_energy(capsys, tmp_p
 def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
     huge = "1" + "0" * 400
     assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge}"]) == 1
+    assert capsys.readouterr().err == f"ecal: error: {beyond_float('gamma', 1329)}\n"
+    # Representable, but the lifecycle bits are not.
+    assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge[:309]}"]) == 1
     assert capsys.readouterr().err.startswith("ecal: error: gamma is too large")
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(MINIMAL_SCENARIO).replace('"gamma": 1000', f'"gamma": {huge}'),
@@ -326,6 +330,22 @@ def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
     for command in ("lifecycle", "carbon"):
         assert run([command, "--scenario", str(path)]) == 1
         assert capsys.readouterr().err.startswith("ecal: error: gamma: too large")
+
+
+@pytest.mark.parametrize("command", [["transmit"], ["storage"],
+                                     ["preprocess", "--method", "normalization"]],
+                         ids=["transmit", "storage", "preprocess"])
+@pytest.mark.parametrize("counts, field", [
+    (["--samples", "1" + "0" * 400], None),
+    (["--samples", "1" + "0" * 200, "--precision", "1" + "0" * 200], "bit count"),
+], ids=["401-digit samples", "10**200 each"])
+def test_counts_beyond_float_range_are_one_error_line(capsys, command, counts, field):
+    assert run([*command, *counts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # preprocess counts the FLOPs of its samples first; the others build the payload.
+    field = field or ("n_s" if command[0] == "preprocess" else "sample_count")
+    assert captured.err == f"ecal: error: {beyond_float(field, 1329)}\n"
 
 
 def test_preprocess_rejects_infinite_processing_rate(capsys):

@@ -28,6 +28,7 @@ from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile
 from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
 from ecal.units import JOULES_PER_KWH, BitCount, BitRate, Energy, EnergyPerBit, FieldError
 from ecal.units import FieldTypeError, Power, _checked_count
+from test_units import beyond_float
 
 
 def spreadsheet_oracle(
@@ -477,27 +478,38 @@ HUGE = 10**400  # beyond the float range
 
 def test_gamma_beyond_float_range_is_a_value_error():
     s = default_scenario()
-    huge = replace(s, gamma=HUGE)
+    with pytest.raises(FieldError) as caught:
+        replace(s, gamma=HUGE)
+    assert str(caught.value) == beyond_float("gamma", 1329)
+    # Representable, but the lifecycle bits are not.
+    huge = replace(s, gamma=10**308)
     for metric in (ecal_abs, ecal_abs_mean, ecal, lifecycle_report):
         with pytest.raises(ValueError, match="gamma is too large"):
             metric(huge)
-    with pytest.raises(ValueError, match="gamma is too large"):
-        gamma_sweep(s, [1, HUGE])
-    with pytest.raises(ValueError, match="gamma is too large"):
-        cf_vs_gamma(s, bundled_ci_table(), [1, HUGE])
-    # Representable, but the lifecycle bits are not.
+    for sweep in (lambda: gamma_sweep(s, [1, HUGE]),
+                  lambda: cf_vs_gamma(s, bundled_ci_table(), [1, HUGE])):
+        with pytest.raises(FieldError) as caught:
+            sweep()
+        assert str(caught.value) == beyond_float("gamma", 1329)
     with pytest.raises(ValueError, match="gamma is too large"):
         gamma_sweep(s, [10**308])
 
 
 def test_counts_beyond_float_range_are_value_errors():
     s = default_scenario()
-    for variant in (
-        replace(s, payload=PayloadSpec(64, HUGE)),
-        replace(s, architecture=MlpArchitecture((6, HUGE, 3))),
+    for build, message in (
+        (lambda: PayloadSpec(64, HUGE), beyond_float("sample_count", 1329)),
+        (lambda: MlpArchitecture((6, HUGE, 3)), beyond_float("layer_sizes[1]", 1329)),
+        # Each width fits a float, but the forward-pass FLOP count does not.
+        (lambda: lifecycle_report(replace(s, architecture=MlpArchitecture((6, 2**600, 2**600, 3)))),
+         beyond_float("FLOP count", 1202)),
     ):
-        with pytest.raises(ValueError, match="too large to price"):
-            lifecycle_report(variant)
+        with pytest.raises(FieldError) as caught:
+            build()
+        assert str(caught.value) == message
+    # Each count fits a float, but the payload bits do not.
+    with pytest.raises(ValueError, match="too large to price"):
+        lifecycle_report(replace(s, payload=PayloadSpec(2**600, 2**600)))
 
 
 def test_non_finite_phase_energy_is_a_value_error():
@@ -728,7 +740,7 @@ BAD_GAMMAS = [
     (1.5, FieldTypeError, "gamma must be an integer, got float"),
     ("3", FieldTypeError, "gamma must be an integer, got str"),
     (10**308, ValueError, _TOO_LARGE.format(1024)),
-    (10**400, ValueError, _TOO_LARGE.format(1329)),
+    (10**400, FieldError, beyond_float("gamma", 1329)),
 ]
 
 

@@ -25,8 +25,9 @@ from ecal.scenario_io import (
 )
 from ecal.storage import StorageProfile, storage_profile
 from ecal.transmission import PayloadSpec, TechnologyProfile, technology_profile, transmitted_bits
-from ecal.units import BitCount, BitRate, FieldTypeError, Power
+from ecal.units import BitCount, BitRate, FieldError, FieldTypeError, Power
 from test_lifecycle import scenarios
+from test_units import FLOAT_EDGE, beyond_float
 
 MINIMAL_DOC = json.dumps(
     {
@@ -194,6 +195,18 @@ def test_sweep_blocks():
         parse_scenario(_doc_with(sweeps={"gamma": [0]}))
     with pytest.raises(ScenarioError, match=r"sweeps.overhead_pct\[0\]"):
         parse_scenario(_doc_with(sweeps={"overhead_pct": [120]}))
+
+
+@pytest.mark.parametrize("sweeps, message", [
+    ({"gamma": (0,)}, "gamma[0] must be >= 1, got 0"),
+    ({"overhead_pct": (150.0,)}, "overhead_pct[0] must be in [0, 100], got 150.0"),
+    ({"invalid_samples": (-1,)}, "invalid_samples[0] must be >= 0, got -1"),
+    ({"gamma": (5, 10**400)}, beyond_float("gamma[1]", 1329)),
+], ids=["gamma", "overhead_pct", "invalid_samples", "huge gamma"])
+def test_sweeps_check_each_item_when_built(sweeps, message):
+    with pytest.raises(FieldError) as caught:
+        Sweeps(**sweeps)
+    assert str(caught.value) == message
 
 
 def test_gamma_beyond_float_range_names_the_field():
@@ -426,6 +439,26 @@ _SWEEPS = st.builds(
                              unique_by=str.upper), _SWEEPS)
 def test_any_scenario_round_trips(scenario, countries, sweeps):
     _assert_round_trip(ScenarioDocument(replace(scenario, countries=tuple(countries)), sweeps))
+
+
+_COUNTS = (st.integers(-2, 10**6) | st.integers(FLOAT_EDGE - 3, FLOAT_EDGE + 3)
+           | st.sampled_from([-10**400, 10**400]))
+_ANY_SWEEPS = st.tuples(st.lists(_COUNTS, max_size=3), st.lists(_COUNTS | st.floats(), max_size=3),
+                        st.lists(_COUNTS, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COUNTS, _COUNTS, _COUNTS, _ANY_SWEEPS)
+def test_a_document_built_in_code_is_rejected_or_round_trips(gamma, samples, width, sweeps):
+    # What the constructors accept, a scenario file can hold.
+    try:
+        doc = ScenarioDocument(replace(default_scenario(), gamma=gamma,
+                                       payload=PayloadSpec(64, samples),
+                                       architecture=MlpArchitecture((6, width, 3))),
+                               Sweeps(*sweeps))
+    except FieldError:
+        return
+    assert parse_scenario(serialize_scenario(doc)) == doc
 
 
 def test_round_trip_default_document():

@@ -10,7 +10,9 @@ from ecal.units import (
     Energy,
     EnergyPerBit,
     FlopCount,
+    FieldError,
     Power,
+    _checked_count,
     joules_to_kwh,
     kwh_to_joules,
     wh_per_tb_to_j_per_bit,
@@ -101,3 +103,43 @@ def test_quantities_are_immutable():
     e = Energy(1.0)
     with pytest.raises(AttributeError):
         e.joules = 2.0  # type: ignore[misc]
+
+
+# The least integer that float() rounds past the largest float.
+FLOAT_EDGE = 2**1024 - 2**970
+
+
+def beyond_float(field, bits):
+    """The reason a count or real checker gives for an integer past FLOAT_EDGE."""
+    return f"{field} too large for floating-point arithmetic ({bits}-bit integer)"
+
+
+def test_counts_are_held_to_the_float_range():
+    assert BitCount(FLOAT_EDGE - 1).bits == FLOAT_EDGE - 1
+    for build, message in (
+        (lambda: BitCount(FLOAT_EDGE), beyond_float("bit count", 1024)),
+        (lambda: FlopCount(-FLOAT_EDGE), beyond_float("FLOP count", 1024)),
+        # The float range is checked before the minimum.
+        (lambda: _checked_count(-10**400, "n", 0), beyond_float("n", 1329)),
+        (lambda: Power(10**400), beyond_float("power [W]", 1329)),
+        (lambda: Energy(-10**400), beyond_float("energy [J]", 1329)),
+    ):
+        with pytest.raises(FieldError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+@given(st.integers(-3, 3).map(lambda step: FLOAT_EDGE + step) | st.integers(-10**400, 10**400),
+       st.booleans())
+def test_the_float_range_verdict_is_floats_own(value, negate):
+    value = -value if negate else value
+    try:
+        float(value)
+    except OverflowError:
+        for build, field in ((lambda: _checked_count(value, "n", minimum=-FLOAT_EDGE), "n"),
+                             (lambda: Power(value), "power [W]")):
+            with pytest.raises(FieldError) as caught:
+                build()
+            assert str(caught.value) == beyond_float(field, value.bit_length())
+    else:
+        assert _checked_count(value, "n", minimum=-FLOAT_EDGE) == value

@@ -46,7 +46,7 @@ from ecal.units import _Value
 
 VALIDATING = {Energy, Power, BitCount, BitRate, FlopCount, EnergyPerBit, CarbonIntensity,
               PayloadSpec, TechnologyProfile, StorageProfile, MlpArchitecture,
-              ProcessingUnitProfile, RawDataset, CarbonIntensityRecord, ReportTable}
+              ProcessingUnitProfile, RawDataset, CarbonIntensityRecord, ReportTable, Sweeps}
 
 
 def _examples():
@@ -78,7 +78,7 @@ def _fields(value):
 def test_every_record_type_is_covered():
     assert len({type(value) for value in ALL}) == 23
     assert {type(value).__name__ for value in RECORDS} == {
-        "TrainSplit", "LifecycleReport", "CarbonReport", "Sweeps", "ScenarioDocument",
+        "TrainSplit", "LifecycleReport", "CarbonReport", "ScenarioDocument",
         "FlopLedger", "GammaRow", "CarbonReportRow"}
 
 
