@@ -28,11 +28,12 @@ from .mlp_cost import (
     ProcessingUnitProfile,
     forward_flops,
 )
-from .preprocessing import StandardizationMethod, preprocessing_flops
+from .preprocessing import StandardizationMethod, _flops
 from .storage import HDD, StorageProfile
-from .transmission import BLE5, PayloadSpec, TechnologyProfile, packet_count
+from .transmission import BLE5, PayloadSpec, TechnologyProfile, _packets
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
-from .units import FieldError, _checked_count, _checked_country, _checked_real, _proven
+from .units import FieldError, _checked_count, _checked_country, _checked_items, _checked_real
+from .units import _proven
 
 __all__ = _all_of(__name__)
 
@@ -57,7 +58,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         countries = []
-        for i, code in enumerate(self.countries):
+        for i, code in enumerate(_checked_items(self.countries, "countries")):
             if (code := _checked_country(code, f"countries[{i}]")) in countries:
                 raise FieldError(f"countries[{i}]", f"repeats {code!r}")
             countries.append(code)
@@ -119,36 +120,39 @@ development terms, one request's terms, and the bits each phase is
 amortized over."""
 
 
-def _collection(s: Scenario, spec: PayloadSpec, invalid: int) -> tuple[int, float, float, float]:
+def _collection(s: Scenario, count: int, invalid: int) -> tuple[int, float, float, float]:
     """Transmitted bits and the transmission, storage, and preprocessing
-    joules of collecting ``spec`` once."""
+    joules of collecting ``count`` samples, ``invalid`` of them invalid, once."""
     tech = s.technology
     pu = s.processing_unit
-    payload = spec.bits_per_sample * spec.sample_count
-    b_t = payload + tech.packet_overhead.bits * packet_count(tech, spec)
+    payload = s.payload.bits_per_sample * count
+    b_t = payload + tech.packet_overhead.bits * _packets(tech, payload)
     e_t = tech.transmit_power.watts / tech.transmit_rate.bits_per_second * b_t
     e_storage = s.storage.wh_per_terabyte * JOULES_PER_WH / BITS_PER_TERABYTE * payload
-    flops = preprocessing_flops(s.standardization, spec.sample_count, invalid).flops
+    flops = _checked_count(_flops(s.standardization, count, invalid), "FLOP count")
     e_pre = pu.preprocessing_power.watts * (flops / pu.preprocessing_flops_per_s)
     return b_t, e_t, e_storage, e_pre
 
 
 def _price(s: Scenario) -> _Lifecycle:
     """Price both phases of ``s`` once, in the operation order of the
-    per-module equations, so every figure matches them bit for bit.
+    per-module equations, so every figure matches them bit for bit.  The
+    pricing is kept on ``s``, whose fields are immutable; a failure is not.
 
     Raises ValueError when a count is beyond floating-point range or a returned
     float is not finite.  Every float is non-negative and in the guarded sum, so
     callers may wrap them, and their quotients by positive counts, unchecked.
     """
+    p = s.__dict__.get("_lifecycle")
+    if p is not None:
+        return p
     bits_per_sample = s.payload.bits_per_sample
     n = s.payload.sample_count
     batch = s.inference_batch
     fpj = s.processing_unit.flops_per_joule
     fwd = forward_flops(s.architecture).flops
-    request_spec = PayloadSpec(bits_per_sample, batch)
     try:
-        b_t, e_t, e_storage, e_pre = _collection(s, s.payload, s.invalid_samples)
+        b_t, e_t, e_storage, e_pre = _collection(s, n, s.invalid_samples)
         train_count = math.floor(s.train_fraction * n)
         eval_count = n - train_count
         m_mlp_fp = s.epochs * train_count * fwd
@@ -157,9 +161,7 @@ def _price(s: Scenario) -> _Lifecycle:
         e_eval = fwd * eval_count / fpj
         development = e_t + e_storage + e_pre + e_train + e_eval
 
-        req_b_t, req_t, req_storage, req_pre = _collection(
-            s, request_spec, s.inference_invalid_samples
-        )
+        req_b_t, req_t, req_storage, req_pre = _collection(s, batch, s.inference_invalid_samples)
         n_inf = fwd * batch
         e_inf = n_inf / fpj
         request = req_t + req_storage + req_pre + e_inf
@@ -173,27 +175,12 @@ def _price(s: Scenario) -> _Lifecycle:
         raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
                          f"one request {request!r} J, training {training_per_bit!r} J/b")
 
-    return _Lifecycle(
-        forward_flops=fwd,
-        training_forward_flops=m_mlp_fp,
-        training_flops=m_mlp,
-        inference_flops=n_inf,
-        forward_per_bit=forward_per_bit,
-        transmission=e_t,
-        storage=e_storage,
-        preprocessing=e_pre,
-        training=e_train,
-        training_per_bit=training_per_bit,
-        evaluation=e_eval,
-        development=development,
-        development_bits=b_t + bits_per_sample * (2 * n + train_count + eval_count),
-        development_b_t=b_t,
-        train_count=train_count,
-        inference=e_inf,
-        request=request,
-        request_bits=req_b_t + 3 * bits_per_sample * batch,
-        request_b_t=req_b_t,
-    )
+    p = s.__dict__["_lifecycle"] = _Lifecycle(  # in _PRICED's order
+        fwd, m_mlp_fp, m_mlp, n_inf, e_train, training_per_bit, e_eval, forward_per_bit, e_inf,
+        e_t, e_storage, e_pre, development,
+        b_t + bits_per_sample * (2 * n + train_count + eval_count), b_t, train_count,
+        request, req_b_t + 3 * bits_per_sample * batch, req_b_t)
+    return p
 
 
 def _at(p: _Lifecycle, gamma: int) -> tuple[float, float]:
@@ -345,15 +332,9 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
         p.development / p.development_bits, p.training_per_bit,
         p.training / trained_bits if trained_bits else 0.0, p.request / p.request_bits,
         joules / bits])
-    b_t_development, bits_development, b_t_inference, bits_inference = _proven(BitCount, [
-        p.development_b_t, p.development_bits, p.request_b_t, p.request_bits])
     return LifecycleReport(
-        gamma=gamma, transmission=transmission, storage=storage, preprocessing=preprocessing,
-        training=training, evaluation=evaluation, inference=inference, development=development,
-        development_per_bit=development_per_bit, training_per_bit=training_per_bit,
-        training_per_trained_bit=training_per_trained_bit, inference_phase=inference_phase,
-        inference_phase_per_bit=inference_phase_per_bit, ecal_abs=ecal_abs_,
-        ecal_abs_mean=ecal_abs_mean_, ecal=ecal_,
-        transmitted_bits_development=b_t_development,
-        development_denominator_bits=bits_development,
-        transmitted_bits_inference=b_t_inference, inference_denominator_bits=bits_inference)
+        gamma, *_proven(BitCount, [
+            p.development_b_t, p.development_bits, p.request_b_t, p.request_bits]),
+        transmission, storage, preprocessing, training, evaluation, inference, development,
+        development_per_bit, training_per_bit, training_per_trained_bit, inference_phase,
+        inference_phase_per_bit, ecal_abs_, ecal_abs_mean_, ecal_)

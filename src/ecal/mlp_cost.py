@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import _all_of
 from .units import Energy, EnergyPerBit, FieldError, FlopCount, Power
-from .units import _checked_count, _checked_real, _Value
+from .units import _checked_count, _checked_items, _checked_real, _Value
 
 __all__ = _all_of(__name__)
 
@@ -32,7 +32,7 @@ class MlpArchitecture(_Value):
     __slots__ = __match_args__ = ("layer_sizes",)
 
     def __init__(self, layer_sizes: tuple[int, ...]) -> None:
-        sizes = tuple(layer_sizes)
+        sizes = _checked_items(layer_sizes, "layer_sizes")
         if len(sizes) < 2:
             raise FieldError("layer_sizes", "must list at least an input and an output "
                                             f"layer, got {len(sizes)} layer(s)")

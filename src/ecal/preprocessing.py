@@ -198,15 +198,20 @@ def preprocessing_flops(method: StandardizationMethod, n_s: int, n_nan: int) -> 
     """
     _checked_count(n_s, "n_s")
     _checked_count(n_nan, "n_nan")
+    return FlopCount(_flops(method, n_s, n_nan))
+
+
+def _flops(method: StandardizationMethod, n_s: int, n_nan: int) -> int:
+    """:func:`preprocessing_flops` of counts already shown to be integers."""
     valid = n_s - n_nan
     if valid < 1:
         raise ValueError(
             f"need at least one valid sample, got n_s={n_s} with n_nan={n_nan}"
         )
     if method is StandardizationMethod.MINMAX:
-        return FlopCount(2 * valid - 1)
+        return 2 * valid - 1
     if method is StandardizationMethod.NORMALIZATION:
-        return FlopCount(6 * valid - 3)
+        return 6 * valid - 3
     raise TypeError(f"unknown standardization method: {method!r}")
 
 

@@ -20,7 +20,7 @@ from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _write, 
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
 from .units import BitCount, BitRate, FieldError, Power, _Value
-from .units import _checked_count, _checked_name, _checked_real
+from .units import _checked_count, _checked_items, _checked_name, _checked_real
 
 __all__ = _all_of(__name__)
 
@@ -38,20 +38,21 @@ class Sweeps(_Value):
 
     def __init__(self, gamma: Sequence[int] = (), overhead_pct: Sequence[float] = (),
                  invalid_samples: Sequence[int] = ()) -> None:
-        object.__setattr__(self, "gamma", tuple(
-            [_checked_count(g, f"gamma[{i}]", 1) for i, g in enumerate(gamma)]))
-        object.__setattr__(self, "overhead_pct", tuple(
-            [_checked_real(pct, f"overhead_pct[{i}]", maximum=100.0)
-             for i, pct in enumerate(overhead_pct)]))
-        object.__setattr__(self, "invalid_samples", tuple(
-            [_checked_count(n, f"invalid_samples[{i}]") for i, n in enumerate(invalid_samples)]))
+        object.__setattr__(self, "gamma", _checked_items(gamma, "gamma", _checked_count, 1))
+        object.__setattr__(self, "overhead_pct", _checked_items(
+            overhead_pct, "overhead_pct", _checked_real, maximum=100.0))
+        object.__setattr__(self, "invalid_samples", _checked_items(
+            invalid_samples, "invalid_samples", _checked_count))
+
+
+_NO_SWEEPS = Sweeps()
 
 
 class ScenarioDocument(NamedTuple):
     """A parsed scenario plus its sweep blocks."""
 
     scenario: Scenario
-    sweeps: Sweeps = Sweeps()
+    sweeps: Sweeps = _NO_SWEEPS
 
 
 def _fail(path: str, message: str) -> ScenarioError:
@@ -64,11 +65,10 @@ def _require_mapping(value: Any, path: str) -> dict:
     return value
 
 
-def _reject_unknown(mapping: dict, allowed: Sequence[str], path: str) -> None:
-    unknown = [key for key in mapping if key not in allowed]
-    if unknown:
-        name = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise _fail(name, "unknown field")
+def _reject_unknown(mapping: dict, allowed: frozenset, path: str) -> None:
+    if not mapping.keys() <= allowed:
+        key = next(key for key in mapping if key not in allowed)
+        raise _fail(f"{path}.{key}" if path else key, "unknown field")
 
 
 def _require_list(value: Any, path: str, items: str = "") -> tuple:
@@ -80,14 +80,11 @@ def _require_list(value: Any, path: str, items: str = "") -> tuple:
 _REQUIRED = object()
 
 
-def _get(mapping: dict, key: str, at: str = "", default: Any = _REQUIRED) -> Any:
-    """The value of ``key`` in the object at path prefix ``at``; a key
-    without a default is required."""
+def _get(mapping: dict, key: str, at: str = "") -> Any:
+    """The value of the required ``key`` in the object at path prefix ``at``."""
     if key in mapping:
         return mapping[key]
-    if default is _REQUIRED:
-        raise _fail(at + key, "required field is missing")
-    return default
+    raise _fail(at + key, "required field is missing")
 
 
 _DEFAULT = default_scenario()
@@ -125,6 +122,8 @@ _JSON_NAMES = {
 }
 _JSON_NAMES.update((attr, key) for cls, (_, _, fields) in _PROFILES.items()
                    for attr, (key, _, _) in zip(cls.__match_args__, fields))
+_PROFILE_KEYS = {cls: frozenset([key for key, _, _ in fields])
+                 for cls, (_, _, fields) in _PROFILES.items()}
 
 
 def _build(path: str, factory: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -143,24 +142,21 @@ def _build(path: str, factory: Callable[..., Any], *args: Any, **kwargs: Any) ->
         raise _fail(path, exc.reason) from None
 
 
-def _parse_profile(cls: type, mapping: dict, key: str, default: Any) -> Any:
-    """The ``cls`` profile under ``key``: a built-in's name or an inline
-    object, or ``default`` when the key is absent."""
-    if key not in mapping:
-        return default
+def _parse_profile(cls: type, value: Any, key: str) -> Any:
+    """The ``cls`` profile ``value`` under ``key``: a built-in's name or an
+    inline object."""
     _, lookup, fields = _PROFILES[cls]
-    value = mapping[key]
     if lookup and isinstance(value, str):
         try:
             return lookup(value)
         except KeyError as exc:
             raise _fail(key, exc.args[0]) from None
     inline = _require_mapping(value, key)
-    _reject_unknown(inline, [name for name, _, _ in fields], key)
+    _reject_unknown(inline, _PROFILE_KEYS[cls], key)
     at = f"{key}."
     args = []
     for name, rule, fallback in fields:
-        value = _get(inline, name, at, fallback)
+        value = _get(inline, name, at) if fallback is _REQUIRED else inline.get(name, fallback)
         args.append(_build(at + name, rule, value) if rule else value)
     return _build(at, cls, *args)
 
@@ -202,12 +198,15 @@ def _document(doc: ScenarioDocument) -> dict[str, Any]:
     }
 
 
-_TOP_LEVEL = tuple(_document(ScenarioDocument(_DEFAULT)))
+_TOP_LEVEL = frozenset(_document(ScenarioDocument(_DEFAULT)))
+_MLP_KEYS = frozenset(["layers"])
+_SWEEP_KEYS = frozenset(Sweeps.__match_args__)
+_METHODS = {method.value: method for method in StandardizationMethod}
 
 
 def _parse_mlp(value: Any, path: str) -> MlpArchitecture:
     mapping = _require_mapping(value, path)
-    _reject_unknown(mapping, ["layers"], path)
+    _reject_unknown(mapping, _MLP_KEYS, path)
     at = f"{path}."
     layers = _require_list(_get(mapping, "layers", at), at + "layers", " of layer widths")
     return _build(at, MlpArchitecture, layers)
@@ -215,7 +214,7 @@ def _parse_mlp(value: Any, path: str) -> MlpArchitecture:
 
 def _parse_sweeps(value: Any, path: str) -> Sweeps:
     mapping = _require_mapping(value, path)
-    _reject_unknown(mapping, Sweeps.__match_args__, path)
+    _reject_unknown(mapping, _SWEEP_KEYS, path)
     at = f"{path}."
     return _build(at, Sweeps, *[_require_list(mapping.get(key, []), at + key)
                                 for key in Sweeps.__match_args__])
@@ -238,47 +237,33 @@ def parse_scenario(text: str) -> ScenarioDocument:
     d = _DEFAULT
 
     samples = _get(mapping, "samples")
-    invalid = _get(mapping, "invalid_samples", "", d.invalid_samples)
-    bits = _get(mapping, "bit_precision", "", d.payload.bits_per_sample)
+    invalid = mapping.get("invalid_samples", d.invalid_samples)
+    bits = mapping.get("bit_precision", d.payload.bits_per_sample)
     payload = _build("", PayloadSpec, bits, samples)
-    technology = _parse_profile(TechnologyProfile, mapping, "technology", d.technology)
-    storage = _parse_profile(StorageProfile, mapping, "storage", d.storage)
+    technology = (_parse_profile(TechnologyProfile, mapping["technology"], "technology")
+                  if "technology" in mapping else d.technology)
+    storage = (_parse_profile(StorageProfile, mapping["storage"], "storage")
+               if "storage" in mapping else d.storage)
 
-    method_name = mapping.get("preprocessing", d.standardization)
-    try:
-        method = StandardizationMethod(method_name)
-    except ValueError:
-        options = ", ".join(m.value for m in StandardizationMethod)
-        raise _fail("preprocessing", f"expected one of {options}, got {method_name!r}") from None
+    method_name = mapping.get("preprocessing", d.standardization.value)
+    method = _METHODS.get(method_name) if isinstance(method_name, str) else None
+    if method is None:
+        raise _fail("preprocessing", f"expected one of {', '.join(_METHODS)}, got {method_name!r}")
 
-    split_ratio = _get(mapping, "split_ratio", "", d.train_fraction)
+    split_ratio = mapping.get("split_ratio", d.train_fraction)
     epochs = _get(mapping, "epochs")
     arch = _parse_mlp(_get(mapping, "mlp"), "mlp")
     inference_batch = _get(mapping, "inference_batch")
-    inference_invalid = _get(mapping, "inference_invalid_samples", "", d.inference_invalid_samples)
+    inference_invalid = mapping.get("inference_invalid_samples", d.inference_invalid_samples)
     gamma = _get(mapping, "gamma")
-    pu = _parse_profile(ProcessingUnitProfile, mapping, "processing_unit", d.processing_unit)
+    pu = (_parse_profile(ProcessingUnitProfile, mapping["processing_unit"], "processing_unit")
+          if "processing_unit" in mapping else d.processing_unit)
     countries = (_require_list(mapping["countries"], "countries", " of country codes")
                  if "countries" in mapping else d.countries)
-    sweeps = _parse_sweeps(mapping["sweeps"], "sweeps") if "sweeps" in mapping else Sweeps()
+    sweeps = _parse_sweeps(mapping["sweeps"], "sweeps") if "sweeps" in mapping else _NO_SWEEPS
 
-    scenario = _build(
-        "",
-        Scenario,
-        payload=payload,
-        technology=technology,
-        storage=storage,
-        standardization=method,
-        train_fraction=split_ratio,
-        epochs=epochs,
-        architecture=arch,
-        inference_batch=inference_batch,
-        gamma=gamma,
-        processing_unit=pu,
-        invalid_samples=invalid,
-        inference_invalid_samples=inference_invalid,
-        countries=countries,
-    )
+    scenario = _build("", Scenario, payload, technology, storage, method, split_ratio, epochs,
+                      arch, inference_batch, gamma, pu, invalid, inference_invalid, countries)
     return ScenarioDocument(scenario, sweeps)
 
 

@@ -10,10 +10,12 @@ bits on top.  Overhead is additive and does not consume packet capacity.
 from __future__ import annotations
 
 from . import _all_of
-from .units import BitCount, BitRate, Energy, EnergyPerBit, Power, _Value
+from .units import BitCount, BitRate, Energy, EnergyPerBit, FieldError, Power, _Value
 from .units import _checked_count, _checked_name, _checked_real
 
 __all__ = _all_of(__name__)
+
+_MAX_POINTS = 10**6  # of one cumulative_transmission_energy series
 
 
 class PayloadSpec(_Value):
@@ -102,6 +104,7 @@ def technology_profile(name: str) -> TechnologyProfile:
 def fixed_overhead_profile(overhead_pct: float) -> TechnologyProfile:
     """Build a generic profile whose per-packet overhead is a percentage of
     capacity: 2000-bit packets sent at 10 mW and 1 kb/s."""
+    overhead_pct = _checked_real(overhead_pct, "overhead_pct", maximum=100.0)
     capacity = 2000
     return TechnologyProfile(
         name=f"generic_{overhead_pct:g}pct",
@@ -132,7 +135,11 @@ def packet_count(profile: TechnologyProfile, spec: PayloadSpec) -> int:
     packets to capacity (rounding up), unless the profile pins the count
     via ``packets_override``.
     """
-    payload = spec.bits_per_sample * spec.sample_count
+    return _packets(profile, spec.bits_per_sample * spec.sample_count)
+
+
+def _packets(profile: TechnologyProfile, payload: int) -> int:
+    """:func:`packet_count` of ``payload`` bits."""
     if payload == 0:
         return 0
     needed = -(-payload // profile.packet_capacity.bits)
@@ -173,13 +180,16 @@ def cumulative_transmission_energy(
     One full payload is sent every ``interval_s`` seconds starting at t=0
     with zero energy spent, so the series has floor(horizon/interval) + 1
     points and point k carries exactly k times the single-transfer energy.
+    Both times are positive and finite, and the series holds at most
+    1,000,000 points (a day at one transfer per minute takes 1,441).
     """
-    if not interval_s > 0:
-        raise ValueError(f"interval_s must be positive, got {interval_s!r}")
+    interval_s = _checked_real(interval_s, "interval_s", positive=True)
+    horizon_s = _checked_real(horizon_s, "horizon_s", positive=True)
     if interval_s > horizon_s:
-        raise ValueError(
-            f"interval_s ({interval_s!r}) must not exceed horizon_s ({horizon_s!r})"
-        )
-    per_transfer = transmission_energy(profile, transmitted_bits(profile, spec))
+        raise FieldError("interval_s", f"({interval_s!r}) must not exceed horizon_s ({horizon_s!r})")
     steps = int(horizon_s // interval_s)
+    if steps >= _MAX_POINTS:
+        raise FieldError("horizon_s", f"gives {steps + 1:.7g} points at interval_s={interval_s!r}, "
+                                      f"over the maximum of {_MAX_POINTS}")
+    per_transfer = transmission_energy(profile, transmitted_bits(profile, spec))
     return [(k * interval_s, Energy(k * per_transfer.joules)) for k in range(steps + 1)]

@@ -81,6 +81,18 @@ def _checked_count(value: int, field: str, minimum: int = 0, maximum: int | None
     return value
 
 
+def _checked_items(values, field: str, check=None, *args, **kwargs) -> tuple:
+    """Return the items of ``values`` as a tuple if it is iterable, each passed
+    through ``check(item, f"{field}[i]", *args, **kwargs)`` when one is given."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise FieldTypeError(field, f"must be a sequence, got {type(values).__name__}") from None
+    if check is None:
+        return tuple(items)
+    return tuple([check(item, f"{field}[{i}]", *args, **kwargs) for i, item in enumerate(items)])
+
+
 def _checked_country(code: str, field: str) -> str:
     """Return ``code`` in upper case if it is two ASCII letters."""
     if not isinstance(code, str) or len(code) != 2 or not code.isascii() or not code.isalpha():

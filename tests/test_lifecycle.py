@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecal import lifecycle
 from ecal.carbon import CarbonReportRow, bundled_ci_table, carbon_footprint, cf_vs_gamma
 from ecal.lifecycle import (
     GammaRow,
@@ -779,3 +782,58 @@ def test_an_empty_gamma_list_still_prices_the_scenario():
     for sweep in (lambda: gamma_sweep(tiny, []), lambda: cf_vs_gamma(tiny, [], [])):
         with pytest.raises(ValueError, match="lifecycle energy is not finite"):
             sweep()
+
+
+def test_a_scenario_is_priced_once_for_every_figure(monkeypatch):
+    collected = []
+    collection = lifecycle._collection
+    monkeypatch.setattr(lifecycle, "_collection",
+                        lambda *args: collected.append(args[1:]) or collection(*args))
+    s = default_scenario()
+    for _ in range(2):
+        lifecycle_report(s)
+        cf_vs_gamma(s, bundled_ci_table(), [s.gamma])
+        gamma_sweep(s, [1, 10])
+        ecal(s)
+        development_energy(s)
+    assert collected == [(256, 0), (77, 0)]  # the dataset, then one request
+
+
+def test_a_replaced_scenario_is_priced_afresh():
+    s = default_scenario()
+    lifecycle_report(s)
+    assert repr(lifecycle_report(replace(s, gamma=100))) == repr(
+        lifecycle_report(default_scenario(100)))
+    more_epochs = replace(s, epochs=20)
+    built = Scenario(*[getattr(more_epochs, name) for name in Scenario.__match_args__])
+    assert repr(lifecycle_report(more_epochs)) == repr(lifecycle_report(built))
+    assert lifecycle_report(more_epochs).training.joules == 2 * lifecycle_report(s).training.joules
+
+
+def test_a_priced_scenario_keeps_its_value_semantics():
+    s, fresh = default_scenario(), default_scenario()
+    report = lifecycle_report(s)
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert asdict(s) == asdict(fresh)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s)
+        assert repr(lifecycle_report(twin)) == repr(report)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"invalid_samples": 256}, "need at least one valid sample, got n_s=256 with n_nan=256"),
+    ({"payload": PayloadSpec(1, 10**308)}, beyond_float("FLOP count", 1026)),
+], ids=["no valid sample", "preprocessing FLOPs beyond float range"])
+def test_a_failed_pricing_raises_the_same_error_on_every_call(changes, message):
+    s = replace(default_scenario(), **changes)
+    for price in (lifecycle_report, lifecycle_report, ecal, lambda x: gamma_sweep(x, [1]),
+                  lambda x: cf_vs_gamma(x, bundled_ci_table(), [1]), lifecycle_report):
+        with pytest.raises(ValueError) as caught:
+            price(s)
+        assert str(caught.value) == message
+
+
+def test_scenario_countries_need_a_sequence():
+    with pytest.raises(FieldTypeError) as caught:
+        replace(default_scenario(), countries=5)
+    assert str(caught.value) == "countries must be a sequence, got int"

@@ -19,7 +19,7 @@ from ecal.mlp_cost import (
     uniform_architecture,
 )
 from ecal.transmission import BLE5, PayloadSpec, transmission_energy, transmitted_bits
-from ecal.units import FlopCount, Power
+from ecal.units import FieldTypeError, FlopCount, Power
 
 REFERENCE_ARCH = MlpArchitecture((6, 5, 5, 5, 3))
 
@@ -89,6 +89,12 @@ def test_architecture_validation():
         MlpArchitecture((5, 0, 3))
     with pytest.raises(TypeError):
         MlpArchitecture((5, 2.5, 3))  # type: ignore[arg-type]
+
+
+def test_architecture_needs_a_sequence_of_widths():
+    with pytest.raises(FieldTypeError) as caught:
+        MlpArchitecture(5)  # type: ignore[arg-type]
+    assert str(caught.value) == "layer_sizes must be a sequence, got int"
 
 
 def test_make_split_published_example():

@@ -209,6 +209,13 @@ def test_sweeps_check_each_item_when_built(sweeps, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("field", Sweeps.__match_args__)
+def test_sweeps_need_a_sequence_for_each_list(field):
+    with pytest.raises(FieldTypeError) as caught:
+        Sweeps(**{field: 5})
+    assert str(caught.value) == f"{field} must be a sequence, got int"
+
+
 def test_gamma_beyond_float_range_names_the_field():
     huge = 10**400
     with pytest.raises(ScenarioError, match=r"^gamma: too large"):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ecal
 from ecal.transmission import (
     BLE5,
     LORAWAN,
@@ -19,7 +24,7 @@ from ecal.transmission import (
     transmitted_bits,
     without_packet_override,
 )
-from ecal.units import BitCount, BitRate, Power
+from ecal.units import BitCount, BitRate, FieldError, FieldTypeError, Power
 
 DOUBLE_256 = PayloadSpec(64, 256)
 
@@ -184,3 +189,61 @@ def test_cumulative_series_is_affine(profile, k):
     series = cumulative_transmission_energy(BLE5, DOUBLE_256, 1.0, float(k))
     point_one = series[1][1].joules
     assert series[k][1].joules == k * point_one
+
+
+@pytest.mark.parametrize("pct, error, message", [
+    (math.inf, FieldError, "overhead_pct must be in [0, 100], got inf"),
+    (math.nan, FieldError, "overhead_pct must be in [0, 100], got nan"),
+    (-5, FieldError, "overhead_pct must be in [0, 100], got -5.0"),
+    (150, FieldError, "overhead_pct must be in [0, 100], got 150.0"),
+    ("5", FieldTypeError, "overhead_pct must be a real number, got str"),
+], ids=["inf", "nan", "negative", "over 100", "string"])
+def test_fixed_overhead_profile_checks_the_percentage(pct, error, message):
+    with pytest.raises(error) as caught:
+        fixed_overhead_profile(pct)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_fixed_overhead_profile_accepts_the_whole_percentage_range():
+    assert fixed_overhead_profile(0).packet_overhead.bits == 0
+    assert fixed_overhead_profile(100).packet_overhead.bits == 2000
+    assert fixed_overhead_profile(30).name == fixed_overhead_profile(30.0).name == "generic_30pct"
+
+
+@pytest.mark.parametrize("interval_s, horizon_s, message", [
+    (1.0, math.inf, "horizon_s must be positive and finite, got inf"),
+    (1.0, math.nan, "horizon_s must be positive and finite, got nan"),
+    (math.nan, 60.0, "interval_s must be positive and finite, got nan"),
+    (0.0, 60.0, "interval_s must be positive and finite, got 0.0"),
+    (120.0, 60.0, "interval_s (120.0) must not exceed horizon_s (60.0)"),
+], ids=["inf horizon", "nan horizon", "nan interval", "zero interval", "interval over horizon"])
+def test_cumulative_series_names_the_bad_time(interval_s, horizon_s, message):
+    with pytest.raises(FieldError) as caught:
+        cumulative_transmission_energy(BLE5, DOUBLE_256, interval_s, horizon_s)
+    assert str(caught.value) == message
+
+
+def test_a_series_past_the_point_cap_is_rejected_before_it_is_allocated():
+    # Building such a series would exhaust memory, so the calls run in a child
+    # process whose address space is capped at 512 MB: a regression fails
+    # there with MemoryError instead of growing on the host.
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+        from ecal.transmission import BLE5, PayloadSpec, cumulative_transmission_energy
+        for interval_s, horizon_s in ((1.0, 1e6), (1e-300, 1.0)):
+            try:
+                cumulative_transmission_energy(BLE5, PayloadSpec(64, 256), interval_s, horizon_s)
+            except ValueError as exc:
+                print(type(exc).__name__, exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ecal.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "FieldError horizon_s gives 1000001 points at interval_s=1.0, over the maximum of 1000000",
+        "FieldError horizon_s gives 1e+300 points at interval_s=1e-300, "
+        "over the maximum of 1000000",
+    ]
