@@ -25,7 +25,7 @@ _EXPORTS = {
     "storage": "storage BUILTIN_STORAGE HDD SSD StorageProfile storage_energy "
                "storage_energy_per_bit storage_profile",
     "preprocessing": "preprocessing DegenerateDeviationError DegenerateRangeError FlopLedger "
-                     "RawDataset StandardizationMethod clean load_raw_dataset minmax_scale "
+                     "RawDataset StandardizationMethod clean minmax_scale "
                      "normalize preprocessing_energy preprocessing_energy_per_bit "
                      "preprocessing_flops",
     "mlp_cost": "mlp_cost DEFAULT_FLOPS_PER_JOULE DEFAULT_PROCESSING_UNIT MlpArchitecture "

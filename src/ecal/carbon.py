@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import os
-from importlib import resources
 from typing import Iterable, NamedTuple, TextIO
 
 from . import _all_of
@@ -103,10 +102,7 @@ def _parse_ci_rows(stream: Iterable[str]) -> tuple[CarbonIntensityRecord, ...]:
 
 def bundled_ci_table() -> tuple[CarbonIntensityRecord, ...]:
     """The carbon-intensity snapshot shipped with the package (2023 averages)."""
-    with resources.files(__package__).joinpath("data/ci_2023.csv").open(
-        "r", encoding="utf-8"
-    ) as handle:
-        return _parse_ci_rows(handle)
+    return load_ci_table(os.path.join(os.path.dirname(__file__), "data", "ci_2023.csv"))
 
 
 class CarbonReportRow(NamedTuple):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _all_of
 from .mlp_cost import (
@@ -32,8 +32,8 @@ from .preprocessing import StandardizationMethod, _flops
 from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, _packets
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
-from .units import FieldError, _checked_count, _checked_country, _checked_items, _checked_real
-from .units import _proven
+from .units import FieldError, FieldTypeError, _checked_count, _checked_country, _checked_items
+from .units import _checked_real, _proven, _Value
 
 __all__ = _all_of(__name__)
 
@@ -57,6 +57,9 @@ class Scenario:
     countries: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name, cls in _PARTS:
+            if not isinstance(value := getattr(self, name), cls):
+                raise FieldTypeError(name, f"must be a {cls.__name__}, got {type(value).__name__}")
         countries = []
         for i, code in enumerate(_checked_items(self.countries, "countries")):
             if (code := _checked_country(code, f"countries[{i}]")) in countries:
@@ -71,6 +74,28 @@ class Scenario:
         _checked_count(self.inference_invalid_samples, "inference_invalid_samples",
                        0, self.inference_batch)
         _checked_count(self.gamma, "gamma", 1)
+
+
+# The fields of Scenario that hold a model value, each with the value's type.
+_PARTS = (("payload", PayloadSpec), ("technology", TechnologyProfile), ("storage", StorageProfile),
+          ("standardization", StandardizationMethod), ("architecture", MlpArchitecture),
+          ("processing_unit", ProcessingUnitProfile))
+
+
+class Sweeps(_Value):
+    """Optional parameter sweeps attached to a scenario: request counts
+    (each >= 1), overhead percentages (each in [0, 100]) and invalid-sample
+    counts."""
+
+    __slots__ = __match_args__ = ("gamma", "overhead_pct", "invalid_samples")
+
+    def __init__(self, gamma: Sequence[int] = (), overhead_pct: Sequence[float] = (),
+                 invalid_samples: Sequence[int] = ()) -> None:
+        object.__setattr__(self, "gamma", _checked_items(gamma, "gamma", _checked_count, 1))
+        object.__setattr__(self, "overhead_pct", _checked_items(
+            overhead_pct, "overhead_pct", _checked_real, maximum=100.0))
+        object.__setattr__(self, "invalid_samples", _checked_items(
+            invalid_samples, "invalid_samples", _checked_count))
 
 
 def default_scenario(gamma: int = 1000) -> Scenario:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 from . import _all_of
 from .mlp_cost import ProcessingUnitProfile
 from .transmission import PayloadSpec, payload_bits
-from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _Value
+from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _checked_items
+from .units import _checked_real, _Value
 
 __all__ = _all_of(__name__)
 
@@ -48,8 +48,9 @@ class RawDataset(_Value):
 
     __slots__ = __match_args__ = ("samples",)
 
-    def __init__(self, samples: tuple[float, ...]) -> None:
-        object.__setattr__(self, "samples", tuple(float(x) for x in samples))
+    def __init__(self, samples: Sequence[float]) -> None:
+        object.__setattr__(self, "samples",
+                           _checked_items(samples, "samples", _checked_real, maximum=None))
 
     @property
     def sample_count(self) -> int:
@@ -78,33 +79,6 @@ class FlopLedger(NamedTuple):
             + self.divisions
             + self.square_roots
         )
-
-
-def load_raw_dataset(source: str | os.PathLike | TextIO) -> RawDataset:
-    """Read a raw dataset from CSV text with one value per line.
-
-    A literal ``NaN`` (any case) or an empty line marks an invalid sample.
-    ``source`` may be a path or an open text stream.
-    """
-    if hasattr(source, "read"):
-        lines: Iterable[str] = source
-        return _parse_lines(lines)
-    with open(source, "r", encoding="utf-8") as handle:
-        return _parse_lines(handle)
-
-
-def _parse_lines(lines: Iterable[str]) -> RawDataset:
-    values: list[float] = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if text == "":
-            values.append(math.nan)
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise ValueError(f"line {lineno}: cannot parse {text!r} as a sample value") from None
-    return RawDataset(tuple(values))
 
 
 def clean(data: RawDataset) -> tuple[list[float], FlopCount]:

@@ -46,15 +46,18 @@ def _beyond_float(value: int, field: str) -> FieldError:
 
 
 def _checked_real(value: float, field: str, *, positive: bool = False,
-                  maximum: float = _LARGEST_FLOAT) -> float:
+                  maximum: float | None = _LARGEST_FLOAT) -> float:
     """Return ``value`` as a float in [0, maximum], or in (0, maximum] when
-    ``positive``; by default that means finite."""
+    ``positive``; by default that means finite.  With ``maximum=None`` any
+    real is kept, NaN and ±inf included."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FieldTypeError(field, f"must be a real number, got {type(value).__name__}")
     try:
         value = float(value)
     except OverflowError:
         raise _beyond_float(value, field) from None
+    if maximum is None:
+        return value
     if not ((0.0 < value if positive else 0.0 <= value) and value <= maximum):
         if maximum == _LARGEST_FLOAT:
             rule = f"{'positive' if positive else 'non-negative'} and finite"

@@ -837,3 +837,23 @@ def test_scenario_countries_need_a_sequence():
     with pytest.raises(FieldTypeError) as caught:
         replace(default_scenario(), countries=5)
     assert str(caught.value) == "countries must be a sequence, got int"
+
+
+# A field that holds a model value, a value of another type, and the whole message.
+WRONG_PARTS = [
+    ("payload", (64, 256), "payload must be a PayloadSpec, got tuple"),
+    ("technology", "ble5", "technology must be a TechnologyProfile, got str"),
+    ("storage", None, "storage must be a StorageProfile, got NoneType"),
+    ("standardization", "minmax", "standardization must be a StandardizationMethod, got str"),
+    ("architecture", (6, 5, 3), "architecture must be a MlpArchitecture, got tuple"),
+    ("processing_unit", {}, "processing_unit must be a ProcessingUnitProfile, got dict"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", WRONG_PARTS, ids=[c[0] for c in WRONG_PARTS])
+def test_scenario_parts_must_be_model_values(field, value, message):
+    # Else pricing fails later with an error that names no field.
+    with pytest.raises(FieldTypeError) as caught:
+        replace(default_scenario(), **{field: value})
+    assert caught.value.field == field
+    assert str(caught.value) == message

@@ -28,7 +28,7 @@ EXPORTS = {
     "storage": "storage BUILTIN_STORAGE HDD SSD StorageProfile storage_energy "
                "storage_energy_per_bit storage_profile",
     "preprocessing": "preprocessing DegenerateDeviationError DegenerateRangeError FlopLedger "
-                     "RawDataset StandardizationMethod clean load_raw_dataset minmax_scale "
+                     "RawDataset StandardizationMethod clean minmax_scale "
                      "normalize preprocessing_energy preprocessing_energy_per_bit "
                      "preprocessing_flops",
     "mlp_cost": "mlp_cost DEFAULT_FLOPS_PER_JOULE DEFAULT_PROCESSING_UNIT MlpArchitecture "
@@ -59,7 +59,7 @@ def _fresh_python(code, *args):
 
 
 def test_public_names_are_pinned():
-    assert len(NAMES) == len(set(NAMES)) == 99
+    assert len(NAMES) == len(set(NAMES)) == 98
     assert sorted(ecal.__all__) == sorted(NAMES)
 
 
@@ -70,7 +70,7 @@ def test_each_public_name_is_in_one_submodule_all():
     listed = [name for names in lists.values() for name in names]
     assert len(listed) == len(set(listed))  # the lists are pairwise disjoint
     assert set(listed) == set(ecal.__all__) - set(modules)
-    assert len(listed) == 99 - 8
+    assert len(listed) == 98 - 8
     for module, names in lists.items():
         own = importlib.import_module(f"ecal.{module}")
         assert [name for name in names if not hasattr(own, name)] == [], module
@@ -150,6 +150,17 @@ def test_scenario_calls_load_no_carbon_table(command):
     assert "E_train_J," in text
     assert "ecal.lifecycle" in modules
     assert modules & {"ecal.carbon", "csv", "importlib.resources"} == set()
+
+
+@pytest.mark.parametrize("command", ["carbon", "reproduce"])
+def test_the_bundled_carbon_table_is_read_without_importlib_resources(command, tmp_path):
+    argv = (["carbon", "--scenario", SCENARIO] if command == "carbon"
+            else ["reproduce", "--target", "fig13", "--out", str(tmp_path)])
+    text, modules = _modules_after(argv)
+    assert "ecal.carbon" in modules
+    assert "importlib.resources" not in modules
+    table = text if command == "carbon" else (tmp_path / "fig13.csv").read_text(encoding="utf-8")
+    assert table.startswith("gamma,country_code,ci_g_per_kwh,")
 
 
 def test_json_output_imports_json():

@@ -1,4 +1,3 @@
-import io
 import math
 import statistics
 
@@ -12,7 +11,6 @@ from ecal.preprocessing import (
     RawDataset,
     StandardizationMethod,
     clean,
-    load_raw_dataset,
     minmax_scale,
     normalize,
     preprocessing_energy,
@@ -20,7 +18,7 @@ from ecal.preprocessing import (
     preprocessing_flops,
 )
 from ecal.transmission import PayloadSpec
-from ecal.units import FlopCount, Power
+from ecal.units import FieldError, FieldTypeError, FlopCount, Power
 
 MINMAX = StandardizationMethod.MINMAX
 NORMALIZATION = StandardizationMethod.NORMALIZATION
@@ -32,6 +30,27 @@ def test_clean_filters_invalid_samples_in_order():
     valid, flops = clean(RawDataset((1.0, math.nan, 2.0)))
     assert valid == [1.0, 2.0]
     assert flops.flops == 0
+
+
+@pytest.mark.parametrize("samples, error, message", [
+    (5, FieldTypeError, "samples must be a sequence, got int"),
+    (["x"], FieldTypeError, "samples[0] must be a real number, got str"),
+    ((1.0, True), FieldTypeError, "samples[1] must be a real number, got bool"),
+    ((1.0, 10**400), FieldError, "samples[1] too large for floating-point arithmetic "
+                                 "(1329-bit integer)"),
+], ids=["int", "str", "bool", "huge"])
+def test_raw_dataset_names_a_bad_sample(samples, error, message):
+    with pytest.raises(error) as caught:
+        RawDataset(samples)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_raw_dataset_keeps_non_finite_samples_as_invalid_markers():
+    data = RawDataset([2, -1.5, math.nan, math.inf, -math.inf])
+    assert data.samples[:2] == (2.0, -1.5)
+    assert type(data.samples[0]) is float
+    assert (data.sample_count, data.invalid_count) == (5, 3)
 
 
 def test_clean_empty_dataset():
@@ -272,27 +291,3 @@ def test_per_bit_ratio_normalization_to_minmax():
             / preprocessing_energy_per_bit(e_mm, spec).joules_per_bit
         )
         assert math.isclose(ratio, 3.0, rel_tol=1e-15, abs_tol=0.0)
-
-
-# --- raw CSV loading -----------------------------------------------------------
-
-def test_load_raw_dataset_from_stream():
-    text = "1.5\nNaN\n\n-2.25\nnan\n"
-    data = load_raw_dataset(io.StringIO(text))
-    assert data.sample_count == 5
-    assert data.invalid_count == 3
-    valid, _ = clean(data)
-    assert valid == [1.5, -2.25]
-
-
-def test_load_raw_dataset_from_path(tmp_path):
-    path = tmp_path / "samples.csv"
-    path.write_text("1.0\n2.0\nNaN\n", encoding="utf-8")
-    data = load_raw_dataset(path)
-    assert data.sample_count == 3
-    assert data.invalid_count == 1
-
-
-def test_load_raw_dataset_reports_bad_line():
-    with pytest.raises(ValueError, match="line 2"):
-        load_raw_dataset(io.StringIO("1.0\nbogus\n"))

@@ -1,7 +1,9 @@
+import ast
 import io
 import json
 import re
 import time
+import tokenize
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from ecal.lifecycle import Scenario, default_scenario
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from ecal.preprocessing import StandardizationMethod
+from ecal import scenario_io
 from ecal.scenario_io import (
+    _SCHEMA,
     REPRODUCE_TARGETS,
     ReportTable,
     ScenarioDocument,
@@ -121,11 +125,15 @@ SHAPE_ERRORS = [
     (_doc_with(countries=[5]), "countries[0]: must be a two-letter country code, got 5"),
     (_doc_with(sweeps={"gamma": 10}), "sweeps.gamma: expected a list, got 10"),
     (_doc_with(split_ratio="0.7"), "split_ratio: must be a real number, got str"),
+    (_doc_with(technology="x"),
+     "technology: unknown technology 'x'; built-ins: ble5, lorawan, zigbee"),
+    (_doc_with(storage="x"), "storage: unknown storage medium 'x'; built-ins: hdd, ssd"),
 ]
 
 
 @pytest.mark.parametrize("text, message", SHAPE_ERRORS,
-                         ids=[message.split(":")[0] for _, message in SHAPE_ERRORS])
+                         ids=[message.split(":")[0] + " lookup" * ("built-ins" in message)
+                              for _, message in SHAPE_ERRORS])
 def test_shape_and_type_errors_are_pinned(text, message):
     with pytest.raises(ScenarioError) as caught:
         parse_scenario(text)
@@ -504,15 +512,35 @@ def test_a_profile_name_must_be_a_string(build, name):
 def test_readme_lists_the_document_keys_in_serialization_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
-    written = json.loads(serialize_scenario(parse_scenario(FULL_DOC)))
+    keys = {cls: [field[0] for field in entry[3]] for cls, entry in _SCHEMA.items()}
     # The table: every top-level key, with `mlp.layers` standing for `mlp`.
     table = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
-    assert [key.removesuffix(".layers") for key in table] == list(written)
+    assert [key.removesuffix(".layers") for key in table] == keys[ScenarioDocument]
     # The inline profiles: each one's keys, in order.
     inline = dict(re.findall(r"`(\w+)` takes\s+`\{([^}]*)\}`", section))
-    assert {profile: re.findall(r'"(\w+)"', keys) for profile, keys in inline.items()} == {
-        profile: list(written[profile]) for profile in ("technology", "storage", "processing_unit")
-    }
+    assert {profile: re.findall(r'"(\w+)"', listed) for profile, listed in inline.items()} == {
+        "technology": keys[TechnologyProfile], "storage": keys[StorageProfile],
+        "processing_unit": keys[ProcessingUnitProfile]}
+    # ...and the whole document serializes in that order too.
+    assert list(json.loads(serialize_scenario(parse_scenario(FULL_DOC)))) == keys[ScenarioDocument]
+
+
+def test_each_document_key_is_spelled_once_per_object_in_the_schema():
+    # A key is a string literal of scenario_io.py only in _SCHEMA, once per object.
+    source = Path(scenario_io.__file__).read_text(encoding="utf-8")
+    schema = next(node for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                  and [target.id for target in node.targets] == ["_SCHEMA"])
+    objects = [[field[0] for field in entry[3]] for entry in _SCHEMA.values()]
+    lines = {key: [] for fields in objects for key in fields}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        literal = token.type == tokenize.STRING and token.string.lstrip("rRbBuU")[0] in "'\""
+        if literal and (value := ast.literal_eval(token.string)) in lines:  # f-strings left out
+            lines[value].append(token.start[0])
+    for key, found in lines.items():
+        assert len(found) == sum(key in fields for fields in objects), key
+        assert all(schema.lineno <= line <= schema.end_lineno for line in found), key
+    assert sorted(key for key, found in lines.items() if len(found) > 1) == [
+        "gamma", "invalid_samples", "name"]
 
 
 def test_builtin_profiles_serialize_by_name():
