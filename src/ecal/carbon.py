@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Iterable, NamedTuple, TextIO
+from collections import namedtuple
+from collections.abc import Iterable
+from io import TextIOBase
 
 from . import _all_of
 from .lifecycle import Scenario, _gammas, _price
@@ -52,7 +54,7 @@ def carbon_footprint(e: Energy, ci: CarbonIntensity) -> float:
     return joules_to_kwh(e) * ci.grams_co2e_per_kwh
 
 
-def load_ci_table(source: str | os.PathLike | TextIO) -> tuple[CarbonIntensityRecord, ...]:
+def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensityRecord, ...]:
     """Load carbon-intensity records from CSV.
 
     Expects the header ``country_code,country_name,year,ci_g_per_kwh``.
@@ -105,22 +107,12 @@ def bundled_ci_table() -> tuple[CarbonIntensityRecord, ...]:
     return load_ci_table(os.path.join(os.path.dirname(__file__), "data", "ci_2023.csv"))
 
 
-class CarbonReportRow(NamedTuple):
-    """Footprint of one country at one request count."""
+CarbonReportRow = namedtuple("CarbonReportRow", "gamma country_code country_name intensity "
+                             "cf_development_g cf_inference_g cf_total_g")
+CarbonReportRow.__doc__ = """Footprint of one country at one request count."""
 
-    gamma: int
-    country_code: str
-    country_name: str
-    intensity: CarbonIntensity
-    cf_development_g: float
-    cf_inference_g: float
-    cf_total_g: float
-
-
-class CarbonReport(NamedTuple):
-    """Per-country carbon footprints, grouped by request count."""
-
-    rows: tuple[CarbonReportRow, ...]
+CarbonReport = namedtuple("CarbonReport", "rows")
+CarbonReport.__doc__ = """Per-country carbon footprints, grouped by request count."""
 
 
 def cf_vs_gamma(

@@ -18,7 +18,7 @@ __all__ = ["run", "main"]
 
 CI_FILE_ENV_VAR = "ECAL_CI_FILE"
 # StandardizationMethod's values, written out so that building the parser
-# does not import ecal.preprocessing (and with it ecal.mlp_cost and typing).
+# does not import ecal.preprocessing (and with it ecal.mlp_cost).
 _METHODS = ("minmax", "normalization")
 
 
@@ -166,7 +166,7 @@ def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
     from .scenario_io import load_scenario
 
     p = _price(load_scenario(args.scenario).scenario)
-    return _key_value_table([(row, value) for (_, _, row), value in zip(_PRICED, p) if row])
+    return _key_value_table([(row, value) for (_, row), value in zip(_PRICED, p) if row])
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:

@@ -16,18 +16,14 @@ eCAL is lifecycle energy over lifecycle bits:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
-from typing import Iterable, NamedTuple, Sequence
 
 from . import _all_of
-from .mlp_cost import (
-    DEFAULT_PROCESSING_UNIT,
-    MlpArchitecture,
-    ProcessingUnitProfile,
-    forward_flops,
-)
+from .mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile, _forward
 from .preprocessing import StandardizationMethod, _flops
 from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, _packets
@@ -116,30 +112,30 @@ def default_scenario(gamma: int = 1000) -> Scenario:
     )
 
 
-# _Lifecycle's fields, each with its type and its `ecal train-cost` row name
-# (None: not printed); the printed fields come first, in print order.
+# _Lifecycle's fields, each with its `ecal train-cost` row name (None: not
+# printed); the printed fields come first, in print order.
 _PRICED = (
-    ("forward_flops", int, "M_FP"),
-    ("training_forward_flops", int, "M_MLP_FP"),
-    ("training_flops", int, "M_MLP"),
-    ("inference_flops", int, "N_inf_flops"),
-    ("training", float, "E_train_J"),
-    ("training_per_bit", float, "E_train_b_J_per_b"),
-    ("evaluation", float, "E_eval_J"),
-    ("forward_per_bit", float, "E_eval_b_J_per_b"),
-    ("inference", float, "E_inf_J"),
-    ("transmission", float, None),
-    ("storage", float, None),
-    ("preprocessing", float, None),
-    ("development", float, None),
-    ("development_bits", int, None),
-    ("development_b_t", int, None),
-    ("train_count", int, None),
-    ("request", float, None),
-    ("request_bits", int, None),
-    ("request_b_t", int, None),
+    ("forward_flops", "M_FP"),
+    ("training_forward_flops", "M_MLP_FP"),
+    ("training_flops", "M_MLP"),
+    ("inference_flops", "N_inf_flops"),
+    ("training", "E_train_J"),
+    ("training_per_bit", "E_train_b_J_per_b"),
+    ("evaluation", "E_eval_J"),
+    ("forward_per_bit", "E_eval_b_J_per_b"),
+    ("inference", "E_inf_J"),
+    ("transmission", None),
+    ("storage", None),
+    ("preprocessing", None),
+    ("development", None),
+    ("development_bits", None),
+    ("development_b_t", None),
+    ("train_count", None),
+    ("request", None),
+    ("request_bits", None),
+    ("request_b_t", None),
 )
-_Lifecycle = NamedTuple("_Lifecycle", [term[:2] for term in _PRICED])
+_Lifecycle = namedtuple("_Lifecycle", [term[0] for term in _PRICED])
 _Lifecycle.__doc__ = """One scenario priced in plain joules, FLOPs and bits: the itemized
 development terms, one request's terms, and the bits each phase is
 amortized over."""
@@ -175,7 +171,7 @@ def _price(s: Scenario) -> _Lifecycle:
     n = s.payload.sample_count
     batch = s.inference_batch
     fpj = s.processing_unit.flops_per_joule
-    fwd = forward_flops(s.architecture).flops
+    fwd = _checked_count(_forward(s.architecture), "FLOP count")
     try:
         b_t, e_t, e_storage, e_pre = _collection(s, n, s.invalid_samples)
         train_count = math.floor(s.train_fraction * n)
@@ -285,13 +281,8 @@ def ecal(s: Scenario) -> EnergyPerBit:
     return EnergyPerBit(joules / bits)
 
 
-class GammaRow(NamedTuple):
-    """One point of a gamma sweep."""
-
-    gamma: int
-    ecal_abs: Energy
-    ecal_abs_mean: Energy
-    ecal: EnergyPerBit
+GammaRow = namedtuple("GammaRow", "gamma ecal_abs ecal_abs_mean ecal")
+GammaRow.__doc__ = """One point of a gamma sweep."""
 
 
 def gamma_sweep(s: Scenario, gammas: Iterable[int]) -> list[GammaRow]:
@@ -332,7 +323,7 @@ _TERMS = (
     ("ecal_abs_mean", Energy, "eCAL_abs_mean_J"),
     ("ecal", EnergyPerBit, "eCAL_J_per_b"),
 )
-LifecycleReport = NamedTuple("LifecycleReport", [term[:2] for term in _TERMS])
+LifecycleReport = namedtuple("LifecycleReport", [term[0] for term in _TERMS])
 LifecycleReport.__doc__ = """Itemized energies, per-bit figures, and lifecycle metrics of a
 scenario."""
 

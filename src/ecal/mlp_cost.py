@@ -11,7 +11,7 @@ per-bit energies coincide.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import _all_of
 from .units import Energy, EnergyPerBit, FieldError, FlopCount, Power
@@ -71,17 +71,12 @@ DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(
 )
 
 
-class TrainSplit(NamedTuple):
-    """A dataset split into training and evaluation parts.
+TrainSplit = namedtuple("TrainSplit", "sample_count train_fraction train_count eval_count")
+TrainSplit.__doc__ = """A dataset split into training and evaluation parts.
 
-    The training side takes floor(train_fraction * sample_count) samples;
-    the evaluation side takes the remainder.
-    """
-
-    sample_count: int
-    train_fraction: float
-    train_count: int
-    eval_count: int
+The training side takes floor(train_fraction * sample_count) samples;
+the evaluation side takes the remainder.
+"""
 
 
 def make_split(sample_count: int, train_fraction: float) -> TrainSplit:
@@ -104,18 +99,23 @@ def forward_flops(arch: MlpArchitecture) -> FlopCount:
 
     Sums 2 * (fan_in * width) + 2 * width over every non-input layer.
     """
+    return FlopCount(_forward(arch))
+
+
+def _forward(arch: MlpArchitecture) -> int:
+    """:func:`forward_flops` as an int, not yet shown to fit a float."""
     total = 0
     sizes = arch.layer_sizes
     for fan_in, width in zip(sizes, sizes[1:]):
         total += 2 * (fan_in * width) + 2 * width
-    return FlopCount(total)
+    return total
 
 
 def training_forward_flops(arch: MlpArchitecture, n_epochs: int, n_train: int) -> FlopCount:
     """Forward-pass FLOPs over a whole training run: epochs * samples * per-pass cost."""
     _checked_count(n_epochs, "n_epochs", 1)
     _checked_count(n_train, "n_train")
-    return FlopCount(n_epochs * n_train * forward_flops(arch).flops)
+    return FlopCount(n_epochs * n_train * _checked_count(_forward(arch), "FLOP count"))
 
 
 def training_total_flops(m_forward: FlopCount) -> FlopCount:
@@ -137,12 +137,12 @@ def training_energy(
     factor.  Reports that want training energy amortized over the trained
     bits divide the absolute energy instead.
     """
-    total = training_total_flops(training_forward_flops(arch, n_epochs, n_train))
-    energy = Energy(total.flops / pu.flops_per_joule)
-    per_bit = EnergyPerBit(
-        3 * forward_flops(arch).flops / (bits_per_sample * pu.flops_per_joule)
-    )
-    return energy, per_bit
+    _checked_count(n_epochs, "n_epochs", 1)
+    _checked_count(n_train, "n_train")
+    fwd = _checked_count(_forward(arch), "FLOP count")
+    total = 3 * _checked_count(n_epochs * n_train * fwd, "FLOP count")
+    return (Energy(_checked_count(total, "FLOP count") / pu.flops_per_joule),
+            EnergyPerBit(3 * fwd / (bits_per_sample * pu.flops_per_joule)))
 
 
 def evaluation_energy(
@@ -153,8 +153,9 @@ def evaluation_energy(
 ) -> tuple[Energy, EnergyPerBit]:
     """Energy of evaluating ``n_eval`` samples (forward passes only) and its per-bit cost."""
     _checked_count(n_eval, "n_eval")
-    energy = Energy(forward_flops(arch).flops * n_eval / pu.flops_per_joule)
-    return energy, forward_pass_energy_per_bit(arch, pu, bits_per_sample)
+    fwd = _checked_count(_forward(arch), "FLOP count")
+    return (Energy(fwd * n_eval / pu.flops_per_joule),
+            EnergyPerBit(fwd / (bits_per_sample * pu.flops_per_joule)))
 
 
 def forward_pass_energy_per_bit(
@@ -165,15 +166,18 @@ def forward_pass_energy_per_bit(
     Shared by evaluation and inference, which differ only in how many
     samples they process.
     """
-    return EnergyPerBit(forward_flops(arch).flops / (bits_per_sample * pu.flops_per_joule))
+    fwd = _checked_count(_forward(arch), "FLOP count")
+    return EnergyPerBit(fwd / (bits_per_sample * pu.flops_per_joule))
 
 
 def inference_flops(arch: MlpArchitecture, n_infer: int) -> FlopCount:
     """FLOPs of one inference request carrying ``n_infer`` input samples."""
     _checked_count(n_infer, "n_infer")
-    return FlopCount(forward_flops(arch).flops * n_infer)
+    return FlopCount(_checked_count(_forward(arch), "FLOP count") * n_infer)
 
 
 def inference_energy(arch: MlpArchitecture, n_infer: int, pu: ProcessingUnitProfile) -> Energy:
     """Energy of one inference request carrying ``n_infer`` input samples."""
-    return Energy(inference_flops(arch, n_infer).flops / pu.flops_per_joule)
+    _checked_count(n_infer, "n_infer")
+    flops = _checked_count(_forward(arch), "FLOP count") * n_infer
+    return Energy(_checked_count(flops, "FLOP count") / pu.flops_per_joule)

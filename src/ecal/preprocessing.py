@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import _all_of
 from .mlp_cost import ProcessingUnitProfile
-from .transmission import PayloadSpec, payload_bits
+from .transmission import PayloadSpec
 from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _checked_items
 from .units import _checked_real, _Value
 
@@ -61,24 +62,15 @@ class RawDataset(_Value):
         return sum(1 for x in self.samples if not math.isfinite(x))
 
 
-class FlopLedger(NamedTuple):
+class FlopLedger(namedtuple("FlopLedger", "additions subtractions multiplications divisions "
+                                         "square_roots", defaults=(0, 0, 0, 0, 0))):
     """Operation-by-operation count of one transform call."""
 
-    additions: int = 0
-    subtractions: int = 0
-    multiplications: int = 0
-    divisions: int = 0
-    square_roots: int = 0
+    __slots__ = ()
 
     @property
     def total(self) -> FlopCount:
-        return FlopCount(
-            self.additions
-            + self.subtractions
-            + self.multiplications
-            + self.divisions
-            + self.square_roots
-        )
+        return FlopCount(sum(self))
 
 
 def clean(data: RawDataset) -> tuple[list[float], FlopCount]:
@@ -199,7 +191,7 @@ def preprocessing_energy(
 
 def preprocessing_energy_per_bit(e_pre: Energy, spec: PayloadSpec) -> EnergyPerBit:
     """Preprocessing energy divided by the payload bits it applies to."""
-    denominator = payload_bits(spec).bits
+    denominator = _checked_count(spec.bits_per_sample * spec.sample_count, "bit count")
     if denominator == 0:
         raise ValueError("per-bit preprocessing energy is undefined for an empty payload")
     return EnergyPerBit(e_pre.joules / denominator)

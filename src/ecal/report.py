@@ -41,10 +41,13 @@ class ReportTable(_Value):
     def to_csv(self) -> str:
         """Render as CSV: header first, LF endings, full-precision numbers
         (``%s`` formats with ``str``, and a float's ``str`` round-trips)."""
-        if bool in set(map(type, chain.from_iterable(self.rows))):
-            raise TypeError("boolean cells are not supported in reports")
         template = ",".join(["%s"] * len(self.columns))
-        return "\n".join([",".join(self.columns), *[template % row for row in self.rows]]) + "\n"
+        text = "\n".join([",".join(self.columns), *[template % row for row in self.rows]]) + "\n"
+        # A bool cell renders as True or False, so only such text needs the scan.
+        if ("True" in text or "False" in text) and bool in set(
+                map(type, chain.from_iterable(self.rows))):
+            raise TypeError("boolean cells are not supported in reports")
+        return text
 
 
 def reproduce(target: str) -> ReportTable:

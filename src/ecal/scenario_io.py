@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
+from collections.abc import Callable
+from io import TextIOBase
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, TextIO
 
 from . import _all_of
 from .lifecycle import Scenario, Sweeps, default_scenario
@@ -34,18 +36,17 @@ class ScenarioError(ValueError):
 _NO_SWEEPS = Sweeps()
 
 
-class ScenarioDocument(NamedTuple):
+class ScenarioDocument(namedtuple("ScenarioDocument", "scenario sweeps", defaults=(_NO_SWEEPS,))):
     """A parsed scenario plus its sweep blocks."""
 
-    scenario: Scenario
-    sweeps: Sweeps = _NO_SWEEPS
+    __slots__ = ()
 
 
 def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _build(path: str, names: dict | None, factory: Callable[..., Any], *args: Any) -> Any:
+def _build(path: str, names: dict | None, factory: Callable[..., object], *args: object) -> object:
     """Call a model constructor, reporting its FieldError at a document path.
 
     With ``names``, ``path`` is the prefix of the object being built, and the
@@ -134,7 +135,7 @@ _NAMES = {cls: {part: key for key, attr, _, _ in entry[3] for part in (attr or k
           for cls, entry in _SCHEMA.items()}
 
 
-def _parse(cls: type, value: Any, path: str) -> Any:
+def _parse(cls: type, value: object, path: str) -> object:
     """The ``cls`` object of ``_SCHEMA`` held by ``value`` at document path
     ``path`` ("" for the top level): a built-in's name or an object."""
     builder, _, lookup, fields = _SCHEMA[cls]
@@ -176,7 +177,7 @@ def _parse(cls: type, value: Any, path: str) -> Any:
     return _build(at, _NAMES[cls], builder, *args)
 
 
-def _to_json(obj: Any) -> Any:
+def _to_json(obj: object) -> object:
     """``obj``, a ``_SCHEMA`` object, as JSON: a built-in by its name, any other
     as an object of its fields in write order, leaving out those that are
     None, an empty list or an empty object."""
@@ -223,7 +224,7 @@ def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
         return parse_scenario(handle.read())
 
 
-def write_report(table: ReportTable, destination: str | os.PathLike | TextIO) -> int:
+def write_report(table: ReportTable, destination: str | os.PathLike | TextIOBase) -> int:
     """Write a table as UTF-8 CSV to a path or text stream; returns bytes written."""
     text = table.to_csv()
     if hasattr(destination, "write"):

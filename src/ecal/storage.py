@@ -7,8 +7,8 @@ density; later reads for preprocessing or training are free.
 from __future__ import annotations
 
 from . import _all_of
-from .units import BitCount, Energy, EnergyPerBit, _checked_name, _checked_real, _Value
-from .units import wh_per_tb_to_j_per_bit
+from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit, _Value
+from .units import _checked_name, _checked_real, wh_per_tb_to_j_per_bit
 
 __all__ = _all_of(__name__)
 
@@ -46,4 +46,4 @@ def storage_energy_per_bit(profile: StorageProfile) -> EnergyPerBit:
 
 def storage_energy(profile: StorageProfile, payload: BitCount) -> Energy:
     """Energy to write ``payload`` bits once to the medium."""
-    return Energy(storage_energy_per_bit(profile).joules_per_bit * payload.bits)
+    return Energy(profile.wh_per_terabyte * JOULES_PER_WH / BITS_PER_TERABYTE * payload.bits)

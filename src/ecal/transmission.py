@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import _all_of
 from .units import BitCount, BitRate, Energy, EnergyPerBit, FieldError, Power, _Value
-from .units import _checked_count, _checked_name, _checked_real
+from .units import _checked_count, _checked_name, _checked_real, _proven
 
 __all__ = _all_of(__name__)
 
@@ -156,12 +156,16 @@ def _packets(profile: TechnologyProfile, payload: int) -> int:
 
 def transmitted_bits(profile: TechnologyProfile, spec: PayloadSpec) -> BitCount:
     """Total bits on the air: payload plus per-packet protocol overhead."""
-    return payload_bits(spec) + profile.packet_overhead * packet_count(profile, spec)
+    payload = _checked_count(spec.bits_per_sample * spec.sample_count, "bit count")
+    packets = _packets(profile, payload)
+    overhead = _checked_count(profile.packet_overhead.bits * packets, "bit count")
+    return BitCount(payload + overhead)
 
 
 def transmission_energy(profile: TechnologyProfile, b_t: BitCount) -> Energy:
     """Radio energy to transmit ``b_t`` bits: (power / rate) * bits."""
-    return Energy(transmission_energy_per_bit(profile).joules_per_bit * b_t.bits)
+    per_bit = profile.transmit_power.watts / profile.transmit_rate.bits_per_second
+    return Energy(_checked_real(per_bit, "energy per bit [J/b]") * b_t.bits)
 
 
 def transmission_energy_per_bit(profile: TechnologyProfile) -> EnergyPerBit:
@@ -191,5 +195,8 @@ def cumulative_transmission_energy(
     if steps >= _MAX_POINTS:
         raise FieldError("horizon_s", f"gives {steps + 1:.7g} points at interval_s={interval_s!r}, "
                                       f"over the maximum of {_MAX_POINTS}")
-    per_transfer = transmission_energy(profile, transmitted_bits(profile, spec))
-    return [(k * interval_s, Energy(k * per_transfer.joules)) for k in range(steps + 1)]
+    joules = transmission_energy(profile, transmitted_bits(profile, spec)).joules
+    _checked_real(steps * joules, "energy [J]")  # the largest point; no point falls as k grows
+    points = range(steps + 1)
+    return list(zip([k * interval_s for k in points],
+                    _proven(Energy, [k * joules for k in points])))

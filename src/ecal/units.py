@@ -129,7 +129,7 @@ class _Value:
     ``__slots__``); ``__init__`` checks each and sets it once through
     ``object.__setattr__``.  Equality, hashing, ``repr``, copying and
     pickling go field by field, as for a frozen dataclass.  A record that
-    only stores what it is given is a ``typing.NamedTuple`` instead.
+    only stores what it is given is a ``collections.namedtuple`` instead.
     """
 
     __slots__ = ()
@@ -168,23 +168,6 @@ class Energy(_Value):
     def __init__(self, joules: float) -> None:
         object.__setattr__(self, "joules", _checked_real(joules, "energy [J]"))
 
-    def __add__(self, other: "Energy") -> "Energy":
-        if not isinstance(other, Energy):
-            return NotImplemented
-        return Energy(self.joules + other.joules)
-
-    def __mul__(self, factor: float) -> "Energy":
-        if isinstance(factor, bool) or not isinstance(factor, (int, float)):
-            return NotImplemented
-        return Energy(self.joules * factor)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor: float) -> "Energy":
-        if isinstance(divisor, bool) or not isinstance(divisor, (int, float)):
-            return NotImplemented
-        return Energy(self.joules / divisor)
-
 
 class Power(_Value):
     """A power draw, stored in watts."""
@@ -202,18 +185,6 @@ class BitCount(_Value):
 
     def __init__(self, bits: int) -> None:
         object.__setattr__(self, "bits", _checked_count(bits, "bit count"))
-
-    def __add__(self, other: "BitCount") -> "BitCount":
-        if not isinstance(other, BitCount):
-            return NotImplemented
-        return BitCount(self.bits + other.bits)
-
-    def __mul__(self, factor: int) -> "BitCount":
-        if isinstance(factor, bool) or not isinstance(factor, int):
-            return NotImplemented
-        return BitCount(self.bits * factor)
-
-    __rmul__ = __mul__
 
 
 class BitRate(_Value):

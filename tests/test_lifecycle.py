@@ -26,9 +26,12 @@ from ecal.lifecycle import (
     lifecycle_report,
 )
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
-from ecal.preprocessing import StandardizationMethod
-from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile
+from ecal.mlp_cost import evaluation_energy, inference_energy, training_energy
+from ecal.mlp_cost import training_forward_flops
+from ecal.preprocessing import StandardizationMethod, preprocessing_energy_per_bit
+from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile, storage_energy
 from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
+from ecal.transmission import cumulative_transmission_energy, transmitted_bits
 from ecal.units import JOULES_PER_KWH, BitCount, BitRate, Energy, EnergyPerBit, FieldError
 from ecal.units import FieldTypeError, Power, _checked_count
 from test_units import beyond_float
@@ -209,9 +212,10 @@ def test_inference_phase_with_full_dataset_reuses_development_collection_cost():
     # an exact reconstruction from the development components.
     assert report.transmitted_bits_inference == dev.transmitted_bits_development
     expected_total = (
-        dev.transmission + dev.storage + dev.preprocessing + report.inference
+        dev.transmission.joules + dev.storage.joules + dev.preprocessing.joules
+        + report.inference.joules
     )
-    assert report.inference_phase.joules == expected_total.joules
+    assert report.inference_phase.joules == expected_total
 
 
 def test_empty_scenario_is_rejected():
@@ -421,13 +425,13 @@ def test_gamma_sweep_single_point_and_validation():
 def test_report_sum_identity_is_exact():
     report = lifecycle_report(default_scenario())
     recombined = (
-        report.transmission
-        + report.storage
-        + report.preprocessing
-        + report.training
-        + report.evaluation
+        report.transmission.joules
+        + report.storage.joules
+        + report.preprocessing.joules
+        + report.training.joules
+        + report.evaluation.joules
     )
-    assert report.development.joules == recombined.joules
+    assert report.development.joules == recombined
 
 
 def test_report_ecal_abs_identity_is_exact():
@@ -513,6 +517,52 @@ def test_counts_beyond_float_range_are_value_errors():
     # Each count fits a float, but the payload bits do not.
     with pytest.raises(ValueError, match="too large to price"):
         lifecycle_report(replace(s, payload=PayloadSpec(2**600, 2**600)))
+
+
+_REFERENCE = MlpArchitecture((6, 5, 5, 5, 3))  # 226 FLOPs per forward pass
+_WIDE = MlpArchitecture((6, 2**600, 2**600, 3))  # each width fits a float; its FLOPs do not
+_PU = DEFAULT_PROCESSING_UNIT
+_LOUD = TechnologyProfile("loud", BitCount(2000), BitCount(0), Power(1e303), BitRate(1.0))
+_NOT_FINITE = "energy [J] must be non-negative and finite, got inf"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transmitted_bits(ZIGBEE, PayloadSpec(2**600, 2**600)),
+     beyond_float("bit count", 1201)),
+    (lambda: transmitted_bits(TechnologyProfile("x", BitCount(1), BitCount(2**600), Power(1.0),
+                                                BitRate(1.0)), PayloadSpec(2**600, 1)),
+     beyond_float("bit count", 1201)),
+    (lambda: storage_energy(StorageProfile("x", 1e300), BitCount(10**300)), _NOT_FINITE),
+    (lambda: preprocessing_energy_per_bit(Energy(1.0), PayloadSpec(10**200, 10**200)),
+     beyond_float("bit count", 1329)),
+    (lambda: training_forward_flops(_WIDE, 1, 1), beyond_float("FLOP count", 1202)),
+    (lambda: training_forward_flops(_REFERENCE, 2**600, 2**600),
+     beyond_float("FLOP count", 1208)),
+    (lambda: training_energy(_WIDE, 1, 1, _PU, 64), beyond_float("FLOP count", 1202)),
+    (lambda: training_energy(_REFERENCE, 2**600, 2**600, _PU, 64),
+     beyond_float("FLOP count", 1208)),
+    # The forward-pass FLOPs of the run fit a float, but three times them do not.
+    (lambda: training_energy(_REFERENCE, 2**1016, 1, _PU, 64), beyond_float("FLOP count", 1026)),
+    (lambda: evaluation_energy(_WIDE, 1, _PU, 64), beyond_float("FLOP count", 1202)),
+    (lambda: inference_energy(_WIDE, 1, _PU), beyond_float("FLOP count", 1202)),
+    (lambda: inference_energy(_REFERENCE, 2**1020, _PU), beyond_float("FLOP count", 1028)),
+    # Every point but the last is finite.
+    (lambda: cumulative_transmission_energy(_LOUD, PayloadSpec(1, 1000), 1.0, 1000.0),
+     _NOT_FINITE),
+], ids=["transmitted payload", "transmitted overhead", "storage", "preprocessing per bit",
+        "training forward", "training run", "training energy forward", "training energy run",
+        "training energy total", "evaluation", "inference forward", "inference request",
+        "cumulative series"])
+def test_equations_reject_counts_and_energies_beyond_float_range(call, message):
+    with pytest.raises(FieldError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_a_cumulative_series_below_the_float_edge_is_priced_point_by_point():
+    series = cumulative_transmission_energy(_LOUD, PayloadSpec(1, 1000), 1.0, 100.0)
+    joules = series[1][1].joules
+    assert [energy.joules for _, energy in series] == [k * joules for k in range(101)]
 
 
 def test_non_finite_phase_energy_is_a_value_error():

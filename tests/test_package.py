@@ -1,7 +1,8 @@
 """The package's public names, and which modules each CLI call imports.
 
 ``import ecal`` imports no submodule: each public name is loaded from its
-submodule on first use, and each CLI subcommand imports only what it uses.
+submodule on first use, and each CLI subcommand imports only what it uses,
+never ``typing``.
 Import checks run in a fresh ``python -S`` interpreter, so modules that a
 site hook happens to import cannot hide an import of ecal's own.
 """
@@ -138,7 +139,8 @@ def test_import_ecal_loads_no_submodule():
 def test_radio_storage_and_preprocessing_calls_load_no_scenario_machinery(argv):
     text, modules = _modules_after(argv)
     assert text.startswith("metric,value\n")
-    heavy = {"dataclasses", "json", "csv", "ecal.lifecycle", "ecal.scenario_io", "ecal.carbon"}
+    heavy = {"dataclasses", "json", "csv", "ecal.lifecycle", "ecal.scenario_io", "ecal.carbon",
+             "typing"}
     if argv[0] != "preprocess":
         heavy |= {"ecal.preprocessing", "ecal.mlp_cost"}
     assert modules & heavy == set()
@@ -149,7 +151,7 @@ def test_scenario_calls_load_no_carbon_table(command):
     text, modules = _modules_after([command, "--scenario", SCENARIO])
     assert "E_train_J," in text
     assert "ecal.lifecycle" in modules
-    assert modules & {"ecal.carbon", "csv", "importlib.resources"} == set()
+    assert modules & {"ecal.carbon", "csv", "importlib.resources", "typing"} == set()
 
 
 @pytest.mark.parametrize("command", ["carbon", "reproduce"])
@@ -158,7 +160,7 @@ def test_the_bundled_carbon_table_is_read_without_importlib_resources(command, t
             else ["reproduce", "--target", "fig13", "--out", str(tmp_path)])
     text, modules = _modules_after(argv)
     assert "ecal.carbon" in modules
-    assert "importlib.resources" not in modules
+    assert modules & {"importlib.resources", "typing"} == set()
     table = text if command == "carbon" else (tmp_path / "fig13.csv").read_text(encoding="utf-8")
     assert table.startswith("gamma,country_code,ci_g_per_kwh,")
 

@@ -622,6 +622,8 @@ def test_boolean_cells_are_rejected():
     for row in ((True, 1.0), (1, False)):
         with pytest.raises(TypeError, match="boolean"):
             ReportTable(("a", "b"), (row,)).to_csv()
+    # Text that only reads like a bool is kept.
+    assert ReportTable(("True", "b"), (("False", 1),)).to_csv() == "True,b\nFalse,1\n"
 
 
 def test_write_report_to_path_returns_bytes_written(tmp_path):

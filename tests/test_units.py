@@ -79,24 +79,12 @@ def test_counts_are_strict_integers(quantity):
     assert quantity(0) == quantity(0)
 
 
-@given(st.integers(min_value=0, max_value=10**15), st.integers(min_value=0, max_value=10**15))
-def test_bit_count_arithmetic_is_exact(a, b):
-    assert (BitCount(a) + BitCount(b)).bits == a + b
-    assert (BitCount(a) * 3).bits == 3 * a
-    assert (7 * BitCount(b)).bits == 7 * b
-
-
-def test_energy_arithmetic():
-    total = Energy(1.5) + Energy(2.5)
-    assert total.joules == 4.0
-    assert (Energy(2.0) * 3).joules == 6.0
-    assert (3 * Energy(2.0)).joules == 6.0
-    assert (Energy(6.0) / 3).joules == 2.0
-
-
-def test_energy_rejects_mixed_dimension_arithmetic():
+def test_units_carry_no_arithmetic():
+    # Equations compute on the plain numbers units hold, never on units.
     with pytest.raises(TypeError):
-        Energy(1.0) + Power(1.0)  # type: ignore[operator]
+        Energy(1.0) + Energy(1.0)  # type: ignore[operator]
+    with pytest.raises(TypeError):
+        BitCount(1) * 2  # type: ignore[operator]
 
 
 def test_quantities_are_immutable():

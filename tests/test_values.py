@@ -2,8 +2,9 @@
 
 Two kinds, all immutable.  Validating types are ``_Value`` classes that
 check or convert a field on construction; result records are
-``NamedTuple``s that only store their fields.  Both compare, hash, print,
-copy and pickle field by field, and a record also behaves as a plain tuple.
+``collections.namedtuple``s that only store their fields.  Both compare,
+hash, print, copy and pickle field by field, and a record also behaves as
+a plain tuple.
 """
 
 import copy
