@@ -34,56 +34,52 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ecal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # Options that several subcommands share, each declared once.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     output.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--samples", type=int, required=True)
+    dataset.add_argument("--precision", type=int, default=64, help="bits per sample")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True, metavar="FILE")
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict-eq2", action="store_true",
+                        help="ignore per-profile packet-count overrides")
 
-    transmit = sub.add_parser("transmit", parents=[output],
+    transmit = sub.add_parser("transmit", parents=[output, dataset, strict],
                               help="packet accounting and radio energy")
     transmit.add_argument("--tech", default="ble5", help="technology name (ble5, zigbee, lorawan)")
-    transmit.add_argument("--samples", type=int, required=True)
-    transmit.add_argument("--precision", type=int, default=64, help="bits per sample")
-    transmit.add_argument("--strict-eq2", action="store_true",
-                          help="ignore per-profile packet-count overrides")
     transmit.set_defaults(handler=_cmd_transmit)
 
-    storage = sub.add_parser("storage", parents=[output],
+    storage = sub.add_parser("storage", parents=[output, dataset],
                              help="write energy of storing a dataset")
     storage.add_argument("--storage", default="hdd", dest="medium",
                          help="storage medium name (hdd, ssd)")
-    storage.add_argument("--samples", type=int, required=True)
-    storage.add_argument("--precision", type=int, default=64)
     storage.set_defaults(handler=_cmd_storage)
 
-    preprocess = sub.add_parser("preprocess", parents=[output],
+    preprocess = sub.add_parser("preprocess", parents=[output, dataset],
                                 help="FLOPs, time, and energy of preprocessing")
     preprocess.add_argument("--method", required=True, choices=_METHODS)
-    preprocess.add_argument("--samples", type=int, required=True)
     preprocess.add_argument("--invalid", type=int, default=0)
-    preprocess.add_argument("--precision", type=int, default=64)
     preprocess.add_argument("--power-w", type=float, default=140.0,
                             help="preprocessing power draw")
     preprocess.add_argument("--flops-per-s", type=float, default=1e10,
                             help="preprocessing throughput")
     preprocess.set_defaults(handler=_cmd_preprocess)
 
-    train = sub.add_parser("train-cost", parents=[output],
+    train = sub.add_parser("train-cost", parents=[output, scenario],
                            help="training, evaluation, and inference cost")
-    train.add_argument("--scenario", required=True, metavar="FILE")
     train.set_defaults(handler=_cmd_train_cost)
 
-    lifecycle = sub.add_parser("lifecycle", parents=[output],
+    lifecycle = sub.add_parser("lifecycle", parents=[output, scenario, strict],
                                help="full lifecycle report for a scenario")
-    lifecycle.add_argument("--scenario", required=True, metavar="FILE")
     lifecycle.add_argument("--gamma-sweep", metavar="A,B,C",
                            help="comma-separated request counts to sweep")
-    lifecycle.add_argument("--strict-eq2", action="store_true",
-                           help="ignore per-profile packet-count overrides")
     lifecycle.set_defaults(handler=_cmd_lifecycle)
 
-    carbon = sub.add_parser("carbon", parents=[output],
+    carbon = sub.add_parser("carbon", parents=[output, scenario],
                             help="carbon footprint per country")
-    carbon.add_argument("--scenario", required=True, metavar="FILE")
     carbon.add_argument("--ci-file", metavar="FILE",
                         help=f"carbon-intensity CSV (default: bundled table, "
                              f"or ${CI_FILE_ENV_VAR})")

@@ -80,11 +80,11 @@ def table2() -> ReportTable:
 
 
 def fig2() -> ReportTable:
+    profiles = [(pct, fixed_overhead_profile(pct)) for pct in (1.0, 30.0, 50.0, 70.0)]
     rows = []
     for n_samples in range(16, 513, 16):
         spec = PayloadSpec(64, n_samples)
-        for pct in (1.0, 30.0, 50.0, 70.0):
-            profile = fixed_overhead_profile(pct)
+        for pct, profile in profiles:
             rows.append(
                 (n_samples, pct, payload_bits(spec).bits, transmitted_bits(profile, spec).bits)
             )

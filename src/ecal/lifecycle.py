@@ -326,6 +326,9 @@ _TERMS = (
 LifecycleReport = namedtuple("LifecycleReport", [term[0] for term in _TERMS])
 LifecycleReport.__doc__ = """Itemized energies, per-bit figures, and lifecycle metrics of a
 scenario."""
+# Each field's kind and, for a unit, the setter of its one slot.
+_KINDS = [(kind, None if kind is int else getattr(kind, kind.__match_args__[0]).__set__)
+          for _, kind, _ in _TERMS]
 
 
 def lifecycle_report(s: Scenario) -> LifecycleReport:
@@ -336,21 +339,17 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
     bits actually pushed through training, so it carries the epoch factor.
     """
     p = _price(s)
-    gamma = s.gamma
-    joules, bits = _at(p, gamma)
+    joules, bits = _at(p, s.gamma)
     trained_bits = s.payload.bits_per_sample * p.train_count
-    (transmission, storage, preprocessing, training, evaluation, inference, development,
-     inference_phase, ecal_abs_, ecal_abs_mean_) = _proven(Energy, [
-        p.transmission, p.storage, p.preprocessing, p.training, p.evaluation, p.inference,
-        p.development, p.request, joules, joules / gamma])
-    (development_per_bit, training_per_bit, training_per_trained_bit, inference_phase_per_bit,
-     ecal_) = _proven(EnergyPerBit, [
-        p.development / p.development_bits, p.training_per_bit,
-        p.training / trained_bits if trained_bits else 0.0, p.request / p.request_bits,
-        joules / bits])
-    return LifecycleReport(
-        gamma, *_proven(BitCount, [
-            p.development_b_t, p.development_bits, p.request_b_t, p.request_bits]),
-        transmission, storage, preprocessing, training, evaluation, inference, development,
-        development_per_bit, training_per_bit, training_per_trained_bit, inference_phase,
-        inference_phase_per_bit, ecal_abs_, ecal_abs_mean_, ecal_)
+    fields = []
+    for (kind, set_field), value in zip(_KINDS, (  # in _TERMS' order, unchecked as by _proven
+            s.gamma, p.development_b_t, p.development_bits, p.request_b_t, p.request_bits,
+            p.transmission, p.storage, p.preprocessing, p.training, p.evaluation, p.inference,
+            p.development, p.development / p.development_bits, p.training_per_bit,
+            p.training / trained_bits if trained_bits else 0.0, p.request,
+            p.request / p.request_bits, joules, joules / s.gamma, joules / bits)):
+        if set_field:
+            set_field(unit := object.__new__(kind), value)
+            value = unit
+        fields.append(value)
+    return tuple.__new__(LifecycleReport, fields)

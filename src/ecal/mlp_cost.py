@@ -139,6 +139,7 @@ def training_energy(
     """
     _checked_count(n_epochs, "n_epochs", 1)
     _checked_count(n_train, "n_train")
+    _checked_count(bits_per_sample, "bits_per_sample", 1)
     fwd = _checked_count(_forward(arch), "FLOP count")
     total = 3 * _checked_count(n_epochs * n_train * fwd, "FLOP count")
     return (Energy(_checked_count(total, "FLOP count") / pu.flops_per_joule),
@@ -153,8 +154,9 @@ def evaluation_energy(
 ) -> tuple[Energy, EnergyPerBit]:
     """Energy of evaluating ``n_eval`` samples (forward passes only) and its per-bit cost."""
     _checked_count(n_eval, "n_eval")
+    _checked_count(bits_per_sample, "bits_per_sample", 1)
     fwd = _checked_count(_forward(arch), "FLOP count")
-    return (Energy(fwd * n_eval / pu.flops_per_joule),
+    return (Energy(_checked_count(fwd * n_eval, "FLOP count") / pu.flops_per_joule),
             EnergyPerBit(fwd / (bits_per_sample * pu.flops_per_joule)))
 
 
@@ -166,6 +168,7 @@ def forward_pass_energy_per_bit(
     Shared by evaluation and inference, which differ only in how many
     samples they process.
     """
+    _checked_count(bits_per_sample, "bits_per_sample", 1)
     fwd = _checked_count(_forward(arch), "FLOP count")
     return EnergyPerBit(fwd / (bits_per_sample * pu.flops_per_joule))
 

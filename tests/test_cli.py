@@ -1,8 +1,13 @@
+import ast
+import io
 import json
 import os
+import tokenize
+from pathlib import Path
 
 import pytest
 
+from ecal import cli
 from ecal.cli import _METHODS, run
 from ecal.preprocessing import StandardizationMethod
 from ecal.scenario_io import REPRODUCE_TARGETS, reproduce
@@ -67,6 +72,17 @@ def test_preprocess_normalization_reference(capsys):
     lines = _lines(capsys)
     assert "flops,1533" in lines
     assert "E_pre_J,2.1462e-05" in lines
+
+
+def test_each_shared_option_is_declared_once():
+    # An option that several subcommands take is a string literal of cli.py once,
+    # in the parent parser those subcommands share.
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    literals = [ast.literal_eval(token.string)
+                for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                if token.type == tokenize.STRING and token.string.lstrip("rRbBuU")[0] in "'\""]
+    for option in ("--json", "--samples", "--precision", "--scenario", "--strict-eq2"):
+        assert literals.count(option) == 1, option
 
 
 def test_method_choices_are_the_standardization_methods():

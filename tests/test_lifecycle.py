@@ -13,6 +13,7 @@ from ecal.lifecycle import (
     GammaRow,
     LifecycleReport,
     Scenario,
+    _PRICED,
     _TERMS,
     _at,
     _price,
@@ -26,12 +27,15 @@ from ecal.lifecycle import (
     lifecycle_report,
 )
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
-from ecal.mlp_cost import evaluation_energy, inference_energy, training_energy
-from ecal.mlp_cost import training_forward_flops
-from ecal.preprocessing import StandardizationMethod, preprocessing_energy_per_bit
+from ecal.mlp_cost import evaluation_energy, forward_flops, forward_pass_energy_per_bit
+from ecal.mlp_cost import inference_energy, inference_flops, make_split, training_energy
+from ecal.mlp_cost import training_forward_flops, training_total_flops
+from ecal.preprocessing import StandardizationMethod, preprocessing_energy
+from ecal.preprocessing import preprocessing_energy_per_bit, preprocessing_flops
 from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile, storage_energy
 from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
-from ecal.transmission import cumulative_transmission_energy, transmitted_bits
+from ecal.transmission import cumulative_transmission_energy, payload_bits
+from ecal.transmission import transmission_energy, transmitted_bits
 from ecal.units import JOULES_PER_KWH, BitCount, BitRate, Energy, EnergyPerBit, FieldError
 from ecal.units import FieldTypeError, Power, _checked_count
 from test_units import beyond_float
@@ -544,6 +548,13 @@ _NOT_FINITE = "energy [J] must be non-negative and finite, got inf"
     # The forward-pass FLOPs of the run fit a float, but three times them do not.
     (lambda: training_energy(_REFERENCE, 2**1016, 1, _PU, 64), beyond_float("FLOP count", 1026)),
     (lambda: evaluation_energy(_WIDE, 1, _PU, 64), beyond_float("FLOP count", 1202)),
+    (lambda: evaluation_energy(_REFERENCE, 2**1020, _PU, 64), beyond_float("FLOP count", 1028)),
+    (lambda: training_energy(_REFERENCE, 1, 1, _PU, 0), "bits_per_sample must be >= 1, got 0"),
+    (lambda: evaluation_energy(_REFERENCE, 1, _PU, -64), "bits_per_sample must be >= 1, got -64"),
+    (lambda: forward_pass_energy_per_bit(_REFERENCE, _PU, True),
+     "bits_per_sample must be an integer, got bool"),
+    (lambda: training_energy(_REFERENCE, 1, 1, _PU, 1.5),
+     "bits_per_sample must be an integer, got float"),
     (lambda: inference_energy(_WIDE, 1, _PU), beyond_float("FLOP count", 1202)),
     (lambda: inference_energy(_REFERENCE, 2**1020, _PU), beyond_float("FLOP count", 1028)),
     # Every point but the last is finite.
@@ -551,12 +562,14 @@ _NOT_FINITE = "energy [J] must be non-negative and finite, got inf"
      _NOT_FINITE),
 ], ids=["transmitted payload", "transmitted overhead", "storage", "preprocessing per bit",
         "training forward", "training run", "training energy forward", "training energy run",
-        "training energy total", "evaluation", "inference forward", "inference request",
-        "cumulative series"])
+        "training energy total", "evaluation", "evaluation run", "training bits zero",
+        "evaluation bits negative", "forward pass bits bool", "training bits float",
+        "inference forward", "inference request", "cumulative series"])
 def test_equations_reject_counts_and_energies_beyond_float_range(call, message):
     with pytest.raises(FieldError) as caught:
         call()
     assert str(caught.value) == message
+
 
 
 def test_a_cumulative_series_below_the_float_edge_is_priced_point_by_point():
@@ -647,6 +660,33 @@ def test_every_metric_agrees_exactly_with_the_report(s):
         assert cf_row.cf_total_g == carbon_footprint(report.ecal_abs, cf_row.intensity)
         assert cf_row.cf_development_g == carbon_footprint(report.development, cf_row.intensity)
         assert cf_row.cf_inference_g == carbon_footprint(report.inference_phase, cf_row.intensity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_every_priced_term_is_its_stage_equation_bit_for_bit(s):
+    # _price repeats each stage module's arithmetic on plain numbers, in the
+    # same operation order, so every term must be the same float, not a close one.
+    arch, pu, bits = s.architecture, s.processing_unit, s.payload.bits_per_sample
+    request = PayloadSpec(bits, s.inference_batch)
+    split = make_split(s.payload.sample_count, s.train_fraction)
+    report, p = lifecycle_report(s), _price(s)
+    b_t = transmitted_bits(s.technology, s.payload)
+    assert report.transmitted_bits_development == b_t
+    assert report.transmitted_bits_inference == transmitted_bits(s.technology, request)
+    assert report.transmission == transmission_energy(s.technology, b_t)
+    assert report.storage == storage_energy(s.storage, payload_bits(s.payload))
+    flops = preprocessing_flops(s.standardization, s.payload.sample_count, s.invalid_samples)
+    assert report.preprocessing == preprocessing_energy(pu, flops)[1]
+    assert (report.training, report.training_per_bit) == training_energy(
+        arch, s.epochs, split.train_count, pu, bits)
+    assert report.evaluation == evaluation_energy(arch, split.eval_count, pu, bits)[0]
+    assert report.inference == inference_energy(arch, s.inference_batch, pu)
+    m_mlp_fp = training_forward_flops(arch, s.epochs, split.train_count)
+    assert [getattr(p, field) for field, _ in _PRICED[:4]] == [
+        forward_flops(arch).flops, m_mlp_fp.flops, training_total_flops(m_mlp_fp).flops,
+        inference_flops(arch, s.inference_batch).flops]
+    assert p.forward_per_bit == forward_pass_energy_per_bit(arch, pu, bits).joules_per_bit
 
 
 def test_report_fields_are_the_term_table_in_print_order():
