@@ -15,7 +15,7 @@ from io import TextIOBase
 
 from . import _all_of
 from .lifecycle import Scenario, _gammas, _price
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_country
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _checked_country
 from .units import _checked_types, _Value, joules_to_kwh
 
 __all__ = _all_of(__name__)
@@ -44,9 +44,10 @@ class CarbonIntensityRecord(_Value):
     def __init__(self, country_code: str, country_name: str, year: int,
                  intensity: CarbonIntensity) -> None:
         object.__setattr__(self, "country_code", _checked_country(country_code, "country_code"))
+        _checked_types((country_name, "country_name", str),
+                       (intensity, "intensity", CarbonIntensity))
         object.__setattr__(self, "country_name", country_name)
-        object.__setattr__(self, "year", year)
-        _checked_types((intensity, "intensity", CarbonIntensity))
+        object.__setattr__(self, "year", _checked_count(year, "year"))
         object.__setattr__(self, "intensity", intensity)
 
 

@@ -24,7 +24,7 @@ from .preprocessing import StandardizationMethod
 from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _write, reproduce
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
-from .units import BitCount, BitRate, FieldError, Power, _checked_name
+from .units import BitCount, BitRate, FieldError, Power
 
 __all__ = _all_of(__name__)
 
@@ -81,7 +81,7 @@ _PU = _D.processing_unit
 # fields in write order.  Per field: the document key; the attribute path it
 # is read back from (None: the key); its rule, which is None (as given), a
 # type of this table, a list (its description), the preprocessing choices, or
-# a unit or checker; and its default as built, or _REQUIRED.
+# a unit; and its default as built, or _REQUIRED.
 _SCHEMA = {
     ScenarioDocument: (_scenario_document, None, None, (
         ("samples", "scenario.payload.sample_count", None, _REQUIRED),
@@ -103,7 +103,7 @@ _SCHEMA = {
         ("sweeps", None, Sweeps, _NO_SWEEPS),
     )),
     TechnologyProfile: (TechnologyProfile, BUILTIN_TECHNOLOGIES, technology_profile, (
-        ("name", None, _checked_name, "custom"),
+        ("name", None, None, "custom"),
         ("f_u", "packet_capacity.bits", BitCount, _REQUIRED),
         ("omega_u", "packet_overhead.bits", BitCount, _REQUIRED),
         ("p_t_w", "transmit_power.watts", Power, _REQUIRED),
@@ -111,7 +111,7 @@ _SCHEMA = {
         ("packets_override", None, None, None),
     )),
     StorageProfile: (StorageProfile, BUILTIN_STORAGE, storage_profile, (
-        ("name", None, _checked_name, "custom"),
+        ("name", None, None, "custom"),
         ("wh_per_tb", "wh_per_terabyte", None, _REQUIRED),
     )),
     MlpArchitecture: (MlpArchitecture, None, None, (

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import _all_of
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit, _Value
-from .units import _checked_name, _checked_real, wh_per_tb_to_j_per_bit
+from .units import _checked_real, _checked_types, wh_per_tb_to_j_per_bit
 
 __all__ = _all_of(__name__)
 
@@ -19,7 +19,8 @@ class StorageProfile(_Value):
     __slots__ = __match_args__ = ("name", "wh_per_terabyte")
 
     def __init__(self, name: str, wh_per_terabyte: float) -> None:
-        object.__setattr__(self, "name", _checked_name(name))
+        _checked_types((name, "name", str))
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "wh_per_terabyte",
                            _checked_real(wh_per_terabyte, "wh_per_terabyte"))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import _all_of
 from .units import BitCount, BitRate, Energy, EnergyPerBit, FieldError, Power, _Value
-from .units import _checked_count, _checked_name, _checked_real, _checked_types, _proven
+from .units import _checked_count, _checked_real, _checked_types, _proven
 
 __all__ = _all_of(__name__)
 
@@ -48,8 +48,7 @@ class TechnologyProfile(_Value):
     def __init__(self, name: str, packet_capacity: BitCount, packet_overhead: BitCount,
                  transmit_power: Power, transmit_rate: BitRate,
                  packets_override: int | None = None) -> None:
-        _checked_name(name)
-        _checked_types((packet_capacity, "packet_capacity", BitCount),
+        _checked_types((name, "name", str), (packet_capacity, "packet_capacity", BitCount),
                        (packet_overhead, "packet_overhead", BitCount),
                        (transmit_power, "transmit_power", Power),
                        (transmit_rate, "transmit_rate", BitRate))

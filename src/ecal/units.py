@@ -1,17 +1,17 @@
-"""Typed physical quantities on fixed canonical units.
+"""Typed physical quantities on fixed canonical units, and the field checkers.
 
 Each quantity pins one internal unit (joules, watts, bits, bits per second,
 FLOPs, gCO2eq/kWh) and validates at construction, so any value reaching
 downstream arithmetic is finite, correctly signed, and on the expected
-scale.  Unit conversions happen only at the boundary: the helpers at the
-bottom of this module convert one value, and ``carbon``, ``storage`` and
-``lifecycle`` apply the constants below to plain numbers.
+scale; the seven unit types are one table.  Conversions happen only at the
+boundary: the helpers at the bottom convert one value, and ``carbon``,
+``storage`` and ``lifecycle`` apply the constants below to plain numbers.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import repeat
+from itertools import repeat, starmap
 
 from . import _all_of
 
@@ -46,7 +46,7 @@ def _beyond_float(value: int, field: str) -> FieldError:
                              f"({value.bit_length()}-bit integer)")
 
 
-def _checked_real(value: float, field: str, *, positive: bool = False,
+def _checked_real(value: float, field: str, positive: bool = False, *,
                   maximum: float | None = _LARGEST_FLOAT) -> float:
     """Return ``value`` as a float in [0, maximum], or in (0, maximum] when
     ``positive``; by default that means finite.  With ``maximum=None`` any
@@ -113,13 +113,6 @@ def _checked_country(code: str, field: str) -> str:
     return code.upper()
 
 
-def _checked_name(name: str) -> str:
-    """Return ``name`` if it is a string."""
-    if not isinstance(name, str):
-        raise FieldTypeError("name", f"expected a string, got {name!r}")
-    return name
-
-
 def _proven(cls, values) -> list:
     """Wrap each of ``values`` in the one-field unit ``cls``, named by
     ``__match_args__``, unchecked: the caller has shown each finite and
@@ -169,70 +162,37 @@ class _Value:
         return type(self), self._values()
 
 
-class Energy(_Value):
-    """An amount of energy, stored in joules."""
-
-    __slots__ = __match_args__ = ("joules",)
-
-    def __init__(self, joules: float) -> None:
-        object.__setattr__(self, "joules", _checked_real(joules, "energy [J]"))
-
-
-class Power(_Value):
-    """A power draw, stored in watts."""
-
-    __slots__ = __match_args__ = ("watts",)
-
-    def __init__(self, watts: float) -> None:
-        object.__setattr__(self, "watts", _checked_real(watts, "power [W]"))
+def _unit(name: str, field: str, label: str, check, rule, doc: str) -> type:
+    """The ``_Value`` type ``name`` whose one field, ``field``, holds ``check(field,
+    label, rule)``; ``rule`` is ``positive`` for a real, ``minimum`` for a count.  The
+    class is compiled from source, as a namedtuple is, and as lines of this file, so
+    ``field`` is its keyword and tracebacks and profilers place ``__init__`` here."""
+    source = ("\n" * (sys._getframe().f_lineno - 1) + f"class {name}(_Value):\n"
+              f"    {doc!r}\n"
+              f"    __slots__ = __match_args__ = ({field!r},)\n"
+              f"    def __init__(self, {field}):\n"
+              f"        object.__setattr__(self, {field!r}, "
+              f"{check.__name__}({field}, {label!r}, {rule!r}))\n")
+    namespace = {}
+    exec(compile(source, __file__, "exec"), globals(), namespace)
+    return namespace[name]
 
 
-class BitCount(_Value):
-    """An exact number of bits; all counting stays in integer arithmetic."""
-
-    __slots__ = __match_args__ = ("bits",)
-
-    def __init__(self, bits: int) -> None:
-        object.__setattr__(self, "bits", _checked_count(bits, "bit count"))
-
-
-class BitRate(_Value):
-    """A strictly positive transmission rate in bits per second."""
-
-    __slots__ = __match_args__ = ("bits_per_second",)
-
-    def __init__(self, bits_per_second: float) -> None:
-        object.__setattr__(self, "bits_per_second",
-                           _checked_real(bits_per_second, "bit rate [b/s]", positive=True))
-
-
-class FlopCount(_Value):
-    """An exact number of floating-point operations."""
-
-    __slots__ = __match_args__ = ("flops",)
-
-    def __init__(self, flops: int) -> None:
-        object.__setattr__(self, "flops", _checked_count(flops, "FLOP count"))
-
-
-class EnergyPerBit(_Value):
-    """Energy intensity in joules per bit."""
-
-    __slots__ = __match_args__ = ("joules_per_bit",)
-
-    def __init__(self, joules_per_bit: float) -> None:
-        object.__setattr__(self, "joules_per_bit",
-                           _checked_real(joules_per_bit, "energy per bit [J/b]"))
-
-
-class CarbonIntensity(_Value):
-    """Grid carbon intensity in grams CO2-equivalent per kWh."""
-
-    __slots__ = __match_args__ = ("grams_co2e_per_kwh",)
-
-    def __init__(self, grams_co2e_per_kwh: float) -> None:
-        object.__setattr__(self, "grams_co2e_per_kwh",
-                           _checked_real(grams_co2e_per_kwh, "carbon intensity [gCO2eq/kWh]"))
+Energy, Power, BitCount, BitRate, FlopCount, EnergyPerBit, CarbonIntensity = starmap(_unit, (
+    ("Energy", "joules", "energy [J]", _checked_real, False,
+     "An amount of energy, stored in joules."),
+    ("Power", "watts", "power [W]", _checked_real, False, "A power draw, stored in watts."),
+    ("BitCount", "bits", "bit count", _checked_count, 0,
+     "An exact number of bits; all counting stays in integer arithmetic."),
+    ("BitRate", "bits_per_second", "bit rate [b/s]", _checked_real, True,
+     "A strictly positive transmission rate in bits per second."),
+    ("FlopCount", "flops", "FLOP count", _checked_count, 0,
+     "An exact number of floating-point operations."),
+    ("EnergyPerBit", "joules_per_bit", "energy per bit [J/b]", _checked_real, False,
+     "Energy intensity in joules per bit."),
+    ("CarbonIntensity", "grams_co2e_per_kwh", "carbon intensity [gCO2eq/kWh]",
+     _checked_real, False, "Grid carbon intensity in grams CO2-equivalent per kWh."),
+))
 
 
 def joules_to_kwh(energy: Energy) -> float:

@@ -15,7 +15,7 @@ from ecal.carbon import (
     load_ci_table,
 )
 from ecal.lifecycle import default_scenario, development_energy, ecal_abs, inference_phase_energy
-from ecal.units import CarbonIntensity, Energy
+from ecal.units import CarbonIntensity, Energy, FieldTypeError
 
 CI_HEADER = "country_code,country_name,year,ci_g_per_kwh\n"
 
@@ -87,6 +87,13 @@ def test_load_ci_table_rejects_negative_intensity():
                                      f"non-negative and finite, got {shown}")
 
 
+def test_load_ci_table_rejects_a_negative_year():
+    # The record's year rule, reported at the line, like every other row fault.
+    with pytest.raises(CiTableError) as caught:
+        load_ci_table(io.StringIO(CI_HEADER + "DE,Germany,-5,425\n"))
+    assert str(caught.value) == "line 2: year must be >= 0, got -5"
+
+
 def test_load_ci_table_rejects_duplicates():
     text = CI_HEADER + "DE,Germany,2023,425\nDE,Germany,2023,430\n"
     with pytest.raises(DuplicateCountryError, match="line 3"):
@@ -114,6 +121,19 @@ def test_load_ci_table_from_path(tmp_path):
 def test_record_normalizes_country_code_case():
     record = CarbonIntensityRecord("de", "Germany", 2023, CarbonIntensity(425.0))
     assert record.country_code == "DE"
+
+
+@pytest.mark.parametrize("name, year, message", [
+    (None, 2023, "country_name must be a str, got NoneType"),
+    ("Germany", "2023", "year must be an integer, got str"),
+    ("Germany", True, "year must be an integer, got bool"),
+], ids=["country_name", "year str", "year bool"])
+def test_record_checks_its_name_and_year(name, year, message):
+    # Else cf_vs_gamma prints a name of None, or "years 2023, 2023" for two keys.
+    with pytest.raises(FieldTypeError) as caught:
+        CarbonIntensityRecord("DE", name, year, CarbonIntensity(425.0))
+    assert caught.value.field == message.split()[0]
+    assert str(caught.value) == message
 
 
 def test_cf_vs_gamma_orders_by_descending_intensity():

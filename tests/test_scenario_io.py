@@ -117,7 +117,8 @@ def test_type_violations_name_the_field():
 SHAPE_ERRORS = [
     ("[]", "scenario: expected an object, got list"),
     (_doc_with(technology=5), "technology: expected an object, got int"),
-    (_doc_with(technology={"name": 5}), "technology.name: expected a string, got 5"),
+    (_doc_with(technology={"name": 5, "f_u": 2000, "omega_u": 8, "p_t_w": 0.01, "r_t_bps": 1e3}),
+     "technology.name: must be a str, got int"),
     (_doc_with(mlp={"layers": 6}), "mlp.layers: expected a list of layer widths, got 6"),
     (_doc_with(countries="DE"), "countries: expected a list of country codes, got 'DE'"),
     (_doc_with(countries=["DE", "DEU"]),
@@ -496,17 +497,17 @@ def test_round_trip_scenario_built_in_code():
     assert parse_scenario(serialize_scenario(doc)) == doc
 
 
-@pytest.mark.parametrize("name", [5, None])
+@pytest.mark.parametrize("name, got", [(5, "int"), (None, "NoneType")], ids=["5", "None"])
 @pytest.mark.parametrize("build", [
     lambda name: TechnologyProfile(name, BitCount(2000), BitCount(8), Power(0.01), BitRate(1e3)),
     lambda name: StorageProfile(name, 1.0),
 ], ids=["technology", "storage"])
-def test_a_profile_name_must_be_a_string(build, name):
+def test_a_profile_name_must_be_a_string(build, name, got):
     # Else serialize_scenario writes a document that parse_scenario rejects.
     with pytest.raises(FieldTypeError) as caught:
         build(name)
     assert caught.value.field == "name"
-    assert str(caught.value) == f"name expected a string, got {name!r}"
+    assert str(caught.value) == f"name must be a str, got {got}"
 
 
 def test_readme_lists_the_document_keys_in_serialization_order():

@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ecal.units
 from ecal.carbon import CarbonIntensityRecord
 from ecal.mlp_cost import ProcessingUnitProfile
 from ecal.transmission import TechnologyProfile
@@ -165,3 +167,42 @@ def test_unit_fields_must_hold_their_unit(build, message):
         build()
     assert caught.value.field == message.split()[0]
     assert str(caught.value) == message
+
+
+# Each unit type, the field it is built from, a valid value and its docstring.
+UNIT_TYPES = [
+    (Energy, "joules", 1.5, "An amount of energy, stored in joules."),
+    (Power, "watts", 2.0, "A power draw, stored in watts."),
+    (BitCount, "bits", 3, "An exact number of bits; all counting stays in integer arithmetic."),
+    (BitRate, "bits_per_second", 4.0, "A strictly positive transmission rate in bits per second."),
+    (FlopCount, "flops", 5, "An exact number of floating-point operations."),
+    (EnergyPerBit, "joules_per_bit", 6e-9, "Energy intensity in joules per bit."),
+    (CarbonIntensity, "grams_co2e_per_kwh", 425.0,
+     "Grid carbon intensity in grams CO2-equivalent per kWh."),
+]
+
+
+@pytest.mark.parametrize("unit, field, value, doc", UNIT_TYPES,
+                         ids=[unit.__name__ for unit, *_ in UNIT_TYPES])
+def test_each_unit_type_is_a_class_of_its_own_field(unit, field, value, doc):
+    assert list(inspect.signature(unit).parameters) == [field]
+    assert unit(**{field: value}) == unit(value)
+    built = unit(value)
+    assert eval(repr(built), vars(ecal.units)) == built
+    assert getattr(ecal.units, unit.__qualname__) is unit  # pickle finds it by this name
+    assert unit.__module__ == "ecal.units"
+    assert unit.__doc__ == doc
+
+
+@pytest.mark.parametrize("unit, field, value, doc", UNIT_TYPES,
+                         ids=[unit.__name__ for unit, *_ in UNIT_TYPES])
+def test_each_unit_type_rejects_bad_arguments_as_python_does(unit, field, value, doc):
+    init = f"{unit.__name__}.__init__()"
+    for call, message in (
+        (lambda: unit(value=value), f"{init} got an unexpected keyword argument 'value'"),
+        (lambda: unit(), f"{init} missing 1 required positional argument: '{field}'"),
+        (lambda: unit(value, value), f"{init} takes 2 positional arguments but 3 were given"),
+    ):
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value) == message
