@@ -12,11 +12,12 @@ import os
 from collections import namedtuple
 from collections.abc import Iterable
 from io import TextIOBase
+from itertools import repeat
 
 from . import _all_of
-from .lifecycle import Scenario, _gammas, _price
+from .lifecycle import Scenario, _price, _sweep
 from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _checked_country
-from .units import _checked_types, _Value, joules_to_kwh
+from .units import _checked_items, _checked_types, _Value, joules_to_kwh
 
 __all__ = _all_of(__name__)
 
@@ -129,7 +130,11 @@ def cf_vs_gamma(
     Raises :class:`CiTableError` when a country to price has records for
     more than one year.
     """
-    records = tuple(records)
+    p = _price(s)
+    records = _checked_items(records, "records")
+    if not all(map(isinstance, records, repeat(CarbonIntensityRecord))):
+        _checked_types(*[(r, f"records[{i}]", CarbonIntensityRecord)
+                         for i, r in enumerate(records)])
     by_code = {record.country_code: record for record in records}
     if s.countries:
         try:
@@ -150,8 +155,7 @@ def cf_vs_gamma(
                     f"{record.country_code!r} (years {', '.join(map(str, years))}); "
                     f"keep one year per country")
     chosen.sort(key=lambda r: (-r.intensity.grams_co2e_per_kwh, r.country_code))
-    p = _price(s)
-    gs = _gammas(p, gammas)
+    gs, joules, _ = _sweep(p, gammas)
     dev_kwh = p.development / JOULES_PER_KWH
     request_kwh = p.request / JOULES_PER_KWH
     countries = []  # the gamma-independent cells of each country's rows
@@ -159,8 +163,7 @@ def cf_vs_gamma(
         ci = record.intensity.grams_co2e_per_kwh
         countries.append((record.country_code, record.country_name, record.intensity,
                           dev_kwh * ci, request_kwh * ci, ci))
-    dev, request, new = p.development, p.request, tuple.__new__
-    kwhs = [(dev + g * request) / JOULES_PER_KWH for g in gs]  # _at's joules, in kWh
+    new, kwhs = tuple.__new__, [j / JOULES_PER_KWH for j in joules]
     return CarbonReport(tuple([
         new(CarbonReportRow, (g, code, name, intensity, dev_g, inf_g, kwh * ci))
         for g, kwh in zip(gs, kwhs) for code, name, intensity, dev_g, inf_g, ci in countries]))

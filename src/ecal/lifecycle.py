@@ -9,7 +9,8 @@ preprocesses its own ``inference_batch`` samples before the forward pass;
 each request's bits are the transmitted bits plus three passes over the
 request payload (storage, preprocessing, inference).
 
-eCAL is lifecycle energy over lifecycle bits:
+eCAL is lifecycle energy over lifecycle bits, which ``_sweep`` alone prices
+along the request axis, for ``gamma_sweep`` and ``carbon.cf_vs_gamma`` alike:
 ``(E_dev + gamma * E_request) / (dev_bits + gamma * request_bits)``.
 """
 
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from operator import truediv
+from operator import add, mul, truediv
 
 from . import _all_of
 from .mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile, _forward
@@ -162,6 +163,8 @@ def _price(s: Scenario) -> _Lifecycle:
     float is not finite.  Every float is non-negative and in the guarded sum, so
     callers may wrap them, and their quotients by positive counts, unchecked.
     """
+    if not isinstance(s, Scenario):
+        _checked_types((s, "s", Scenario))
     p = s.__dict__.get("_lifecycle")
     if p is not None:
         return p
@@ -220,22 +223,24 @@ def _at(p: _Lifecycle, gamma: int) -> tuple[float, float]:
     return joules, bits
 
 
-def _gammas(p: _Lifecycle, gammas: Iterable[int]) -> tuple[int, ...]:
-    """``gammas`` as a tuple, once each is shown an integer >= 1 that ``p`` prices.
+def _sweep(p: _Lifecycle, gammas: Iterable[int]) -> tuple[tuple[int, ...], list, Iterator]:
+    """``gammas`` as a tuple, once each is shown an integer >= 1 that ``p`` prices,
+    with the lifecycle joules that ``_at`` gives for each, and its bits, made as read.
 
     Joules and bits are non-decreasing in gamma, so the largest stands for all;
     failing that, a check in list order raises for the first bad gamma.
     """
-    gs = tuple(gammas)
-    if gs and set(map(type, gs)) == {int} and min(gs) >= 1:
-        try:
-            _at(p, max(gs))
-            return gs
-        except ValueError:
-            pass
-    for gamma in gs:
-        _at(p, _checked_count(gamma, "gamma", 1))
-    return gs
+    gs = _checked_items(gammas, "gammas")
+    try:
+        proven = gs and set(map(type, gs)) == {int} and min(gs) >= 1 and _at(p, max(gs))
+    except ValueError:
+        proven = False
+    if not proven:
+        for gamma in gs:
+            _at(p, _checked_count(gamma, "gamma", 1))
+    joules = list(map(add, repeat(p.development), map(mul, gs, repeat(p.request))))
+    bits = map(float, map(add, repeat(p.development_bits), map(mul, gs, repeat(p.request_bits))))
+    return gs, joules, bits
 
 
 def development_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
@@ -288,10 +293,7 @@ def gamma_sweep(s: Scenario, gammas: Iterable[int]) -> list[GammaRow]:
 
     Rows are independent and returned in input order.
     """
-    p = _price(s)
-    gs = _gammas(p, gammas)
-    joules = [p.development + g * p.request for g in gs]  # _at's arithmetic, row by row
-    bits = [float(p.development_bits + g * p.request_bits) for g in gs]
+    gs, joules, bits = _sweep(_price(s), gammas)
     columns = (gs, _proven(Energy, joules), _proven(Energy, list(map(truediv, joules, gs))),
                _proven(EnergyPerBit, list(map(truediv, joules, bits))))
     return list(map(tuple.__new__, repeat(GammaRow), zip(*columns)))
@@ -324,9 +326,7 @@ _TERMS = (
 LifecycleReport = namedtuple("LifecycleReport", [term[0] for term in _TERMS])
 LifecycleReport.__doc__ = """Itemized energies, per-bit figures, and lifecycle metrics of a
 scenario."""
-# Each field's kind and, for a unit, the setter of its one slot.
-_KINDS = [(kind, None if kind is int else getattr(kind, kind.__match_args__[0]).__set__)
-          for _, kind, _ in _TERMS]
+_UNITS = [kind for _, kind, _ in _TERMS[1:]]  # the unit type of each field after gamma
 
 
 def lifecycle_report(s: Scenario) -> LifecycleReport:
@@ -339,15 +339,9 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
     p = _price(s)
     joules, bits = _at(p, s.gamma)
     trained_bits = s.payload.bits_per_sample * p.train_count
-    fields = []
-    for (kind, set_field), value in zip(_KINDS, (  # in _TERMS' order, unchecked as by _proven
-            s.gamma, p.development_b_t, p.development_bits, p.request_b_t, p.request_bits,
-            p.transmission, p.storage, p.preprocessing, p.training, p.evaluation, p.inference,
-            p.development, p.development / p.development_bits, p.training_per_bit,
-            p.training / trained_bits if trained_bits else 0.0, p.request,
-            p.request / p.request_bits, joules, joules / s.gamma, joules / bits)):
-        if set_field:
-            set_field(unit := object.__new__(kind), value)
-            value = unit
-        fields.append(value)
-    return tuple.__new__(LifecycleReport, fields)
+    return tuple.__new__(LifecycleReport, (s.gamma, *_proven(_UNITS, (  # in _TERMS' order
+        p.development_b_t, p.development_bits, p.request_b_t, p.request_bits,
+        p.transmission, p.storage, p.preprocessing, p.training, p.evaluation, p.inference,
+        p.development, p.development / p.development_bits, p.training_per_bit,
+        p.training / trained_bits if trained_bits else 0.0, p.request,
+        p.request / p.request_bits, joules, joules / s.gamma, joules / bits))))

@@ -24,7 +24,7 @@ from . import _all_of
 from .mlp_cost import ProcessingUnitProfile
 from .transmission import PayloadSpec
 from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _checked_items
-from .units import _checked_real, _Value
+from .units import _checked_real, _checked_types, _Value
 
 __all__ = _all_of(__name__)
 
@@ -162,13 +162,15 @@ def preprocessing_flops(method: StandardizationMethod, n_s: int, n_nan: int) -> 
     and normalization costs 6v - 3.  This is the count all energy figures
     are priced on.
     """
+    if not isinstance(method, StandardizationMethod):
+        _checked_types((method, "method", StandardizationMethod))
     _checked_count(n_s, "n_s")
     _checked_count(n_nan, "n_nan")
     return FlopCount(_flops(method, n_s, n_nan))
 
 
 def _flops(method: StandardizationMethod, n_s: int, n_nan: int) -> int:
-    """:func:`preprocessing_flops` of counts already shown to be integers."""
+    """:func:`preprocessing_flops` of arguments already shown to be of their types."""
     valid = n_s - n_nan
     if valid < 1:
         raise ValueError(
@@ -176,9 +178,7 @@ def _flops(method: StandardizationMethod, n_s: int, n_nan: int) -> int:
         )
     if method is StandardizationMethod.MINMAX:
         return 2 * valid - 1
-    if method is StandardizationMethod.NORMALIZATION:
-        return 6 * valid - 3
-    raise TypeError(f"unknown standardization method: {method!r}")
+    return 6 * valid - 3
 
 
 def preprocessing_energy(

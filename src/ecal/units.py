@@ -3,9 +3,9 @@
 Each quantity pins one internal unit (joules, watts, bits, bits per second,
 FLOPs, gCO2eq/kWh) and validates at construction, so any value reaching
 downstream arithmetic is finite, correctly signed, and on the expected
-scale; the seven unit types are one table.  Conversions happen only at the
-boundary: the helpers at the bottom convert one value, and ``carbon``,
-``storage`` and ``lifecycle`` apply the constants below to plain numbers.
+scale; the seven unit types are one table, and only ``_proven`` skips the
+check.  Conversions happen only at the boundary: the helpers at the bottom
+convert one value; ``carbon``, ``storage`` and ``lifecycle`` use the constants.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ JOULES_PER_WH = 3600.0
 # Storage densities are quoted per decimal terabyte (10^12 bytes).
 BITS_PER_TERABYTE = 8e12
 _LARGEST_FLOAT = sys.float_info.max
+_SETTERS = {}  # the setter of each unit type's one field, kept by _unit for _proven
 
 
 class FieldError(ValueError):
@@ -114,12 +115,13 @@ def _checked_country(code: str, field: str) -> str:
 
 
 def _proven(cls, values) -> list:
-    """Wrap each of ``values`` in the one-field unit ``cls``, named by
-    ``__match_args__``, unchecked: the caller has shown each finite and
+    """Wrap each of ``values``, unchecked, in the one-field unit ``cls``, or in its
+    own class when ``cls`` holds one per value: the caller has shown each finite and
     non-negative (``int`` for counts).  No Python frame is entered per value."""
-    units = list(map(object.__new__, repeat(cls, len(values))))
-    set_field = getattr(cls, cls.__match_args__[0]).__set__
-    for unit, value in zip(units, values):
+    one = isinstance(cls, type)
+    setters = repeat(_SETTERS[cls]) if one else map(_SETTERS.__getitem__, cls)
+    units = list(map(object.__new__, repeat(cls, len(values)) if one else cls))
+    for set_field, unit, value in zip(setters, units, values):
         set_field(unit, value)
     return units
 
@@ -175,7 +177,9 @@ def _unit(name: str, field: str, label: str, check, rule, doc: str) -> type:
               f"{check.__name__}({field}, {label!r}, {rule!r}))\n")
     namespace = {}
     exec(compile(source, __file__, "exec"), globals(), namespace)
-    return namespace[name]
+    cls = namespace[name]
+    _SETTERS[cls] = getattr(cls, field).__set__
+    return cls
 
 
 Energy, Power, BitCount, BitRate, FlopCount, EnergyPerBit, CarbonIntensity = starmap(_unit, (

@@ -959,3 +959,45 @@ def test_scenario_parts_must_be_model_values(field, value, message):
         replace(default_scenario(), **{field: value})
     assert caught.value.field == field
     assert str(caught.value) == message
+
+
+# A call given an argument of the wrong type, and the whole message it raises.
+WRONG_ARGUMENTS = [
+    ("lifecycle_report", lambda s, t: lifecycle_report(5), "s must be a Scenario, got int"),
+    ("gamma_sweep s", lambda s, t: gamma_sweep(5, [1]), "s must be a Scenario, got int"),
+    ("cf_vs_gamma s", lambda s, t: cf_vs_gamma("s", t, [1]), "s must be a Scenario, got str"),
+    ("ecal", lambda s, t: ecal(None), "s must be a Scenario, got NoneType"),
+    ("ecal_abs", lambda s, t: ecal_abs(5), "s must be a Scenario, got int"),
+    ("ecal_abs_mean", lambda s, t: ecal_abs_mean(5), "s must be a Scenario, got int"),
+    ("development_energy", lambda s, t: development_energy(5), "s must be a Scenario, got int"),
+    ("inference_phase_energy", lambda s, t: inference_phase_energy({}),
+     "s must be a Scenario, got dict"),
+    ("gamma_sweep gammas", lambda s, t: gamma_sweep(s, 5), "gammas must be a sequence, got int"),
+    ("cf_vs_gamma gammas", lambda s, t: cf_vs_gamma(s, t, 5), "gammas must be a sequence, got int"),
+    ("records", lambda s, t: cf_vs_gamma(s, 5, [1]), "records must be a sequence, got int"),
+    ("records[0]", lambda s, t: cf_vs_gamma(s, [5], [1]),
+     "records[0] must be a CarbonIntensityRecord, got int"),
+    ("records[1]", lambda s, t: cf_vs_gamma(s, [t[0], None], [1]),
+     "records[1] must be a CarbonIntensityRecord, got NoneType"),
+    ("method", lambda s, t: preprocessing_flops("minmax", 5, 0),
+     "method must be a StandardizationMethod, got str"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in WRONG_ARGUMENTS],
+                         ids=[case[0] for case in WRONG_ARGUMENTS])
+def test_an_argument_of_the_wrong_type_is_named(call, message):
+    # Else the call fails with a bare Python error that names no argument.
+    with pytest.raises(Exception) as caught:
+        call(default_scenario(), bundled_ci_table())
+    assert type(caught.value) is FieldTypeError
+    assert str(caught.value) == message
+
+
+def test_a_carbon_table_is_read_after_the_scenario_is_priced():
+    # An unpriceable scenario reports its pricing error before any fault of the table.
+    tiny = replace(default_scenario(), countries=("XX",),
+                   processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 1e-308))
+    for records in (bundled_ci_table(), 5, [5]):
+        with pytest.raises(ValueError, match="lifecycle energy is not finite"):
+            cf_vs_gamma(tiny, records, [1])
