@@ -160,8 +160,6 @@ def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
-    from dataclasses import replace
-
     from .lifecycle import _TERMS, gamma_sweep, lifecycle_report
     from .scenario_io import load_scenario
     from .transmission import without_packet_override
@@ -169,6 +167,8 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     doc = load_scenario(args.scenario)
     scenario = doc.scenario
     if args.strict_eq2:
+        from dataclasses import replace
+
         scenario = replace(scenario, technology=without_packet_override(scenario.technology))
     gammas: tuple[int, ...] = ()
     if args.gamma_sweep is not None:

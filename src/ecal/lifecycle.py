@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, truediv
 
@@ -35,46 +34,66 @@ from .units import _checked_types, _proven, _Value
 __all__ = _all_of(__name__)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _DataclassFields:
+    """``Scenario.__dataclass_fields__``: on first read, the ``dataclasses.Field``s
+    that ``@dataclass`` would make of ``__init__``'s parameters (names, annotations
+    and defaults), left on the class in its place.  So ``dataclasses.replace``,
+    ``fields``, ``asdict`` and ``is_dataclass`` work on a ``Scenario``, yet only
+    they load ``dataclasses``."""
+
+    def __get__(self, obj, cls):
+        from dataclasses import make_dataclass
+
+        init = cls.__init__
+        defaults = dict(zip(reversed(cls.__match_args__), reversed(init.__defaults__)))
+        cls.__dataclass_fields__ = make_dataclass(cls.__name__, [
+            (name, init.__annotations__[name], *([defaults[name]] if name in defaults else []))
+            for name in cls.__match_args__]).__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
+class Scenario(_Value):
     """A complete, self-contained lifecycle configuration."""
 
-    payload: PayloadSpec
-    technology: TechnologyProfile
-    storage: StorageProfile
-    standardization: StandardizationMethod
-    train_fraction: float
-    epochs: int
-    architecture: MlpArchitecture
-    inference_batch: int
-    gamma: int
-    processing_unit: ProcessingUnitProfile
-    invalid_samples: int = 0
-    inference_invalid_samples: int = 0
-    countries: tuple[str, ...] = ()
+    __match_args__ = ("payload", "technology", "storage", "standardization", "train_fraction",
+                      "epochs", "architecture", "inference_batch", "gamma", "processing_unit",
+                      "invalid_samples", "inference_invalid_samples", "countries")
+    __slots__ = (*__match_args__, "_lifecycle")  # _lifecycle: the pricing that _price keeps
+    __dataclass_fields__ = _DataclassFields()
 
-    def __post_init__(self) -> None:
-        _checked_types(*[(getattr(self, name), name, cls) for name, cls in _PARTS])
-        countries = []
-        for i, code in enumerate(_checked_items(self.countries, "countries")):
-            if (code := _checked_country(code, f"countries[{i}]")) in countries:
+    def __init__(self, payload: PayloadSpec, technology: TechnologyProfile,
+                 storage: StorageProfile, standardization: StandardizationMethod,
+                 train_fraction: float, epochs: int, architecture: MlpArchitecture,
+                 inference_batch: int, gamma: int, processing_unit: ProcessingUnitProfile,
+                 invalid_samples: int = 0, inference_invalid_samples: int = 0,
+                 countries: tuple[str, ...] = ()) -> None:
+        _checked_types((payload, "payload", PayloadSpec),
+                       (technology, "technology", TechnologyProfile),
+                       (storage, "storage", StorageProfile),
+                       (standardization, "standardization", StandardizationMethod),
+                       (architecture, "architecture", MlpArchitecture),
+                       (processing_unit, "processing_unit", ProcessingUnitProfile))
+        codes = []
+        for i, code in enumerate(_checked_items(countries, "countries")):
+            if (code := _checked_country(code, f"countries[{i}]")) in codes:
                 raise FieldError(f"countries[{i}]", f"repeats {code!r}")
-            countries.append(code)
-        object.__setattr__(self, "countries", tuple(countries))
-        _checked_count(self.invalid_samples, "invalid_samples", 0, self.payload.sample_count)
-        object.__setattr__(self, "train_fraction", _checked_real(
-            self.train_fraction, "train_fraction", positive=True, maximum=1.0))
-        _checked_count(self.epochs, "epochs", 1)
-        _checked_count(self.inference_batch, "inference_batch", 1)
-        _checked_count(self.inference_invalid_samples, "inference_invalid_samples",
-                       0, self.inference_batch)
-        _checked_count(self.gamma, "gamma", 1)
+            codes.append(code)
+        _checked_count(invalid_samples, "invalid_samples", 0, payload.sample_count)
+        train_fraction = _checked_real(train_fraction, "train_fraction", positive=True,
+                                       maximum=1.0)
+        _checked_count(epochs, "epochs", 1)
+        _checked_count(inference_batch, "inference_batch", 1)
+        _checked_count(inference_invalid_samples, "inference_invalid_samples",
+                       0, inference_batch)
+        _checked_count(gamma, "gamma", 1)
+        for name, value in zip(self.__slots__, (
+                payload, technology, storage, standardization, train_fraction, epochs,
+                architecture, inference_batch, gamma, processing_unit, invalid_samples,
+                inference_invalid_samples, tuple(codes), None)):
+            object.__setattr__(self, name, value)
 
-
-# The fields of Scenario that hold a model value, each with the value's type.
-_PARTS = (("payload", PayloadSpec), ("technology", TechnologyProfile), ("storage", StorageProfile),
-          ("standardization", StandardizationMethod), ("architecture", MlpArchitecture),
-          ("processing_unit", ProcessingUnitProfile))
+    def __replace__(self, **changes) -> Scenario:  # copy.replace, as for a dataclass
+        return Scenario(**dict(zip(self.__match_args__, self._values()), **changes))
 
 
 class Sweeps(_Value):
@@ -165,7 +184,7 @@ def _price(s: Scenario) -> _Lifecycle:
     """
     if not isinstance(s, Scenario):
         _checked_types((s, "s", Scenario))
-    p = s.__dict__.get("_lifecycle")
+    p = s._lifecycle
     if p is not None:
         return p
     bits_per_sample = s.payload.bits_per_sample
@@ -197,11 +216,12 @@ def _price(s: Scenario) -> _Lifecycle:
         raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
                          f"one request {request!r} J, training {training_per_bit!r} J/b")
 
-    p = s.__dict__["_lifecycle"] = _Lifecycle(  # in _PRICED's order
+    p = _Lifecycle(  # in _PRICED's order
         fwd, m_mlp_fp, m_mlp, n_inf, e_train, training_per_bit, e_eval, forward_per_bit, e_inf,
         e_t, e_storage, e_pre, development,
         b_t + bits_per_sample * (2 * n + train_count + eval_count), b_t, train_count,
         request, req_b_t + 3 * bits_per_sample * batch, req_b_t)
+    object.__setattr__(s, "_lifecycle", p)
     return p
 
 

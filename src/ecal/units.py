@@ -166,19 +166,17 @@ class _Value:
 
 def _unit(name: str, field: str, label: str, check, rule, doc: str) -> type:
     """The ``_Value`` type ``name`` whose one field, ``field``, holds ``check(field,
-    label, rule)``; ``rule`` is ``positive`` for a real, ``minimum`` for a count.  The
-    class is compiled from source, as a namedtuple is, and as lines of this file, so
-    ``field`` is its keyword and tracebacks and profilers place ``__init__`` here."""
-    source = ("\n" * (sys._getframe().f_lineno - 1) + f"class {name}(_Value):\n"
-              f"    {doc!r}\n"
-              f"    __slots__ = __match_args__ = ({field!r},)\n"
-              f"    def __init__(self, {field}):\n"
-              f"        object.__setattr__(self, {field!r}, "
-              f"{check.__name__}({field}, {label!r}, {rule!r}))\n")
-    namespace = {}
-    exec(compile(source, __file__, "exec"), globals(), namespace)
-    cls = namespace[name]
-    _SETTERS[cls] = getattr(cls, field).__set__
+    label, rule)``; ``rule`` is ``positive`` for a real, ``minimum`` for a count.  No
+    source is compiled: ``__init__`` is one closure whose argument is renamed to
+    ``field``, so ``field`` is its keyword and Python's own argument errors name it."""
+    def __init__(self, value):
+        set_field(self, check(value, label, rule))
+
+    __init__.__code__ = __init__.__code__.replace(co_varnames=("self", field))
+    __init__.__qualname__ = f"{name}.__init__"
+    cls = type(name, (_Value,), {"__doc__": doc, "__slots__": (field,),
+                                 "__match_args__": (field,), "__init__": __init__})
+    set_field = _SETTERS[cls] = getattr(cls, field).__set__
     return cls
 
 

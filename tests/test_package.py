@@ -2,7 +2,7 @@
 
 ``import ecal`` imports no submodule: each public name is loaded from its
 submodule on first use, and each CLI subcommand imports only what it uses,
-never ``typing``.
+never ``typing``, and never ``dataclasses`` but to apply ``--strict-eq2``.
 Import checks run in a fresh ``python -S`` interpreter, so modules that a
 site hook happens to import cannot hide an import of ecal's own.
 """
@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import ecal
+from test_cli import LORAWAN_STRICT_LIFECYCLE_ROWS, MINIMAL_SCENARIO
 
 # The package's public names, by the submodule they come from.
 EXPORTS = {
@@ -163,6 +164,44 @@ def test_the_bundled_carbon_table_is_read_without_importlib_resources(command, t
     assert modules & {"importlib.resources", "typing"} == set()
     table = text if command == "carbon" else (tmp_path / "fig13.csv").read_text(encoding="utf-8")
     assert table.startswith("gamma,country_code,ci_g_per_kwh,")
+
+
+# What `import dataclasses` loads; only `lifecycle --strict-eq2` may load it.
+DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+SCENARIO_CALLS = [
+    ["lifecycle", "--scenario", SCENARIO],
+    ["lifecycle", "--scenario", SCENARIO, "--gamma-sweep", "10,100"],
+    ["train-cost", "--scenario", SCENARIO],
+    ["carbon", "--scenario", SCENARIO],
+    ["carbon", "--scenario", SCENARIO, "--json"],
+    ["reproduce", "--target", "all", "--out"],
+]
+
+
+def test_importing_the_model_loads_no_dataclasses():
+    loaded = set(_fresh_python("import sys, ecal.lifecycle\nprint(*sys.modules)").split())
+    assert "ecal.lifecycle" in loaded
+    assert loaded & DATACLASS_MODULES == set()
+
+
+@pytest.mark.parametrize("argv", SCENARIO_CALLS, ids=[
+    "lifecycle", "lifecycle-gamma-sweep", "train-cost", "carbon", "carbon-json", "reproduce-all"])
+def test_scenario_calls_load_no_dataclasses(argv, tmp_path):
+    if argv[0] == "reproduce":
+        argv = [*argv, str(tmp_path)]
+    text, modules = _modules_after(argv)
+    assert "ecal.lifecycle" in modules
+    assert modules & DATACLASS_MODULES == set()
+    if argv[0] == "reproduce":
+        assert len(os.listdir(tmp_path)) == 13
+
+
+def test_strict_eq2_prints_the_same_bytes_through_dataclasses_replace(tmp_path):
+    path = tmp_path / "lorawan.json"
+    path.write_text(json.dumps({**MINIMAL_SCENARIO, "technology": "lorawan"}), encoding="utf-8")
+    text, _ = _modules_after(["lifecycle", "--scenario", str(path), "--strict-eq2"])
+    assert text + "\n" == "metric,value\n" + "".join(
+        f"{name},{value!r}\n" for name, value in LORAWAN_STRICT_LIFECYCLE_ROWS)
 
 
 def test_json_output_imports_json():

@@ -8,6 +8,7 @@ a plain tuple.
 """
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -31,6 +32,7 @@ from ecal import (
     ProcessingUnitProfile,
     RawDataset,
     ReportTable,
+    Scenario,
     ScenarioDocument,
     StorageProfile,
     Sweeps,
@@ -47,7 +49,8 @@ from ecal.units import _Value
 
 VALIDATING = {Energy, Power, BitCount, BitRate, FlopCount, EnergyPerBit, CarbonIntensity,
               PayloadSpec, TechnologyProfile, StorageProfile, MlpArchitecture,
-              ProcessingUnitProfile, RawDataset, CarbonIntensityRecord, ReportTable, Sweeps}
+              ProcessingUnitProfile, RawDataset, CarbonIntensityRecord, ReportTable, Sweeps,
+              Scenario}
 
 
 def _examples():
@@ -60,7 +63,7 @@ def _examples():
         RawDataset((1.0, 2.5)), lifecycle_report(s), bundled_ci_table()[0], carbon,
         Sweeps((10, 100), (1.0,), (0,)), ScenarioDocument(s, Sweeps((5,))),
         ReportTable(("metric", "value"), [("a", 1.0)]), FlopLedger(1, 2, 3, 4, 5),
-        gamma_sweep(s, [10])[0], carbon.rows[0],
+        gamma_sweep(s, [10])[0], carbon.rows[0], s,
     ]
 
 
@@ -77,7 +80,7 @@ def _fields(value):
 
 
 def test_every_record_type_is_covered():
-    assert len({type(value) for value in ALL}) == 23
+    assert len({type(value) for value in ALL}) == 24
     assert {type(value).__name__ for value in RECORDS} == {
         "TrainSplit", "LifecycleReport", "CarbonReport", "ScenarioDocument",
         "FlopLedger", "GammaRow", "CarbonReportRow"}
@@ -129,7 +132,9 @@ def test_records_behave_as_tuples_of_their_fields(value):
 def test_fields_are_the_slots(value):
     """A validating type keeps its fields in slots, a record in its tuple."""
     if isinstance(value, _Value):
-        assert type(value).__slots__ == value.__match_args__
+        # A Scenario also keeps its pricing, in one slot outside its fields.
+        extra = ("_lifecycle",) if isinstance(value, Scenario) else ()
+        assert type(value).__slots__ == value.__match_args__ + extra
     else:
         assert type(value).__slots__ == ()
         assert type(value)._fields == value.__match_args__
@@ -177,3 +182,45 @@ def test_copy_deepcopy_and_pickle_give_an_equal_value(value):
         assert type(clone) is type(value)
         assert clone == value
         assert repr(clone) == repr(value)
+
+
+# Scenario's dataclass fields, as @dataclass made them: name, annotation and default.
+SCENARIO_FIELDS = [
+    ("payload", "PayloadSpec", dataclasses.MISSING),
+    ("technology", "TechnologyProfile", dataclasses.MISSING),
+    ("storage", "StorageProfile", dataclasses.MISSING),
+    ("standardization", "StandardizationMethod", dataclasses.MISSING),
+    ("train_fraction", "float", dataclasses.MISSING),
+    ("epochs", "int", dataclasses.MISSING),
+    ("architecture", "MlpArchitecture", dataclasses.MISSING),
+    ("inference_batch", "int", dataclasses.MISSING),
+    ("gamma", "int", dataclasses.MISSING),
+    ("processing_unit", "ProcessingUnitProfile", dataclasses.MISSING),
+    ("invalid_samples", "int", 0),
+    ("inference_invalid_samples", "int", 0),
+    ("countries", "tuple[str, ...]", ()),
+]
+
+
+def test_a_scenario_keeps_the_dataclass_protocol():
+    s = default_scenario()
+    report = lifecycle_report(s)
+    assert dataclasses.is_dataclass(s) and dataclasses.is_dataclass(Scenario)
+    fields = dataclasses.fields(s)
+    assert [(f.name, f.type, f.default) for f in fields] == SCENARIO_FIELDS
+    assert {(f.default_factory, f.init, f.repr, f.hash, f.compare, f.kw_only)
+            for f in fields} == {(dataclasses.MISSING, True, True, None, True, False)}
+    assert dataclasses.fields(Scenario) == fields
+    assert dataclasses.asdict(s) == {name: getattr(s, name) for name in s.__match_args__}
+    with pytest.raises(TypeError):
+        vars(s)  # a Scenario has no __dict__
+    # replace rebuilds through __init__, so its checks run and the pricing is not carried;
+    # __replace__ is what copy.replace calls on Python 3.13+.
+    for changed, built in ((dataclasses.replace(s, gamma=100), default_scenario(100)),
+                           (dataclasses.replace(s), default_scenario()),
+                           (s.__replace__(gamma=100), default_scenario(100))):
+        assert changed == built and changed._lifecycle is None
+        assert repr(lifecycle_report(changed)) == repr(lifecycle_report(built))
+    assert s._lifecycle is not None and lifecycle_report(s) == report
+    with pytest.raises(ValueError, match="gamma must be >= 1, got 0"):
+        dataclasses.replace(s, gamma=0)
