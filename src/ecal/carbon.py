@@ -16,8 +16,8 @@ from itertools import repeat
 
 from . import _all_of
 from .lifecycle import Scenario, _price, _sweep
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _checked_country
-from .units import _checked_items, _checked_types, _Value, joules_to_kwh
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, FieldTypeError, _checked_count
+from .units import _checked_country, _checked_items, _checked_types, _Value, joules_to_kwh
 
 __all__ = _all_of(__name__)
 
@@ -66,6 +66,9 @@ def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensi
     """
     if hasattr(source, "read"):
         return _parse_ci_rows(source)
+    if isinstance(source, int):  # open() would read a file descriptor, then close it
+        raise FieldTypeError("source", f"must be a path or a text stream, "
+                                       f"got {type(source).__name__}")
     with open(source, "r", encoding="utf-8", newline="") as handle:
         return _parse_ci_rows(handle)
 

@@ -167,9 +167,7 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     doc = load_scenario(args.scenario)
     scenario = doc.scenario
     if args.strict_eq2:
-        from dataclasses import replace
-
-        scenario = replace(scenario, technology=without_packet_override(scenario.technology))
+        scenario = scenario.__replace__(technology=without_packet_override(scenario.technology))
     gammas: tuple[int, ...] = ()
     if args.gamma_sweep is not None:
         try:

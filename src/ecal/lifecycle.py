@@ -92,9 +92,6 @@ class Scenario(_Value):
                 inference_invalid_samples, tuple(codes), None)):
             object.__setattr__(self, name, value)
 
-    def __replace__(self, **changes) -> Scenario:  # copy.replace, as for a dataclass
-        return Scenario(**dict(zip(self.__match_args__, self._values()), **changes))
-
 
 class Sweeps(_Value):
     """Optional parameter sweeps attached to a scenario: request counts

@@ -138,13 +138,10 @@ def training_energy(
     factor.  Reports that want training energy amortized over the trained
     bits divide the absolute energy instead.
     """
-    _checked_count(n_epochs, "n_epochs", 1)
-    _checked_count(n_train, "n_train")
+    flops = training_total_flops(training_forward_flops(arch, n_epochs, n_train)).flops
     _checked_count(bits_per_sample, "bits_per_sample", 1)
-    fwd = _forward(arch)
-    total = 3 * _checked_count(n_epochs * n_train * fwd, "FLOP count")
-    return (Energy(_checked_count(total, "FLOP count") / pu.flops_per_joule),
-            EnergyPerBit(3 * fwd / (bits_per_sample * pu.flops_per_joule)))
+    return (Energy(flops / pu.flops_per_joule),
+            EnergyPerBit(3 * _forward(arch) / (bits_per_sample * pu.flops_per_joule)))
 
 
 def evaluation_energy(
@@ -155,9 +152,8 @@ def evaluation_energy(
 ) -> tuple[Energy, EnergyPerBit]:
     """Energy of evaluating ``n_eval`` samples (forward passes only) and its per-bit cost."""
     _checked_count(n_eval, "n_eval")
-    per_bit = forward_pass_energy_per_bit(arch, pu, bits_per_sample)
-    flops = _forward(arch) * n_eval
-    return Energy(_checked_count(flops, "FLOP count") / pu.flops_per_joule), per_bit
+    return (inference_energy(arch, n_eval, pu),
+            forward_pass_energy_per_bit(arch, pu, bits_per_sample))
 
 
 def forward_pass_energy_per_bit(
@@ -180,6 +176,4 @@ def inference_flops(arch: MlpArchitecture, n_infer: int) -> FlopCount:
 
 def inference_energy(arch: MlpArchitecture, n_infer: int, pu: ProcessingUnitProfile) -> Energy:
     """Energy of one inference request carrying ``n_infer`` input samples."""
-    _checked_count(n_infer, "n_infer")
-    flops = _forward(arch) * n_infer
-    return Energy(_checked_count(flops, "FLOP count") / pu.flops_per_joule)
+    return Energy(inference_flops(arch, n_infer).flops / pu.flops_per_joule)

@@ -11,7 +11,7 @@ import os
 from itertools import chain
 
 from . import _all_of
-from .units import _Value
+from .units import FieldTypeError, _Value
 
 __all__ = _all_of(__name__)
 
@@ -64,12 +64,15 @@ def reproduce(target: str) -> ReportTable:
     return getattr(figures, target)()
 
 
-def _write(path: str | os.PathLike, text: str) -> int:
-    """Write ``text`` to ``path`` as UTF-8; returns the bytes written."""
+def _write(destination: str | os.PathLike, text: str) -> int:
+    """Write ``text`` to ``destination`` as UTF-8; returns the bytes written."""
+    if isinstance(destination, int):  # open() would write a file descriptor, then close it
+        raise FieldTypeError("destination", f"must be a path or a text stream, "
+                                            f"got {type(destination).__name__}")
     data = text.encode("utf-8")
     try:
-        with open(path, "wb") as handle:
+        with open(destination, "wb") as handle:
             handle.write(data)
     except OSError as exc:
-        raise OSError(f"cannot write report to {os.fspath(path)!r}: {exc}") from exc
+        raise OSError(f"cannot write report to {os.fspath(destination)!r}: {exc}") from exc
     return len(data)

@@ -24,7 +24,7 @@ from .preprocessing import StandardizationMethod
 from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _write, reproduce
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
-from .units import BitCount, BitRate, FieldError, Power
+from .units import BitCount, BitRate, FieldError, FieldTypeError, Power
 
 __all__ = _all_of(__name__)
 
@@ -220,6 +220,8 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 
 def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
     """Read and parse a scenario file."""
+    if isinstance(path, int):  # open() would read a file descriptor, then close it
+        raise FieldTypeError("path", f"must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, "r", encoding="utf-8") as handle:
         return parse_scenario(handle.read())
 

@@ -122,8 +122,7 @@ def without_packet_override(profile: TechnologyProfile) -> TechnologyProfile:
     """Return a copy of ``profile`` with any packet-count override removed."""
     if profile.packets_override is None:
         return profile
-    return TechnologyProfile(profile.name, profile.packet_capacity, profile.packet_overhead,
-                             profile.transmit_power, profile.transmit_rate)
+    return profile.__replace__(packets_override=None)
 
 
 def payload_bits(spec: PayloadSpec) -> BitCount:
@@ -167,8 +166,7 @@ def transmitted_bits(profile: TechnologyProfile, spec: PayloadSpec) -> BitCount:
 
 def transmission_energy(profile: TechnologyProfile, b_t: BitCount) -> Energy:
     """Radio energy to transmit ``b_t`` bits: (power / rate) * bits."""
-    per_bit = profile.transmit_power.watts / profile.transmit_rate.bits_per_second
-    return Energy(_checked_real(per_bit, "energy per bit [J/b]") * b_t.bits)
+    return Energy(transmission_energy_per_bit(profile).joules_per_bit * b_t.bits)
 
 
 def transmission_energy_per_bit(profile: TechnologyProfile) -> EnergyPerBit:

@@ -5,7 +5,7 @@ FLOPs, gCO2eq/kWh) and validates at construction, so any value reaching
 downstream arithmetic is finite, correctly signed, and on the expected
 scale; the seven unit types are one table, and only ``_proven`` skips the
 check.  Conversions happen only at the boundary: the helpers at the bottom
-convert one value; ``carbon``, ``storage`` and ``lifecycle`` use the constants.
+convert one value; ``carbon`` and ``lifecycle`` use the constants.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class _Value:
 
     ``__match_args__`` names the fields (each class also takes them as its
     ``__slots__``); ``__init__`` checks each and sets it once through
-    ``object.__setattr__``.  Equality, hashing, ``repr``, copying and
-    pickling go field by field, as for a frozen dataclass.  A record that
+    ``object.__setattr__``.  Equality, hashing, ``repr``, copying, pickling
+    and ``__replace__`` go field by field, as for a frozen dataclass.  A record that
     only stores what it is given is a ``collections.namedtuple`` instead.
     """
 
@@ -162,6 +162,9 @@ class _Value:
 
     def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
         return type(self), self._values()
+
+    def __replace__(self, **changes) -> _Value:  # copy.replace on Python 3.13+
+        return type(self)(**dict(zip(self.__match_args__, self._values()), **changes))
 
 
 def _unit(name: str, field: str, label: str, check, rule, doc: str) -> type:

@@ -529,6 +529,8 @@ _WIDE = MlpArchitecture((6, 2**600, 2**600, 3))  # each width fits a float; its 
 _PU = DEFAULT_PROCESSING_UNIT
 _LOUD = TechnologyProfile("loud", BitCount(2000), BitCount(0), Power(1e303), BitRate(1.0))
 _NOT_FINITE = "energy [J] must be non-negative and finite, got inf"
+_PER_BIT_NOT_FINITE = "energy per bit [J/b] must be non-negative and finite, got inf"
+_FAST = TechnologyProfile("fast", BitCount(1), BitCount(0), Power(1e308), BitRate(1e-308))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -561,11 +563,23 @@ _NOT_FINITE = "energy [J] must be non-negative and finite, got inf"
     # Every point but the last is finite.
     (lambda: cumulative_transmission_energy(_LOUD, PayloadSpec(1, 1000), 1.0, 1000.0),
      _NOT_FINITE),
+    # Each energy equation names its own count, and reports its FLOPs before its bits.
+    (lambda: evaluation_energy(_REFERENCE, -1, _PU, 64), "n_eval must be >= 0, got -1"),
+    (lambda: inference_energy(_REFERENCE, -1, _PU), "n_infer must be >= 0, got -1"),
+    (lambda: training_energy(_REFERENCE, 0, 1, _PU, 64), "n_epochs must be >= 1, got 0"),
+    (lambda: training_energy(_REFERENCE, 1, -1, _PU, 64), "n_train must be >= 0, got -1"),
+    (lambda: training_energy(_WIDE, 1, 1, _PU, 0), beyond_float("FLOP count", 1202)),
+    (lambda: evaluation_energy(_WIDE, 1, _PU, 0), beyond_float("FLOP count", 1202)),
+    # Power over rate, and a storage density in J/b, overflow before any bit is counted.
+    (lambda: transmission_energy(_FAST, BitCount(1)), _PER_BIT_NOT_FINITE),
+    (lambda: storage_energy(StorageProfile("x", 1e308), BitCount(1)), _PER_BIT_NOT_FINITE),
 ], ids=["transmitted payload", "transmitted overhead", "storage", "preprocessing per bit",
         "training forward", "training run", "training energy forward", "training energy run",
         "training energy total", "evaluation", "evaluation run", "training bits zero",
         "evaluation bits negative", "forward pass bits bool", "training bits float",
-        "inference forward", "inference request", "cumulative series"])
+        "inference forward", "inference request", "cumulative series", "evaluation count",
+        "inference count", "training epochs", "training count", "training flops before bits",
+        "evaluation flops before bits", "transmission per bit", "storage per bit"])
 def test_equations_reject_counts_and_energies_beyond_float_range(call, message):
     with pytest.raises(FieldError) as caught:
         call()

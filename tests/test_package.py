@@ -2,7 +2,7 @@
 
 ``import ecal`` imports no submodule: each public name is loaded from its
 submodule on first use, and each CLI subcommand imports only what it uses,
-never ``typing``, and never ``dataclasses`` but to apply ``--strict-eq2``.
+never ``typing`` and never ``dataclasses``.
 Import checks run in a fresh ``python -S`` interpreter, so modules that a
 site hook happens to import cannot hide an import of ecal's own.
 """
@@ -166,11 +166,12 @@ def test_the_bundled_carbon_table_is_read_without_importlib_resources(command, t
     assert table.startswith("gamma,country_code,ci_g_per_kwh,")
 
 
-# What `import dataclasses` loads; only `lifecycle --strict-eq2` may load it.
+# What `import dataclasses` loads; no CLI call loads it.
 DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 SCENARIO_CALLS = [
     ["lifecycle", "--scenario", SCENARIO],
     ["lifecycle", "--scenario", SCENARIO, "--gamma-sweep", "10,100"],
+    ["lifecycle", "--scenario", SCENARIO, "--strict-eq2"],
     ["train-cost", "--scenario", SCENARIO],
     ["carbon", "--scenario", SCENARIO],
     ["carbon", "--scenario", SCENARIO, "--json"],
@@ -185,7 +186,8 @@ def test_importing_the_model_loads_no_dataclasses():
 
 
 @pytest.mark.parametrize("argv", SCENARIO_CALLS, ids=[
-    "lifecycle", "lifecycle-gamma-sweep", "train-cost", "carbon", "carbon-json", "reproduce-all"])
+    "lifecycle", "lifecycle-gamma-sweep", "lifecycle-strict-eq2", "train-cost", "carbon",
+    "carbon-json", "reproduce-all"])
 def test_scenario_calls_load_no_dataclasses(argv, tmp_path):
     if argv[0] == "reproduce":
         argv = [*argv, str(tmp_path)]
@@ -196,7 +198,7 @@ def test_scenario_calls_load_no_dataclasses(argv, tmp_path):
         assert len(os.listdir(tmp_path)) == 13
 
 
-def test_strict_eq2_prints_the_same_bytes_through_dataclasses_replace(tmp_path):
+def test_strict_eq2_prints_the_same_bytes_in_a_fresh_interpreter(tmp_path):
     path = tmp_path / "lorawan.json"
     path.write_text(json.dumps({**MINIMAL_SCENARIO, "technology": "lorawan"}), encoding="utf-8")
     text, _ = _modules_after(["lifecycle", "--scenario", str(path), "--strict-eq2"])

@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import os
 import re
 import time
 import tokenize
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from ecal.lifecycle import Scenario, default_scenario
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from ecal.preprocessing import StandardizationMethod
-from ecal import scenario_io
+from ecal import carbon, report, scenario_io
+from ecal.carbon import load_ci_table
 from ecal.scenario_io import (
     _SCHEMA,
     REPRODUCE_TARGETS,
@@ -22,6 +24,7 @@ from ecal.scenario_io import (
     ScenarioError,
     Sweeps,
     UnknownTargetError,
+    load_scenario,
     parse_scenario,
     reproduce,
     serialize_scenario,
@@ -649,6 +652,39 @@ def test_write_report_surfaces_destination_on_failure(tmp_path):
     missing_dir = tmp_path / "nope" / "out.csv"
     with pytest.raises(OSError, match="out.csv"):
         write_report(table, missing_dir)
+
+
+# Each call that takes a path, and the whole message it raises for a file descriptor.
+FD_ARGUMENTS = [
+    ("load_scenario", load_scenario, "path must be a str or os.PathLike, got {}"),
+    ("load_ci_table", load_ci_table, "source must be a path or a text stream, got {}"),
+    ("write_report", lambda fd: write_report(ReportTable(("a",), ((1,),)), fd),
+     "destination must be a path or a text stream, got {}"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in FD_ARGUMENTS],
+                         ids=[case[0] for case in FD_ARGUMENTS])
+def test_a_file_descriptor_is_not_a_path(call, message, monkeypatch):
+    # open() takes an int as a descriptor: it would read or write it, then close it.
+    read, write = os.pipe()
+    os.set_blocking(read, False)  # so a read of the empty pipe cannot hang
+    try:
+        for fd in (read, write):
+            with pytest.raises(FieldTypeError) as caught:
+                call(fd)
+            assert str(caught.value) == message.format("int")
+        os.fstat(read), os.fstat(write)  # both still open
+    finally:
+        os.close(read)
+        os.close(write)
+    # A bool is an int, and True is stdout, so no open() may be reached.
+    for module in (scenario_io, carbon, report):
+        monkeypatch.setattr(module, "open", None, raising=False)
+    for fd in (True, False):
+        with pytest.raises(FieldTypeError) as caught:
+            call(fd)
+        assert str(caught.value) == message.format("bool")
 
 
 # --- reproduce targets ---------------------------------------------------------

@@ -10,6 +10,8 @@ a plain tuple.
 import copy
 import dataclasses
 import pickle
+import sys
+from functools import partial
 
 import pytest
 
@@ -182,6 +184,27 @@ def test_copy_deepcopy_and_pickle_give_an_equal_value(value):
         assert type(clone) is type(value)
         assert clone == value
         assert repr(clone) == repr(value)
+
+
+@pytest.mark.parametrize("value", ALL, ids=_ids)
+def test_replace_rebuilds_through_the_constructor(value):
+    # A validating type's __replace__ is _Value's, a record's _replace namedtuple's;
+    # copy.replace, on Python 3.13+, calls __replace__ for both.
+    replacers = [value.__replace__ if isinstance(value, _Value) else value._replace]
+    if sys.version_info >= (3, 13):
+        replacers.append(partial(copy.replace, value))
+    for replace in replacers:
+        clone = replace()
+        assert type(clone) is type(value) and clone == value
+    if isinstance(value, _Value):
+        # A bad field raises what the constructor raises for it.
+        bad = {value.__match_args__[0]: None}
+        with pytest.raises((TypeError, ValueError)) as built:
+            type(value)(**dict(zip(value.__match_args__, _fields(value)), **bad))
+        for replace in replacers:
+            with pytest.raises(type(built.value)) as caught:
+                replace(**bad)
+            assert str(caught.value) == str(built.value)
 
 
 # Scenario's dataclass fields, as @dataclass made them: name, annotation and default.
