@@ -11,7 +11,7 @@ import csv
 import os
 from collections import namedtuple
 from collections.abc import Iterable
-from io import TextIOBase
+from io import BufferedIOBase, RawIOBase, TextIOBase
 from itertools import repeat
 
 from . import _all_of
@@ -64,9 +64,9 @@ def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensi
     Raises :class:`CiTableError` naming the offending line on malformed
     rows and :class:`DuplicateCountryError` on repeated (code, year) keys.
     """
-    if hasattr(source, "read"):
+    if hasattr(source, "read") and not isinstance(source, (BufferedIOBase, RawIOBase)):
         return _parse_ci_rows(source)
-    if isinstance(source, int):  # open() would read a file descriptor, then close it
+    if not isinstance(source, (str, bytes, os.PathLike)):  # an int would be a file descriptor
         raise FieldTypeError("source", f"must be a path or a text stream, "
                                        f"got {type(source).__name__}")
     with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -160,7 +160,7 @@ def cf_vs_gamma(
     chosen.sort(key=lambda r: (-r.intensity.grams_co2e_per_kwh, r.country_code))
     gs, joules, _ = _sweep(p, gammas)
     dev_kwh = p.development / JOULES_PER_KWH
-    request_kwh = p.request / JOULES_PER_KWH
+    request_kwh = p.inference_phase / JOULES_PER_KWH
     countries = []  # the gamma-independent cells of each country's rows
     for record in chosen:
         ci = record.intensity.grams_co2e_per_kwh

@@ -152,11 +152,11 @@ def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
-    from .lifecycle import _PRICED, _price
+    from .lifecycle import _TRAIN_COST, _price
     from .scenario_io import load_scenario
 
     p = _price(load_scenario(args.scenario).scenario)
-    return _key_value_table([(row, value) for (_, row), value in zip(_PRICED, p) if row])
+    return _key_value_table([(row, getattr(p, field)) for row, field in _TRAIN_COST])
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:

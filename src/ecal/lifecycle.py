@@ -127,195 +127,6 @@ def default_scenario(gamma: int = 1000) -> Scenario:
     )
 
 
-# _Lifecycle's fields, each with its `ecal train-cost` row name (None: not
-# printed); the printed fields come first, in print order.
-_PRICED = (
-    ("forward_flops", "M_FP"),
-    ("training_forward_flops", "M_MLP_FP"),
-    ("training_flops", "M_MLP"),
-    ("inference_flops", "N_inf_flops"),
-    ("training", "E_train_J"),
-    ("training_per_bit", "E_train_b_J_per_b"),
-    ("evaluation", "E_eval_J"),
-    ("forward_per_bit", "E_eval_b_J_per_b"),
-    ("inference", "E_inf_J"),
-    ("transmission", None),
-    ("storage", None),
-    ("preprocessing", None),
-    ("development", None),
-    ("development_bits", None),
-    ("development_b_t", None),
-    ("train_count", None),
-    ("request", None),
-    ("request_bits", None),
-    ("request_b_t", None),
-)
-_Lifecycle = namedtuple("_Lifecycle", [term[0] for term in _PRICED])
-_Lifecycle.__doc__ = """One scenario priced in plain joules, FLOPs and bits: the itemized
-development terms, one request's terms, and the bits each phase is
-amortized over."""
-
-
-def _collection(s: Scenario, count: int, invalid: int) -> tuple[int, float, float, float]:
-    """Transmitted bits and the transmission, storage, and preprocessing
-    joules of collecting ``count`` samples, ``invalid`` of them invalid, once."""
-    tech = s.technology
-    pu = s.processing_unit
-    payload = s.payload.bits_per_sample * count
-    b_t = payload + tech.packet_overhead.bits * _packets(tech, payload)
-    e_t = tech.transmit_power.watts / tech.transmit_rate.bits_per_second * b_t
-    e_storage = s.storage.wh_per_terabyte * JOULES_PER_WH / BITS_PER_TERABYTE * payload
-    flops = _checked_count(_flops(s.standardization, count, invalid), "FLOP count")
-    e_pre = pu.preprocessing_power.watts * (flops / pu.preprocessing_flops_per_s)
-    return b_t, e_t, e_storage, e_pre
-
-
-def _price(s: Scenario) -> _Lifecycle:
-    """Price both phases of ``s`` once, in the operation order of the
-    per-module equations, so every figure matches them bit for bit.  The
-    pricing is kept on ``s``, whose fields are immutable; a failure is not.
-
-    Raises ValueError when a count is beyond floating-point range or a returned
-    float is not finite.  Every float is non-negative and in the guarded sum, so
-    callers may wrap them, and their quotients by positive counts, unchecked.
-    """
-    if not isinstance(s, Scenario):
-        _checked_types((s, "s", Scenario))
-    p = s._lifecycle
-    if p is not None:
-        return p
-    bits_per_sample = s.payload.bits_per_sample
-    n = s.payload.sample_count
-    batch = s.inference_batch
-    fpj = s.processing_unit.flops_per_joule
-    fwd = _forward(s.architecture)
-    try:
-        b_t, e_t, e_storage, e_pre = _collection(s, n, s.invalid_samples)
-        train_count = math.floor(s.train_fraction * n)
-        eval_count = n - train_count
-        m_mlp_fp = s.epochs * train_count * fwd
-        m_mlp = 3 * m_mlp_fp
-        e_train = m_mlp / fpj
-        e_eval = fwd * eval_count / fpj
-        development = e_t + e_storage + e_pre + e_train + e_eval
-
-        req_b_t, req_t, req_storage, req_pre = _collection(s, batch, s.inference_invalid_samples)
-        n_inf = fwd * batch
-        e_inf = n_inf / fpj
-        request = req_t + req_storage + req_pre + e_inf
-        training_per_bit = 3 * fwd / (bits_per_sample * fpj)
-        forward_per_bit = fwd / (bits_per_sample * fpj)
-    except OverflowError:
-        raise ValueError(
-            "scenario is too large to price: a count exceeds the floating-point range"
-        ) from None
-    if not math.isfinite(development + request + training_per_bit + forward_per_bit):
-        raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
-                         f"one request {request!r} J, training {training_per_bit!r} J/b")
-
-    p = _Lifecycle(  # in _PRICED's order
-        fwd, m_mlp_fp, m_mlp, n_inf, e_train, training_per_bit, e_eval, forward_per_bit, e_inf,
-        e_t, e_storage, e_pre, development,
-        b_t + bits_per_sample * (2 * n + train_count + eval_count), b_t, train_count,
-        request, req_b_t + 3 * bits_per_sample * batch, req_b_t)
-    object.__setattr__(s, "_lifecycle", p)
-    return p
-
-
-def _at(p: _Lifecycle, gamma: int) -> tuple[float, float]:
-    """Lifecycle joules and bits after ``gamma`` requests.
-
-    Raises ValueError when either leaves the floating-point range.
-    """
-    try:
-        joules = p.development + gamma * p.request
-        bits = float(p.development_bits + gamma * p.request_bits)
-    except OverflowError:
-        joules = math.inf
-    if joules == math.inf:
-        raise ValueError(
-            f"gamma is too large to price: lifecycle energy or bits exceed the "
-            f"floating-point range (gamma has {gamma.bit_length()} bits)"
-        )
-    return joules, bits
-
-
-def _sweep(p: _Lifecycle, gammas: Iterable[int]) -> tuple[tuple[int, ...], list, Iterator]:
-    """``gammas`` as a tuple, once each is shown an integer >= 1 that ``p`` prices,
-    with the lifecycle joules that ``_at`` gives for each, and its bits, made as read.
-
-    Joules and bits are non-decreasing in gamma, so the largest stands for all;
-    failing that, a check in list order raises for the first bad gamma.
-    """
-    gs = _checked_items(gammas, "gammas")
-    try:
-        proven = gs and set(map(type, gs)) == {int} and min(gs) >= 1 and _at(p, max(gs))
-    except ValueError:
-        proven = False
-    if not proven:
-        for gamma in gs:
-            _at(p, _checked_count(gamma, "gamma", 1))
-    joules = list(map(add, repeat(p.development), map(mul, gs, repeat(p.request))))
-    bits = map(float, map(add, repeat(p.development_bits), map(mul, gs, repeat(p.request_bits))))
-    return gs, joules, bits
-
-
-def development_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
-    """Total energy of developing the model and its per-bit figure.
-
-    The per-bit denominator counts the transmitted bits once plus the
-    payload bits handled by storage and preprocessing (twice the dataset)
-    plus the training and evaluation samples.
-    """
-    p = _price(s)
-    return Energy(p.development), EnergyPerBit(p.development / p.development_bits)
-
-
-def inference_phase_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
-    """Energy of one inference request and its per-bit figure.
-
-    A request re-prices transmission, storage, and preprocessing for its
-    own ``inference_batch`` samples, then adds the forward-pass energy.
-    """
-    p = _price(s)
-    return Energy(p.request), EnergyPerBit(p.request / p.request_bits)
-
-
-def ecal_abs(s: Scenario) -> Energy:
-    """Absolute lifecycle energy: development plus gamma inference requests."""
-    return Energy(_at(_price(s), s.gamma)[0])
-
-
-def ecal_abs_mean(s: Scenario) -> Energy:
-    """Average lifecycle energy per inference request.
-
-    Strictly decreasing in gamma, approaching the per-request energy as the
-    development cost is spread over more requests.
-    """
-    return Energy(_at(_price(s), s.gamma)[0] / s.gamma)
-
-
-def ecal(s: Scenario) -> EnergyPerBit:
-    """Lifecycle energy per manipulated application-level bit."""
-    joules, bits = _at(_price(s), s.gamma)
-    return EnergyPerBit(joules / bits)
-
-
-GammaRow = namedtuple("GammaRow", "gamma ecal_abs ecal_abs_mean ecal")
-GammaRow.__doc__ = """One point of a gamma sweep."""
-
-
-def gamma_sweep(s: Scenario, gammas: Iterable[int]) -> list[GammaRow]:
-    """Evaluate the lifecycle metrics at each request count in ``gammas``.
-
-    Rows are independent and returned in input order.
-    """
-    gs, joules, bits = _sweep(_price(s), gammas)
-    columns = (gs, _proven(Energy, joules), _proven(Energy, list(map(truediv, joules, gs))),
-               _proven(EnergyPerBit, list(map(truediv, joules, bits))))
-    return list(map(tuple.__new__, repeat(GammaRow), zip(*columns)))
-
-
 # LifecycleReport's fields, each with its type and its `ecal lifecycle` row
 # name, in print order.
 _TERMS = (
@@ -346,6 +157,193 @@ scenario."""
 _UNITS = [kind for _, kind, _ in _TERMS[1:]]  # the unit type of each field after gamma
 
 
+# `ecal train-cost`'s rows, each with the _Lifecycle field it prints, in print order.
+_TRAIN_COST = (
+    ("M_FP", "forward_flops"),
+    ("M_MLP_FP", "training_forward_flops"),
+    ("M_MLP", "training_flops"),
+    ("N_inf_flops", "inference_flops"),
+    ("E_train_J", "training"),
+    ("E_train_b_J_per_b", "training_per_bit"),
+    ("E_eval_J", "evaluation"),
+    ("E_eval_b_J_per_b", "forward_per_bit"),
+    ("E_inf_J", "inference"),
+)
+_Lifecycle = namedtuple("_Lifecycle", (
+    "forward_flops", "training_forward_flops", "training_flops", "inference_flops",
+    "forward_per_bit", *[term[0] for term in _TERMS[1:-3]]))
+_Lifecycle.__doc__ = """One scenario priced in plain ints and floats: five FLOP and per-bit
+terms that only `ecal train-cost` prints, then every LifecycleReport field that
+does not depend on gamma, under its report name and in its report order."""
+
+
+def _collection(s: Scenario, count: int, invalid: int) -> tuple[int, float, float, float]:
+    """Transmitted bits and the transmission, storage, and preprocessing
+    joules of collecting ``count`` samples, ``invalid`` of them invalid, once."""
+    tech = s.technology
+    pu = s.processing_unit
+    payload = s.payload.bits_per_sample * count
+    b_t = payload + tech.packet_overhead.bits * _packets(tech, payload)
+    e_t = tech.transmit_power.watts / tech.transmit_rate.bits_per_second * b_t
+    e_storage = s.storage.wh_per_terabyte * JOULES_PER_WH / BITS_PER_TERABYTE * payload
+    flops = _checked_count(_flops(s.standardization, count, invalid), "FLOP count")
+    e_pre = pu.preprocessing_power.watts * (flops / pu.preprocessing_flops_per_s)
+    return b_t, e_t, e_storage, e_pre
+
+
+def _price(s: Scenario) -> _Lifecycle:
+    """Price both phases of ``s`` once, in the operation order of the
+    per-module equations, so every figure matches them bit for bit.  The
+    pricing is kept on ``s``, whose fields are immutable; a failure is not.
+
+    Raises ValueError when a count is beyond floating-point range or a returned
+    float is not finite, so callers may wrap every figure unchecked.  Each bit
+    denominator fits a float, and so do both after one request: only gamma can
+    take ``_at`` beyond the range.
+    """
+    if not isinstance(s, Scenario):
+        _checked_types((s, "s", Scenario))
+    p = s._lifecycle
+    if p is not None:
+        return p
+    bits_per_sample = s.payload.bits_per_sample
+    n = s.payload.sample_count
+    batch = s.inference_batch
+    fpj = s.processing_unit.flops_per_joule
+    fwd = _forward(s.architecture)
+    try:
+        b_t, e_t, e_storage, e_pre = _collection(s, n, s.invalid_samples)
+        train_count = math.floor(s.train_fraction * n)
+        eval_count = n - train_count
+        m_mlp_fp = s.epochs * train_count * fwd
+        m_mlp = 3 * m_mlp_fp
+        e_train = m_mlp / fpj
+        e_eval = fwd * eval_count / fpj
+        development = e_t + e_storage + e_pre + e_train + e_eval
+        dev_bits = b_t + bits_per_sample * (2 * n + train_count + eval_count)
+
+        req_b_t, req_t, req_storage, req_pre = _collection(s, batch, s.inference_invalid_samples)
+        n_inf = fwd * batch
+        e_inf = n_inf / fpj
+        request = req_t + req_storage + req_pre + e_inf
+        req_bits = req_b_t + 3 * bits_per_sample * batch
+        training_per_bit = 3 * fwd / (bits_per_sample * fpj)
+        forward_per_bit = fwd / (bits_per_sample * fpj)
+        development_per_bit = development / dev_bits
+        training_per_trained_bit = (e_train / (bits_per_sample * train_count)
+                                    if train_count else 0.0)
+        inference_phase_per_bit = request / req_bits
+        float(dev_bits + req_bits)  # the bits after one request fit too: only gamma fails _at
+    except OverflowError:
+        raise ValueError(
+            "scenario is too large to price: a count exceeds the floating-point range"
+        ) from None
+    if not math.isfinite(development + request + training_per_bit + forward_per_bit):
+        raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
+                         f"one request {request!r} J, training {training_per_bit!r} J/b")
+
+    p = _Lifecycle(
+        fwd, m_mlp_fp, m_mlp, n_inf, forward_per_bit, b_t, dev_bits, req_b_t, req_bits,
+        e_t, e_storage, e_pre, e_train, e_eval, e_inf, development, development_per_bit,
+        training_per_bit, training_per_trained_bit, request, inference_phase_per_bit)
+    object.__setattr__(s, "_lifecycle", p)
+    return p
+
+
+def _at(p: _Lifecycle, gamma: int) -> tuple[float, float]:
+    """Lifecycle joules and bits after ``gamma`` requests.
+
+    Raises ValueError when either leaves the floating-point range.
+    """
+    try:
+        joules = p.development + gamma * p.inference_phase
+        bits = float(p.development_denominator_bits + gamma * p.inference_denominator_bits)
+    except OverflowError:
+        joules = math.inf
+    if joules == math.inf:
+        raise ValueError(
+            f"gamma is too large to price: lifecycle energy or bits exceed the "
+            f"floating-point range (gamma has {gamma.bit_length()} bits)"
+        )
+    return joules, bits
+
+
+def _sweep(p: _Lifecycle, gammas: Iterable[int]) -> tuple[tuple[int, ...], list, Iterator]:
+    """``gammas`` as a tuple, once each is shown an integer >= 1 that ``p`` prices,
+    with the lifecycle joules that ``_at`` gives for each, and its bits, made as read.
+
+    Joules and bits are non-decreasing in gamma, so the largest stands for all;
+    failing that, a check in list order raises for the first bad gamma.
+    """
+    gs = _checked_items(gammas, "gammas")
+    try:
+        proven = gs and set(map(type, gs)) == {int} and min(gs) >= 1 and _at(p, max(gs))
+    except ValueError:
+        proven = False
+    if not proven:
+        for gamma in gs:
+            _at(p, _checked_count(gamma, "gamma", 1))
+    joules = list(map(add, repeat(p.development), map(mul, gs, repeat(p.inference_phase))))
+    bits = map(float, map(add, repeat(p.development_denominator_bits),
+                          map(mul, gs, repeat(p.inference_denominator_bits))))
+    return gs, joules, bits
+
+
+def development_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
+    """Total energy of developing the model and its per-bit figure.
+
+    The per-bit denominator counts the transmitted bits once plus the
+    payload bits handled by storage and preprocessing (twice the dataset)
+    plus the training and evaluation samples.
+    """
+    p = _price(s)
+    return Energy(p.development), EnergyPerBit(p.development_per_bit)
+
+
+def inference_phase_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
+    """Energy of one inference request and its per-bit figure.
+
+    A request re-prices transmission, storage, and preprocessing for its
+    own ``inference_batch`` samples, then adds the forward-pass energy.
+    """
+    p = _price(s)
+    return Energy(p.inference_phase), EnergyPerBit(p.inference_phase_per_bit)
+
+
+def ecal_abs(s: Scenario) -> Energy:
+    """Absolute lifecycle energy: development plus gamma inference requests."""
+    return lifecycle_report(s).ecal_abs
+
+
+def ecal_abs_mean(s: Scenario) -> Energy:
+    """Average lifecycle energy per inference request.
+
+    Strictly decreasing in gamma, approaching the per-request energy as the
+    development cost is spread over more requests.
+    """
+    return lifecycle_report(s).ecal_abs_mean
+
+
+def ecal(s: Scenario) -> EnergyPerBit:
+    """Lifecycle energy per manipulated application-level bit."""
+    return lifecycle_report(s).ecal
+
+
+GammaRow = namedtuple("GammaRow", "gamma ecal_abs ecal_abs_mean ecal")
+GammaRow.__doc__ = """One point of a gamma sweep."""
+
+
+def gamma_sweep(s: Scenario, gammas: Iterable[int]) -> list[GammaRow]:
+    """Evaluate the lifecycle metrics at each request count in ``gammas``.
+
+    Rows are independent and returned in input order.
+    """
+    gs, joules, bits = _sweep(_price(s), gammas)
+    columns = (gs, _proven(Energy, joules), _proven(Energy, list(map(truediv, joules, gs))),
+               _proven(EnergyPerBit, list(map(truediv, joules, bits))))
+    return list(map(tuple.__new__, repeat(GammaRow), zip(*columns)))
+
+
 def lifecycle_report(s: Scenario) -> LifecycleReport:
     """Evaluate every lifecycle quantity of a scenario in one pass.
 
@@ -355,10 +353,5 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
     """
     p = _price(s)
     joules, bits = _at(p, s.gamma)
-    trained_bits = s.payload.bits_per_sample * p.train_count
-    return tuple.__new__(LifecycleReport, (s.gamma, *_proven(_UNITS, (  # in _TERMS' order
-        p.development_b_t, p.development_bits, p.request_b_t, p.request_bits,
-        p.transmission, p.storage, p.preprocessing, p.training, p.evaluation, p.inference,
-        p.development, p.development / p.development_bits, p.training_per_bit,
-        p.training / trained_bits if trained_bits else 0.0, p.request,
-        p.request / p.request_bits, joules, joules / s.gamma, joules / bits))))
+    return tuple.__new__(LifecycleReport, (s.gamma, *_proven(_UNITS, (
+        *p[5:], joules, joules / s.gamma, joules / bits))))

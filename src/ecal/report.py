@@ -66,7 +66,7 @@ def reproduce(target: str) -> ReportTable:
 
 def _write(destination: str | os.PathLike, text: str) -> int:
     """Write ``text`` to ``destination`` as UTF-8; returns the bytes written."""
-    if isinstance(destination, int):  # open() would write a file descriptor, then close it
+    if not isinstance(destination, (str, bytes, os.PathLike)):  # an int would be a file descriptor
         raise FieldTypeError("destination", f"must be a path or a text stream, "
                                             f"got {type(destination).__name__}")
     data = text.encode("utf-8")

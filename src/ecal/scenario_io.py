@@ -14,7 +14,7 @@ import json
 import os
 from collections import namedtuple
 from collections.abc import Callable
-from io import TextIOBase
+from io import BufferedIOBase, RawIOBase, TextIOBase
 from operator import attrgetter
 
 from . import _all_of
@@ -220,7 +220,7 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 
 def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
     """Read and parse a scenario file."""
-    if isinstance(path, int):  # open() would read a file descriptor, then close it
+    if not isinstance(path, (str, bytes, os.PathLike)):  # an int would be a file descriptor
         raise FieldTypeError("path", f"must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, "r", encoding="utf-8") as handle:
         return parse_scenario(handle.read())
@@ -229,7 +229,7 @@ def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
 def write_report(table: ReportTable, destination: str | os.PathLike | TextIOBase) -> int:
     """Write a table as UTF-8 CSV to a path or text stream; returns bytes written."""
     text = table.to_csv()
-    if hasattr(destination, "write"):
+    if hasattr(destination, "write") and not isinstance(destination, (BufferedIOBase, RawIOBase)):
         destination.write(text)
         return len(text.encode("utf-8"))
     return _write(destination, text)

@@ -333,6 +333,18 @@ def test_train_cost_rejects_an_overflowing_per_bit_training_energy(capsys, tmp_p
     assert len(errors[0].splitlines()) == 1
 
 
+def test_a_scenario_whose_bits_overflow_fails_alike_in_every_subcommand(capsys, tmp_path):
+    # Every joule is finite at gamma 1, but the development bits exceed the float range.
+    doc = {**MINIMAL_SCENARIO, "samples": 8388608, "bit_precision": 10**301,
+           "mlp": {"layers": [6, 5, 3]}, "gamma": 1}
+    path = tmp_path / "wide_bits.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("train-cost", "lifecycle", "carbon"):
+        assert run([command, "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", "ecal: error: scenario is too large to price: "
+                                           "a count exceeds the floating-point range\n")
+
+
 def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
     huge = "1" + "0" * 400
     assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge}"]) == 1

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 from dataclasses import asdict, replace
 
@@ -13,8 +14,8 @@ from ecal.lifecycle import (
     GammaRow,
     LifecycleReport,
     Scenario,
-    _PRICED,
     _TERMS,
+    _TRAIN_COST,
     _at,
     _price,
     default_scenario,
@@ -342,8 +343,8 @@ def test_the_headline_ratio_is_set_by_two_phase_ratios():
 
     s = default_scenario()
     p = _price(s)
-    e = p.development / p.request
-    b = p.development_bits / p.request_bits
+    e = p.development / p.inference_phase
+    b = p.development_denominator_bits / p.inference_denominator_bits
     assert (round(e, 3), round(b, 4)) == (58.533, 3.3083)
     expected = ecal(replace(s, gamma=100)).joules_per_bit / ecal(s).joules_per_bit
     assert r(e, b) == approx(expected)
@@ -602,18 +603,33 @@ def test_non_finite_phase_energy_is_a_value_error():
         inference_phase_energy(tiny)
 
 
+TOO_LARGE = "scenario is too large to price: a count exceeds the floating-point range"
+
+
 def test_overflowing_per_bit_training_energy_is_a_value_error():
-    # Development plus one request stays finite at gamma 1, but the closed-form
-    # training energy per bit, 3 * M_FP / (alpha * fpj), overflows.
-    s = replace(
+    tiny = replace(
         default_scenario(gamma=1), payload=PayloadSpec(1, 1), inference_batch=1,
         architecture=MlpArchitecture((6, 5, 3)),
         processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 1.474111431261021e-306),
     )
     finite_phases = r"development \S+e\+307 J, one request \S+e\+307 J, training inf J/b"
-    for price in (lifecycle_report, development_energy, lambda x: gamma_sweep(x, [1])):
-        with pytest.raises(ValueError, match=f"lifecycle energy is not finite: {finite_phases}"):
-            price(s)
+    wide = replace(default_scenario(gamma=1), payload=PayloadSpec(10**301, 8388608),
+                   architecture=MlpArchitecture((6, 5, 3)))
+    one_each = replace(wide, payload=PayloadSpec(3 * 2**1020, 1), inference_batch=1)
+    for s, message in (
+        # Development plus one request stays finite at gamma 1, but the closed-form
+        # training energy per bit, 3 * M_FP / (alpha * fpj), overflows.
+        (tiny, f"lifecycle energy is not finite: {finite_phases}"),
+        # Every joule is finite, but the development bits exceed the float range.
+        (wide, re.escape(TOO_LARGE)),
+        # Each phase's bits fit a float (1.37e308), but not both after one request.
+        (one_each, re.escape(TOO_LARGE)),
+    ):
+        for price in (_price, lifecycle_report, development_energy, inference_phase_energy,
+                      ecal, ecal_abs_mean, lambda x: gamma_sweep(x, [1]),
+                      lambda x: cf_vs_gamma(x, bundled_ci_table(), [1])):
+            with pytest.raises(ValueError, match=message):
+                price(s)
 
 
 @st.composite
@@ -698,7 +714,7 @@ def test_every_priced_term_is_its_stage_equation_bit_for_bit(s):
     assert report.evaluation == evaluation_energy(arch, split.eval_count, pu, bits)[0]
     assert report.inference == inference_energy(arch, s.inference_batch, pu)
     m_mlp_fp = training_forward_flops(arch, s.epochs, split.train_count)
-    assert [getattr(p, field) for field, _ in _PRICED[:4]] == [
+    assert [getattr(p, field) for _, field in _TRAIN_COST[:4]] == [
         forward_flops(arch).flops, m_mlp_fp.flops, training_total_flops(m_mlp_fp).flops,
         inference_flops(arch, s.inference_batch).flops]
     assert p.forward_per_bit == forward_pass_energy_per_bit(arch, pu, bits).joules_per_bit
@@ -763,13 +779,31 @@ def _unit_fields(record):
 @settings(max_examples=80, deadline=None)
 @given(scenarios(), st.data())
 def test_trusted_outputs_are_what_the_checked_constructors_build(s, data):
-    # Half the draws take an energy efficiency so low that some terms approach
-    # or pass the float range: a call may then raise, but never hand back a
-    # unit that its public constructor would reject.
+    # Half the draws take an energy efficiency so low, or a sample so wide, or
+    # both, that some terms or bit counts approach or pass the float range: a
+    # call may then raise a ValueError, but never an OverflowError, and never
+    # hand back a unit that its public constructor would reject.
     extreme = data.draw(st.booleans())
     if extreme:
-        fpj = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(st.integers(-308, -290))
-        s = replace(s, processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, fpj))
+        kind = data.draw(st.sampled_from(["efficiency", "width", "both"]))
+        pu, bits = s.processing_unit, s.payload.bits_per_sample
+        if kind != "width":
+            fpj = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(st.integers(-308, -290))
+            pu = ProcessingUnitProfile(Power(140.0), 1e10, fpj)
+        if kind != "efficiency":
+            bits = data.draw(st.integers(2**996, 2**1016))
+        s = replace(s, payload=PayloadSpec(bits, s.payload.sample_count), processing_unit=pu)
+    # At gamma 1 only the scenario can fail to price, and it fails alike for every caller.
+    one = replace(s, gamma=1)
+    outcomes = set()
+    for price in (_price, lifecycle_report, development_energy, inference_phase_energy):
+        try:
+            price(one)
+            outcomes.add(None)
+        except ValueError as exc:
+            outcomes.add(str(exc))
+    assert len(outcomes) == 1
+    assert extreme or outcomes == {None}
     gammas = (1, s.gamma, data.draw(st.integers(1, 10**12)))
     calls = [lambda: _unit_fields(lifecycle_report(s))]
     calls += [lambda gamma=gamma: list(gamma_sweep(s, [gamma])[0][1:]) for gamma in gammas]
@@ -801,7 +835,7 @@ def _row_by_row(s, records, gammas):
             ci = r.intensity.grams_co2e_per_kwh
             carbon.append(CarbonReportRow(
                 gamma, r.country_code, r.country_name, r.intensity,
-                p.development / JOULES_PER_KWH * ci, p.request / JOULES_PER_KWH * ci,
+                p.development / JOULES_PER_KWH * ci, p.inference_phase / JOULES_PER_KWH * ci,
                 joules / JOULES_PER_KWH * ci))
     return sweep, carbon
 
@@ -820,7 +854,8 @@ def test_bulk_rows_are_bit_identical_to_the_row_by_row_formula(s, data):
     # Gammas around the largest that prices, in any order, repeated or none at
     # all: each row matches bit for bit, or both sides raise the same error.
     p = _price(s)
-    edge = int(min(sys.float_info.max / p.request, sys.float_info.max / p.request_bits))
+    edge = int(min(sys.float_info.max / p.inference_phase,
+                   sys.float_info.max / p.inference_denominator_bits))
     gamma = st.one_of(st.integers(1, 10**9), st.integers(1, 2 * edge),
                       st.integers(edge - (edge >> 48), edge + (edge >> 48)))
     gammas = data.draw(st.lists(gamma, max_size=12))

@@ -654,18 +654,21 @@ def test_write_report_surfaces_destination_on_failure(tmp_path):
         write_report(table, missing_dir)
 
 
-# Each call that takes a path, and the whole message it raises for a file descriptor.
+# Each call that takes a path, the whole message it raises for a file descriptor,
+# and other arguments that are neither a path nor a stream it takes.
 FD_ARGUMENTS = [
-    ("load_scenario", load_scenario, "path must be a str or os.PathLike, got {}"),
-    ("load_ci_table", load_ci_table, "source must be a path or a text stream, got {}"),
+    ("load_scenario", load_scenario, "path must be a str or os.PathLike, got {}",
+     lambda: (None, io.StringIO("{}"))),
+    ("load_ci_table", load_ci_table, "source must be a path or a text stream, got {}",
+     lambda: (None, io.BytesIO(b"country_code,country_name,year,ci_g_per_kwh\n"))),
     ("write_report", lambda fd: write_report(ReportTable(("a",), ((1,),)), fd),
-     "destination must be a path or a text stream, got {}"),
+     "destination must be a path or a text stream, got {}", lambda: (None, io.BytesIO())),
 ]
 
 
-@pytest.mark.parametrize("call, message", [case[1:] for case in FD_ARGUMENTS],
+@pytest.mark.parametrize("call, message, others", [case[1:] for case in FD_ARGUMENTS],
                          ids=[case[0] for case in FD_ARGUMENTS])
-def test_a_file_descriptor_is_not_a_path(call, message, monkeypatch):
+def test_a_file_descriptor_is_not_a_path(call, message, others, monkeypatch):
     # open() takes an int as a descriptor: it would read or write it, then close it.
     read, write = os.pipe()
     os.set_blocking(read, False)  # so a read of the empty pipe cannot hang
@@ -685,6 +688,12 @@ def test_a_file_descriptor_is_not_a_path(call, message, monkeypatch):
         with pytest.raises(FieldTypeError) as caught:
             call(fd)
         assert str(caught.value) == message.format("bool")
+    # None, a stream where only a path is taken, and a binary stream where text is read
+    # or written.
+    for other in others():
+        with pytest.raises(FieldTypeError) as caught:
+            call(other)
+        assert str(caught.value) == message.format(type(other).__name__)
 
 
 # --- reproduce targets ---------------------------------------------------------
