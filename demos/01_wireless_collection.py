@@ -30,7 +30,7 @@ print(f"{'technology':>10} {'packets':>8} {'on-air bits':>12} "
       f"{'overhead %':>11} {'J per bit':>12} {'J per transfer':>15}")
 for profile in (BLE5, ZIGBEE, LORAWAN):
     b_t = transmitted_bits(profile, spec)
-    pct = 100 * profile.packet_overhead.bits / profile.packet_capacity.bits
+    pct = 100 * profile.packet_overhead / profile.packet_capacity
     per_bit = transmission_energy_per_bit(profile)
     energy = transmission_energy(profile, b_t)
     print(f"{profile.name:>10} {packet_count(profile, spec):>8} {b_t.bits:>12} "

@@ -65,6 +65,6 @@ pu = DEFAULT_PROCESSING_UNIT
 flops = preprocessing_flops(StandardizationMethod.NORMALIZATION, 256, 0)
 t_pre, e_pre = preprocessing_energy(pu, flops)
 per_bit = preprocessing_energy_per_bit(e_pre, spec)
-print(f"\nNormalizing 256 samples on a {pu.preprocessing_power.watts:.0f} W, "
+print(f"\nNormalizing 256 samples on a {pu.preprocessing_power:.0f} W, "
       f"{pu.preprocessing_flops_per_s:.0e} FLOPs/s unit: "
       f"{t_pre:.3g} s, {e_pre.joules:.4g} J, {per_bit.joules_per_bit:.4g} J/b")

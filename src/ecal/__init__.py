@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # it, led by the submodule's own name where that is exported too.  Each
 # submodule's __all__ is read from here through _all_of.
 _EXPORTS = {
-    "units": "units BitCount BitRate CarbonIntensity Energy EnergyPerBit FlopCount Power "
-             "joules_to_kwh kwh_to_joules wh_per_tb_to_j_per_bit",
+    "units": "units BitCount CarbonIntensity Energy EnergyPerBit FlopCount joules_to_kwh "
+             "kwh_to_joules wh_per_tb_to_j_per_bit",
     "transmission": "transmission BLE5 BUILTIN_TECHNOLOGIES LORAWAN PayloadSpec "
                     "TechnologyProfile ZIGBEE cumulative_transmission_energy "
                     "fixed_overhead_profile packet_count payload_bits technology_profile "

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
+from functools import partial
 
 from .report import REPRODUCE_TARGETS, ReportTable, _write
 
@@ -31,19 +32,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ecal", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # Every parser wraps help at 78 columns, the width argparse falls back to
+    # without a terminal: asking for the terminal's width would import shutil.
+    new = partial(_Parser, formatter_class=partial(argparse.HelpFormatter, width=78))
+    parser = new(prog="ecal", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new)
 
     # Options that several subcommands share, each declared once.
-    output = argparse.ArgumentParser(add_help=False)
+    output = new(add_help=False)
     output.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     output.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
-    dataset = argparse.ArgumentParser(add_help=False)
+    dataset = new(add_help=False)
     dataset.add_argument("--samples", type=int, required=True)
     dataset.add_argument("--precision", type=int, default=64, help="bits per sample")
-    scenario = argparse.ArgumentParser(add_help=False)
+    scenario = new(add_help=False)
     scenario.add_argument("--scenario", required=True, metavar="FILE")
-    strict = argparse.ArgumentParser(add_help=False)
+    strict = new(add_help=False)
     strict.add_argument("--strict-eq2", action="store_true",
                         help="ignore per-profile packet-count overrides")
 
@@ -247,8 +251,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         if table is not None:
             _emit(table, args)
         return 0
-    except (ValueError, LookupError) as exc:
-        print(f"ecal: error: {exc}", file=sys.stderr)
+    except (ValueError, LookupError) as exc:  # a KeyError's str is its message's repr
+        print(f"ecal: error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ecal: i/o error: {exc}", file=sys.stderr)

@@ -42,11 +42,11 @@ def table1() -> ReportTable:
         rows.append(
             (
                 profile.name,
-                profile.packet_capacity.bits,
+                profile.packet_capacity,
                 packet_count(profile, spec),
-                profile.packet_overhead.bits,
+                profile.packet_overhead,
                 transmitted_bits(profile, spec).bits,
-                100.0 * profile.packet_overhead.bits / profile.packet_capacity.bits,
+                100.0 * profile.packet_overhead / profile.packet_capacity,
             )
         )
     return ReportTable(
@@ -62,8 +62,8 @@ def table2() -> ReportTable:
         rows.append(
             (
                 profile.name,
-                profile.transmit_power.watts * 1e3,
-                profile.transmit_rate.bits_per_second,
+                profile.transmit_power * 1e3,
+                profile.transmit_rate,
                 transmission_energy_per_bit(profile).joules_per_bit,
             )
         )

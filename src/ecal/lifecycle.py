@@ -183,11 +183,11 @@ def _collection(s: Scenario, count: int, invalid: int) -> tuple[int, float, floa
     tech = s.technology
     pu = s.processing_unit
     payload = s.payload.bits_per_sample * count
-    b_t = payload + tech.packet_overhead.bits * _packets(tech, payload)
-    e_t = tech.transmit_power.watts / tech.transmit_rate.bits_per_second * b_t
+    b_t = payload + tech.packet_overhead * _packets(tech, payload)
+    e_t = tech.transmit_power / tech.transmit_rate * b_t
     e_storage = s.storage.wh_per_terabyte * JOULES_PER_WH / BITS_PER_TERABYTE * payload
     flops = _checked_count(_flops(s.standardization, count, invalid), "FLOP count")
-    e_pre = pu.preprocessing_power.watts * (flops / pu.preprocessing_flops_per_s)
+    e_pre = pu.preprocessing_power * (flops / pu.preprocessing_flops_per_s)
     return b_t, e_t, e_storage, e_pre
 
 

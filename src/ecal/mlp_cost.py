@@ -14,8 +14,8 @@ import math
 from collections import namedtuple
 
 from . import _all_of
-from .units import Energy, EnergyPerBit, FieldError, FlopCount, Power
-from .units import _checked_count, _checked_items, _checked_real, _checked_types, _Value
+from .units import Energy, EnergyPerBit, FieldError, FlopCount
+from .units import _checked_count, _checked_items, _checked_real, _Value
 
 __all__ = _all_of(__name__)
 
@@ -45,31 +45,26 @@ class ProcessingUnitProfile(_Value):
     """Compute-side parameters of the machine running the pipeline.
 
     Args:
-        preprocessing_power: power drawn while preprocessing runs.
-        preprocessing_flops_per_s: sustained preprocessing throughput.
+        preprocessing_power: power drawn while preprocessing runs, in W.
+        preprocessing_flops_per_s: sustained preprocessing throughput, in FLOP/s.
         flops_per_joule: efficiency applied to training, evaluation, and
-            inference FLOPs.
+            inference FLOPs, in FLOP/J.
     """
 
     __slots__ = __match_args__ = ("preprocessing_power", "preprocessing_flops_per_s",
                                   "flops_per_joule")
 
-    def __init__(self, preprocessing_power: Power, preprocessing_flops_per_s: float,
+    def __init__(self, preprocessing_power: float, preprocessing_flops_per_s: float,
                  flops_per_joule: float) -> None:
-        _checked_types((preprocessing_power, "preprocessing_power", Power))
-        _checked_real(preprocessing_power.watts, "preprocessing_power", positive=True)
-        object.__setattr__(self, "preprocessing_power", preprocessing_power)
+        object.__setattr__(self, "preprocessing_power", _checked_real(
+            preprocessing_power, "preprocessing_power", positive=True))
         object.__setattr__(self, "preprocessing_flops_per_s", _checked_real(
             preprocessing_flops_per_s, "preprocessing_flops_per_s", positive=True))
         object.__setattr__(self, "flops_per_joule",
                            _checked_real(flops_per_joule, "flops_per_joule", positive=True))
 
 
-DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(
-    preprocessing_power=Power(140.0),
-    preprocessing_flops_per_s=1e10,
-    flops_per_joule=DEFAULT_FLOPS_PER_JOULE,
-)
+DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(140.0, 1e10, DEFAULT_FLOPS_PER_JOULE)
 
 
 TrainSplit = namedtuple("TrainSplit", "sample_count train_fraction train_count eval_count")

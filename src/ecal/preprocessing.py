@@ -186,7 +186,7 @@ def preprocessing_energy(
 ) -> tuple[float, Energy]:
     """Execution time in seconds and energy of ``m_pre`` preprocessing FLOPs."""
     t_pre = m_pre.flops / pu.preprocessing_flops_per_s
-    return t_pre, Energy(pu.preprocessing_power.watts * t_pre)
+    return t_pre, Energy(pu.preprocessing_power * t_pre)
 
 
 def preprocessing_energy_per_bit(e_pre: Energy, spec: PayloadSpec) -> EnergyPerBit:

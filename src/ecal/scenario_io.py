@@ -24,7 +24,7 @@ from .preprocessing import StandardizationMethod
 from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _write, reproduce
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
-from .units import BitCount, BitRate, FieldError, FieldTypeError, Power
+from .units import FieldError, FieldTypeError
 
 __all__ = _all_of(__name__)
 
@@ -46,21 +46,15 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _build(path: str, names: dict | None, factory: Callable[..., object], *args: object) -> object:
-    """Call a model constructor, reporting its FieldError at a document path.
-
-    With ``names``, ``path`` is the prefix of the object being built, and the
-    error names the failing field under it by its key in ``names``.  Without,
-    ``path`` is the one value being built, such as a unit whose errors name
-    the unit.
-    """
+def _build(path: str, names: dict, factory: Callable[..., object], *args: object) -> object:
+    """Call a model constructor, reporting its FieldError at a document path:
+    ``path`` is the prefix of the object being built, and the error names the
+    failing field under it by its key in ``names``."""
     try:
         return factory(*args)
     except FieldError as exc:
-        if names is not None:
-            name, bracket, index = exc.field.partition("[")
-            path += names.get(name, name) + bracket + index
-        raise _fail(path, exc.reason) from None
+        name, bracket, index = exc.field.partition("[")
+        raise _fail(path + names.get(name, name) + bracket + index, exc.reason) from None
 
 
 def _scenario_document(samples, invalid, bits, technology, storage, method, split, epochs,
@@ -80,8 +74,8 @@ _PU = _D.processing_unit
 # its built-ins by name and the lookup whose KeyError names them, and its
 # fields in write order.  Per field: the document key; the attribute path it
 # is read back from (None: the key); its rule, which is None (as given), a
-# type of this table, a list (its description), the preprocessing choices, or
-# a unit; and its default as built, or _REQUIRED.
+# type of this table, a list (its description) or the preprocessing choices;
+# and its default as built, or _REQUIRED.
 _SCHEMA = {
     ScenarioDocument: (_scenario_document, None, None, (
         ("samples", "scenario.payload.sample_count", None, _REQUIRED),
@@ -104,10 +98,10 @@ _SCHEMA = {
     )),
     TechnologyProfile: (TechnologyProfile, BUILTIN_TECHNOLOGIES, technology_profile, (
         ("name", None, None, "custom"),
-        ("f_u", "packet_capacity.bits", BitCount, _REQUIRED),
-        ("omega_u", "packet_overhead.bits", BitCount, _REQUIRED),
-        ("p_t_w", "transmit_power.watts", Power, _REQUIRED),
-        ("r_t_bps", "transmit_rate.bits_per_second", BitRate, _REQUIRED),
+        ("f_u", "packet_capacity", None, _REQUIRED),
+        ("omega_u", "packet_overhead", None, _REQUIRED),
+        ("p_t_w", "transmit_power", None, _REQUIRED),
+        ("r_t_bps", "transmit_rate", None, _REQUIRED),
         ("packets_override", None, None, None),
     )),
     StorageProfile: (StorageProfile, BUILTIN_STORAGE, storage_profile, (
@@ -118,7 +112,7 @@ _SCHEMA = {
         ("layers", "layer_sizes", " of layer widths", _REQUIRED),
     )),
     ProcessingUnitProfile: (ProcessingUnitProfile, None, None, (
-        ("preprocessing_power_w", "preprocessing_power.watts", Power, _PU.preprocessing_power),
+        ("preprocessing_power_w", "preprocessing_power", None, _PU.preprocessing_power),
         ("preprocessing_flops_per_s", None, None, _PU.preprocessing_flops_per_s),
         ("flops_per_joule", None, None, _PU.flops_per_joule),
     )),
@@ -169,10 +163,8 @@ def _parse(cls: type, value: object, path: str) -> object:
             if choice is None:
                 raise _fail(at + key, f"expected one of {', '.join(rule)}, got {item!r}")
             item = choice
-        elif rule in _SCHEMA:
-            item = _parse(rule, item, at + key)
         else:
-            item = _build(at + key, None, rule, item)
+            item = _parse(rule, item, at + key)
         args.append(item)
     return _build(at, _NAMES[cls], builder, *args)
 

@@ -10,7 +10,7 @@ bits on top.  Overhead is additive and does not consume packet capacity.
 from __future__ import annotations
 
 from . import _all_of
-from .units import BitCount, BitRate, Energy, EnergyPerBit, FieldError, Power, _Value
+from .units import BitCount, Energy, EnergyPerBit, FieldError, _Value
 from .units import _checked_count, _checked_real, _checked_types, _proven
 
 __all__ = _all_of(__name__)
@@ -34,7 +34,9 @@ class PayloadSpec(_Value):
 
 
 class TechnologyProfile(_Value):
-    """Radio parameters of one wireless access technology.
+    """Radio parameters of one wireless access technology: ``packet_capacity``
+    payload bits and ``packet_overhead`` protocol bits per packet, sent at
+    ``transmit_power`` W and ``transmit_rate`` b/s.
 
     ``packets_override`` pins the packet count to a fixed value instead of
     the capacity-based calculation.  It exists for profiles whose published
@@ -45,52 +47,30 @@ class TechnologyProfile(_Value):
     __slots__ = __match_args__ = ("name", "packet_capacity", "packet_overhead",
                                   "transmit_power", "transmit_rate", "packets_override")
 
-    def __init__(self, name: str, packet_capacity: BitCount, packet_overhead: BitCount,
-                 transmit_power: Power, transmit_rate: BitRate,
+    def __init__(self, name: str, packet_capacity: int, packet_overhead: int,
+                 transmit_power: float, transmit_rate: float,
                  packets_override: int | None = None) -> None:
-        _checked_types((name, "name", str), (packet_capacity, "packet_capacity", BitCount),
-                       (packet_overhead, "packet_overhead", BitCount),
-                       (transmit_power, "transmit_power", Power),
-                       (transmit_rate, "transmit_rate", BitRate))
-        _checked_count(packet_capacity.bits, "packet_capacity", 1)
-        _checked_real(transmit_power.watts, "transmit_power", positive=True)
+        _checked_types((name, "name", str))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "packet_capacity",
+                           _checked_count(packet_capacity, "packet_capacity", 1))
+        object.__setattr__(self, "packet_overhead",
+                           _checked_count(packet_overhead, "packet_overhead"))
+        object.__setattr__(self, "transmit_power",
+                           _checked_real(transmit_power, "transmit_power", positive=True))
+        object.__setattr__(self, "transmit_rate",
+                           _checked_real(transmit_rate, "transmit_rate", positive=True))
         if packets_override is not None:
             _checked_count(packets_override, "packets_override", 1)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "packet_capacity", packet_capacity)
-        object.__setattr__(self, "packet_overhead", packet_overhead)
-        object.__setattr__(self, "transmit_power", transmit_power)
-        object.__setattr__(self, "transmit_rate", transmit_rate)
         object.__setattr__(self, "packets_override", packets_override)
 
 
-BLE5 = TechnologyProfile(
-    name="ble5",
-    packet_capacity=BitCount(2120),
-    packet_overhead=BitCount(168),
-    transmit_power=Power(3.1628e-3),
-    transmit_rate=BitRate(1e6),
-)
-
-ZIGBEE = TechnologyProfile(
-    name="zigbee",
-    packet_capacity=BitCount(1288),
-    packet_overhead=BitCount(272),
-    transmit_power=Power(10e-3),
-    transmit_rate=BitRate(250e3),
-)
-
+BLE5 = TechnologyProfile("ble5", 2120, 168, 3.1628e-3, 1e6)
+ZIGBEE = TechnologyProfile("zigbee", 1288, 272, 10e-3, 250e3)
 # The published LoRaWAN figure for a 16384-bit payload is 9 packets, one more
 # than the capacity rule yields; the override reproduces that figure.  Use
 # without_packet_override() for the pure fragmentation rule.
-LORAWAN = TechnologyProfile(
-    name="lorawan",
-    packet_capacity=BitCount(2048),
-    packet_overhead=BitCount(268),
-    transmit_power=Power(100e-3),
-    transmit_rate=BitRate(50e3),
-    packets_override=9,
-)
+LORAWAN = TechnologyProfile("lorawan", 2048, 268, 100e-3, 50e3, packets_override=9)
 
 BUILTIN_TECHNOLOGIES = {p.name: p for p in (BLE5, ZIGBEE, LORAWAN)}
 
@@ -109,13 +89,8 @@ def fixed_overhead_profile(overhead_pct: float) -> TechnologyProfile:
     capacity: 2000-bit packets sent at 10 mW and 1 kb/s."""
     overhead_pct = _checked_real(overhead_pct, "overhead_pct", maximum=100.0)
     capacity = 2000
-    return TechnologyProfile(
-        name=f"generic_{overhead_pct:g}pct",
-        packet_capacity=BitCount(capacity),
-        packet_overhead=BitCount(int(round(capacity * overhead_pct / 100.0))),
-        transmit_power=Power(10e-3),
-        transmit_rate=BitRate(1e3),
-    )
+    return TechnologyProfile(f"generic_{overhead_pct:g}pct", capacity,
+                             int(round(capacity * overhead_pct / 100.0)), 10e-3, 1e3)
 
 
 def without_packet_override(profile: TechnologyProfile) -> TechnologyProfile:
@@ -144,7 +119,7 @@ def _packets(profile: TechnologyProfile, payload: int) -> int:
     """:func:`packet_count` of ``payload`` bits."""
     if payload == 0:
         return 0
-    needed = -(-payload // profile.packet_capacity.bits)
+    needed = -(-payload // profile.packet_capacity)
     if profile.packets_override is not None:
         if profile.packets_override < needed:
             raise ValueError(
@@ -160,7 +135,7 @@ def transmitted_bits(profile: TechnologyProfile, spec: PayloadSpec) -> BitCount:
     """Total bits on the air: payload plus per-packet protocol overhead."""
     payload = _checked_count(spec.bits_per_sample * spec.sample_count, "bit count")
     packets = _packets(profile, payload)
-    overhead = _checked_count(profile.packet_overhead.bits * packets, "bit count")
+    overhead = _checked_count(profile.packet_overhead * packets, "bit count")
     return BitCount(payload + overhead)
 
 
@@ -171,7 +146,7 @@ def transmission_energy(profile: TechnologyProfile, b_t: BitCount) -> Energy:
 
 def transmission_energy_per_bit(profile: TechnologyProfile) -> EnergyPerBit:
     """Energy per transmitted bit; depends only on power and rate, not payload."""
-    return EnergyPerBit(profile.transmit_power.watts / profile.transmit_rate.bits_per_second)
+    return EnergyPerBit(profile.transmit_power / profile.transmit_rate)
 
 
 def cumulative_transmission_energy(

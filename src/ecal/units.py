@@ -1,11 +1,13 @@
 """Typed physical quantities on fixed canonical units, and the field checkers.
 
-Each quantity pins one internal unit (joules, watts, bits, bits per second,
-FLOPs, gCO2eq/kWh) and validates at construction, so any value reaching
-downstream arithmetic is finite, correctly signed, and on the expected
-scale; the seven unit types are one table, and only ``_proven`` skips the
-check.  Conversions happen only at the boundary: the helpers at the bottom
-convert one value; ``carbon`` and ``lifecycle`` use the constants.
+Units type the figures the model computes (joules, bits, FLOPs, joules per
+bit) and the grid carbon intensity (gCO2eq/kWh); the parameters a model is
+given are plain numbers that their owning constructor checks once.  Each
+quantity validates at construction, so any value reaching downstream
+arithmetic is finite, non-negative, and on the expected scale; the five unit
+types are one table, and only ``_proven`` skips the check.  Conversions
+happen only at the boundary: the helpers at the bottom convert one value;
+``carbon`` and ``lifecycle`` use the constants.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _beyond_float(value: int, field: str) -> FieldError:
                              f"({value.bit_length()}-bit integer)")
 
 
-def _checked_real(value: float, field: str, positive: bool = False, *,
+def _checked_real(value: float, field: str, *, positive: bool = False,
                   maximum: float | None = _LARGEST_FLOAT) -> float:
     """Return ``value`` as a float in [0, maximum], or in (0, maximum] when
     ``positive``; by default that means finite.  With ``maximum=None`` any
@@ -167,13 +169,13 @@ class _Value:
         return type(self)(**dict(zip(self.__match_args__, self._values()), **changes))
 
 
-def _unit(name: str, field: str, label: str, check, rule, doc: str) -> type:
+def _unit(name: str, field: str, label: str, check, doc: str) -> type:
     """The ``_Value`` type ``name`` whose one field, ``field``, holds ``check(field,
-    label, rule)``; ``rule`` is ``positive`` for a real, ``minimum`` for a count.  No
-    source is compiled: ``__init__`` is one closure whose argument is renamed to
-    ``field``, so ``field`` is its keyword and Python's own argument errors name it."""
+    label)``: a non-negative real or count.  No source is compiled: ``__init__`` is
+    one closure whose argument is renamed to ``field``, so ``field`` is its keyword
+    and Python's own argument errors name it."""
     def __init__(self, value):
-        set_field(self, check(value, label, rule))
+        set_field(self, check(value, label))
 
     __init__.__code__ = __init__.__code__.replace(co_varnames=("self", field))
     __init__.__qualname__ = f"{name}.__init__"
@@ -183,20 +185,16 @@ def _unit(name: str, field: str, label: str, check, rule, doc: str) -> type:
     return cls
 
 
-Energy, Power, BitCount, BitRate, FlopCount, EnergyPerBit, CarbonIntensity = starmap(_unit, (
-    ("Energy", "joules", "energy [J]", _checked_real, False,
-     "An amount of energy, stored in joules."),
-    ("Power", "watts", "power [W]", _checked_real, False, "A power draw, stored in watts."),
-    ("BitCount", "bits", "bit count", _checked_count, 0,
+Energy, BitCount, FlopCount, EnergyPerBit, CarbonIntensity = starmap(_unit, (
+    ("Energy", "joules", "energy [J]", _checked_real, "An amount of energy, stored in joules."),
+    ("BitCount", "bits", "bit count", _checked_count,
      "An exact number of bits; all counting stays in integer arithmetic."),
-    ("BitRate", "bits_per_second", "bit rate [b/s]", _checked_real, True,
-     "A strictly positive transmission rate in bits per second."),
-    ("FlopCount", "flops", "FLOP count", _checked_count, 0,
+    ("FlopCount", "flops", "FLOP count", _checked_count,
      "An exact number of floating-point operations."),
-    ("EnergyPerBit", "joules_per_bit", "energy per bit [J/b]", _checked_real, False,
+    ("EnergyPerBit", "joules_per_bit", "energy per bit [J/b]", _checked_real,
      "Energy intensity in joules per bit."),
-    ("CarbonIntensity", "grams_co2e_per_kwh", "carbon intensity [gCO2eq/kWh]",
-     _checked_real, False, "Grid carbon intensity in grams CO2-equivalent per kWh."),
+    ("CarbonIntensity", "grams_co2e_per_kwh", "carbon intensity [gCO2eq/kWh]", _checked_real,
+     "Grid carbon intensity in grams CO2-equivalent per kWh."),
 ))
 
 

@@ -70,7 +70,7 @@ def test_criterion_01_transmitted_bits_table():
     published_pct = {"ble5": 7.93, "zigbee": 21.12, "lorawan": 13.09}
     for name, expected in published_pct.items():
         profile = technology_profile(name)
-        pct = 100.0 * profile.packet_overhead.bits / profile.packet_capacity.bits
+        pct = 100.0 * profile.packet_overhead / profile.packet_capacity
         assert abs(pct - expected) < 0.01
     _ok("criterion 1: transmitted-bits table (17728 / 19920 / 18796; strict 18528; "
         "overhead fractions within 0.01 pp)")

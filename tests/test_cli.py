@@ -380,6 +380,19 @@ def test_unknown_tech_exits_1(capsys):
     assert run(["transmit", "--tech", "wifi", "--samples", "1"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["transmit", "--tech", "wifi", "--samples", "1"],
+     "unknown technology 'wifi'; built-ins: ble5, lorawan, zigbee"),
+    (["storage", "--storage", "tape", "--samples", "1"],
+     "unknown storage medium 'tape'; built-ins: hdd, ssd"),
+], ids=["tech", "storage"])
+def test_an_unknown_built_in_is_one_unquoted_error_line(capsys, argv, message):
+    # The str of a KeyError is the repr of its message; the CLI prints the message.
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"ecal: error: {message}\n")
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
 

@@ -38,8 +38,8 @@ from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile, storage_energy
 from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
 from ecal.transmission import cumulative_transmission_energy, payload_bits
 from ecal.transmission import transmission_energy, transmitted_bits
-from ecal.units import JOULES_PER_KWH, BitCount, BitRate, Energy, EnergyPerBit, FieldError
-from ecal.units import FieldTypeError, Power, _checked_count
+from ecal.units import JOULES_PER_KWH, BitCount, Energy, EnergyPerBit, FieldError
+from ecal.units import FieldTypeError, _checked_count
 from test_units import beyond_float
 
 
@@ -159,7 +159,7 @@ def test_oracle_agreement_on_scenario_variants():
         inference_batch=31,
         gamma=500,
         architecture=MlpArchitecture((4, 9, 9, 2)),
-        processing_unit=ProcessingUnitProfile(Power(95.0), 2.5e9, 4.2e7),
+        processing_unit=ProcessingUnitProfile(95.0, 2.5e9, 4.2e7),
     )
     expected = spreadsheet_oracle(
         alpha=64, n_s=256, n_nan=16,
@@ -528,17 +528,17 @@ def test_counts_beyond_float_range_are_value_errors():
 _REFERENCE = MlpArchitecture((6, 5, 5, 5, 3))  # 226 FLOPs per forward pass
 _WIDE = MlpArchitecture((6, 2**600, 2**600, 3))  # each width fits a float; its FLOPs do not
 _PU = DEFAULT_PROCESSING_UNIT
-_LOUD = TechnologyProfile("loud", BitCount(2000), BitCount(0), Power(1e303), BitRate(1.0))
+_LOUD = TechnologyProfile("loud", 2000, 0, 1e303, 1.0)
 _NOT_FINITE = "energy [J] must be non-negative and finite, got inf"
 _PER_BIT_NOT_FINITE = "energy per bit [J/b] must be non-negative and finite, got inf"
-_FAST = TechnologyProfile("fast", BitCount(1), BitCount(0), Power(1e308), BitRate(1e-308))
+_FAST = TechnologyProfile("fast", 1, 0, 1e308, 1e-308)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: transmitted_bits(ZIGBEE, PayloadSpec(2**600, 2**600)),
      beyond_float("bit count", 1201)),
-    (lambda: transmitted_bits(TechnologyProfile("x", BitCount(1), BitCount(2**600), Power(1.0),
-                                                BitRate(1.0)), PayloadSpec(2**600, 1)),
+    (lambda: transmitted_bits(TechnologyProfile("x", 1, 2**600, 1.0, 1.0),
+                              PayloadSpec(2**600, 1)),
      beyond_float("bit count", 1201)),
     (lambda: storage_energy(StorageProfile("x", 1e300), BitCount(10**300)), _NOT_FINITE),
     (lambda: preprocessing_energy_per_bit(Energy(1.0), PayloadSpec(10**200, 10**200)),
@@ -598,7 +598,7 @@ def test_non_finite_phase_energy_is_a_value_error():
     s = default_scenario()
     with pytest.raises(ValueError, match="lifecycle energy is not finite"):
         development_energy(replace(s, storage=StorageProfile("dense", 1e308)))
-    tiny = replace(s, processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 5e-324))
+    tiny = replace(s, processing_unit=ProcessingUnitProfile(140.0, 1e10, 5e-324))
     with pytest.raises(ValueError, match="not finite"):
         inference_phase_energy(tiny)
 
@@ -610,7 +610,7 @@ def test_overflowing_per_bit_training_energy_is_a_value_error():
     tiny = replace(
         default_scenario(gamma=1), payload=PayloadSpec(1, 1), inference_batch=1,
         architecture=MlpArchitecture((6, 5, 3)),
-        processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 1.474111431261021e-306),
+        processing_unit=ProcessingUnitProfile(140.0, 1e10, 1.474111431261021e-306),
     )
     finite_phases = r"development \S+e\+307 J, one request \S+e\+307 J, training inf J/b"
     wide = replace(default_scenario(gamma=1), payload=PayloadSpec(10**301, 8388608),
@@ -645,8 +645,8 @@ def scenarios(draw):
         needed = -(-bits_per_sample * max(samples, batch) // f_u)
         override = draw(st.one_of(st.none(), st.integers(needed, needed + 3)))
         technology = TechnologyProfile(
-            "inline", BitCount(f_u), BitCount(draw(st.integers(0, 2000))),
-            Power(draw(st.floats(1e-3, 0.2))), BitRate(draw(st.floats(1e3, 2e6))),
+            "inline", f_u, draw(st.integers(0, 2000)),
+            draw(st.floats(1e-3, 0.2)), draw(st.floats(1e3, 2e6)),
             packets_override=override,
         )
     if draw(st.booleans()):
@@ -666,7 +666,7 @@ def scenarios(draw):
         inference_batch=batch,
         gamma=draw(st.integers(1, 10**6)),
         processing_unit=ProcessingUnitProfile(
-            Power(draw(st.floats(1.0, 300.0))),
+            draw(st.floats(1.0, 300.0)),
             draw(st.floats(1e8, 1e11)),
             draw(st.floats(1e6, 1e10)),
         ),
@@ -746,13 +746,13 @@ def test_every_report_term_agrees_with_the_oracle(s):
     tech, pu = s.technology, s.processing_unit
     expected = spreadsheet_oracle(
         alpha=s.payload.bits_per_sample, n_s=s.payload.sample_count, n_nan=s.invalid_samples,
-        f_u=tech.packet_capacity.bits, omega_u=tech.packet_overhead.bits,
-        packets_override=tech.packets_override, p_t_w=tech.transmit_power.watts,
-        r_t_bps=tech.transmit_rate.bits_per_second, wh_per_tb=s.storage.wh_per_terabyte,
+        f_u=tech.packet_capacity, omega_u=tech.packet_overhead,
+        packets_override=tech.packets_override, p_t_w=tech.transmit_power,
+        r_t_bps=tech.transmit_rate, wh_per_tb=s.storage.wh_per_terabyte,
         method=s.standardization.value, beta=s.train_fraction, epochs=s.epochs,
         layers=s.architecture.layer_sizes, n_ip=s.inference_batch,
         inf_nan=s.inference_invalid_samples, gamma=s.gamma,
-        p_pre_w=pu.preprocessing_power.watts, m_pu=pu.preprocessing_flops_per_s,
+        p_pre_w=pu.preprocessing_power, m_pu=pu.preprocessing_flops_per_s,
         fpj=pu.flops_per_joule,
     )
     report = lifecycle_report(s)
@@ -789,7 +789,7 @@ def test_trusted_outputs_are_what_the_checked_constructors_build(s, data):
         pu, bits = s.processing_unit, s.payload.bits_per_sample
         if kind != "width":
             fpj = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(st.integers(-308, -290))
-            pu = ProcessingUnitProfile(Power(140.0), 1e10, fpj)
+            pu = ProcessingUnitProfile(140.0, 1e10, fpj)
         if kind != "efficiency":
             bits = data.draw(st.integers(2**996, 2**1016))
         s = replace(s, payload=PayloadSpec(bits, s.payload.sample_count), processing_unit=pu)
@@ -918,7 +918,7 @@ def test_an_empty_gamma_list_still_prices_the_scenario():
     s = default_scenario()
     assert gamma_sweep(s, []) == []
     assert cf_vs_gamma(s, bundled_ci_table(), iter(())).rows == ()
-    tiny = replace(s, processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 1e-308))
+    tiny = replace(s, processing_unit=ProcessingUnitProfile(140.0, 1e10, 1e-308))
     for sweep in (lambda: gamma_sweep(tiny, []), lambda: cf_vs_gamma(tiny, [], [])):
         with pytest.raises(ValueError, match="lifecycle energy is not finite"):
             sweep()
@@ -1046,7 +1046,7 @@ def test_an_argument_of_the_wrong_type_is_named(call, message):
 def test_a_carbon_table_is_read_after_the_scenario_is_priced():
     # An unpriceable scenario reports its pricing error before any fault of the table.
     tiny = replace(default_scenario(), countries=("XX",),
-                   processing_unit=ProcessingUnitProfile(Power(140.0), 1e10, 1e-308))
+                   processing_unit=ProcessingUnitProfile(140.0, 1e10, 1e-308))
     for records in (bundled_ci_table(), 5, [5]):
         with pytest.raises(ValueError, match="lifecycle energy is not finite"):
             cf_vs_gamma(tiny, records, [1])

@@ -19,7 +19,7 @@ from ecal.mlp_cost import (
     uniform_architecture,
 )
 from ecal.transmission import BLE5, PayloadSpec, transmission_energy, transmitted_bits
-from ecal.units import FieldTypeError, FlopCount, Power
+from ecal.units import FieldTypeError, FlopCount
 
 REFERENCE_ARCH = MlpArchitecture((6, 5, 5, 5, 3))
 
@@ -215,4 +215,4 @@ def test_training_per_bit_is_three_forward_passes_per_bit():
                          [(math.inf, 1e8), (1e10, math.inf), (math.nan, 1e8), (1e10, 0.0)])
 def test_processing_unit_rates_must_be_positive_and_finite(flops_per_s, flops_per_joule):
     with pytest.raises(ValueError, match="positive and finite"):
-        ProcessingUnitProfile(Power(140.0), flops_per_s, flops_per_joule)
+        ProcessingUnitProfile(140.0, flops_per_s, flops_per_joule)

@@ -18,7 +18,7 @@ from ecal.preprocessing import (
     preprocessing_flops,
 )
 from ecal.transmission import PayloadSpec
-from ecal.units import FieldError, FieldTypeError, FlopCount, Power
+from ecal.units import FieldError, FieldTypeError, FlopCount
 
 MINMAX = StandardizationMethod.MINMAX
 NORMALIZATION = StandardizationMethod.NORMALIZATION
@@ -259,7 +259,7 @@ def test_preprocessing_energy_zero_flops():
 
 def test_zero_throughput_is_rejected_at_profile_construction():
     with pytest.raises(ValueError):
-        ProcessingUnitProfile(Power(140.0), 0.0, 1.5351e8)
+        ProcessingUnitProfile(140.0, 0.0, 1.5351e8)
 
 
 def test_energy_per_bit_reference_value():

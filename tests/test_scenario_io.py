@@ -32,7 +32,7 @@ from ecal.scenario_io import (
 )
 from ecal.storage import StorageProfile, storage_profile
 from ecal.transmission import PayloadSpec, TechnologyProfile, technology_profile, transmitted_bits
-from ecal.units import BitCount, BitRate, FieldError, FieldTypeError, Power
+from ecal.units import FieldError, FieldTypeError
 from test_lifecycle import scenarios
 from test_units import FLOAT_EDGE, beyond_float
 
@@ -61,7 +61,7 @@ def test_defaults_are_documented_values():
     assert s.technology.name == "ble5"
     assert s.storage.name == "hdd"
     assert s.processing_unit == DEFAULT_PROCESSING_UNIT
-    assert s.processing_unit.preprocessing_power.watts == 140.0
+    assert s.processing_unit.preprocessing_power == 140.0
     assert s.processing_unit.preprocessing_flops_per_s == 1e10
     assert s.processing_unit.flops_per_joule == 1.5351e8
 
@@ -144,6 +144,30 @@ def test_shape_and_type_errors_are_pinned(text, message):
     assert str(caught.value) == message
 
 
+_RADIO = {"f_u": 2000, "omega_u": 8, "p_t_w": 0.01, "r_t_bps": 1e3}
+
+
+# One field, one rule: a negative value and zero break the same rule, so they
+# get the same message.
+@pytest.mark.parametrize("overrides, message", [
+    ({"technology": {**_RADIO, "f_u": -1}}, "technology.f_u: must be >= 1, got -1"),
+    ({"technology": {**_RADIO, "f_u": 0}}, "technology.f_u: must be >= 1, got 0"),
+    ({"technology": {**_RADIO, "p_t_w": -1}},
+     "technology.p_t_w: must be positive and finite, got -1.0"),
+    ({"technology": {**_RADIO, "p_t_w": 0}},
+     "technology.p_t_w: must be positive and finite, got 0.0"),
+    ({"processing_unit": {"preprocessing_power_w": -1}},
+     "processing_unit.preprocessing_power_w: must be positive and finite, got -1.0"),
+    ({"processing_unit": {"preprocessing_power_w": 0}},
+     "processing_unit.preprocessing_power_w: must be positive and finite, got 0.0"),
+], ids=["f_u-negative", "f_u-zero", "p_t_w-negative", "p_t_w-zero",
+        "preprocessing_power_w-negative", "preprocessing_power_w-zero"])
+def test_a_parameter_breaks_one_rule_with_one_message(overrides, message):
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(_doc_with(**overrides))
+    assert str(caught.value) == message
+
+
 def test_a_repeated_country_is_rejected_at_its_second_occurrence():
     with pytest.raises(ScenarioError) as caught:
         parse_scenario(_doc_with(countries=["de", "FI", "DE"]))
@@ -190,7 +214,7 @@ def test_inline_storage_and_processing_unit():
     )
     assert doc.scenario.storage == StorageProfile("cold", 0.3)
     # Unset processing-unit keys keep their defaults.
-    assert doc.scenario.processing_unit == ProcessingUnitProfile(Power(140.0), 1e10, 2e8)
+    assert doc.scenario.processing_unit == ProcessingUnitProfile(140.0, 1e10, 2e8)
     infinite = _doc_with(storage={"name": "x", "wh_per_tb": float("inf")})
     assert '"wh_per_tb": Infinity' in infinite
     with pytest.raises(ScenarioError, match=r"^storage.wh_per_tb: must be non-negative and "
@@ -352,16 +376,15 @@ def _construct(doc):
         technology = technology_profile(technology)
     else:
         technology = TechnologyProfile(
-            "custom", BitCount(technology["f_u"]), BitCount(technology["omega_u"]),
-            Power(technology["p_t_w"]), BitRate(technology["r_t_bps"]),
-            technology.get("packets_override"),
+            "custom", technology["f_u"], technology["omega_u"], technology["p_t_w"],
+            technology["r_t_bps"], technology.get("packets_override"),
         )
     storage = doc.get("storage", "hdd")
     storage = (storage_profile(storage) if isinstance(storage, str)
                else StorageProfile("custom", storage["wh_per_tb"]))
     unit = doc.get("processing_unit", {})
     pu = ProcessingUnitProfile(
-        Power(unit.get("preprocessing_power_w", 140.0)),
+        unit.get("preprocessing_power_w", 140.0),
         unit.get("preprocessing_flops_per_s", 1e10),
         unit.get("flops_per_joule", 1.5351e8),
     )
@@ -502,7 +525,7 @@ def test_round_trip_scenario_built_in_code():
 
 @pytest.mark.parametrize("name, got", [(5, "int"), (None, "NoneType")], ids=["5", "None"])
 @pytest.mark.parametrize("build", [
-    lambda name: TechnologyProfile(name, BitCount(2000), BitCount(8), Power(0.01), BitRate(1e3)),
+    lambda name: TechnologyProfile(name, 2000, 8, 0.01, 1e3),
     lambda name: StorageProfile(name, 1.0),
 ], ids=["technology", "storage"])
 def test_a_profile_name_must_be_a_string(build, name, got):

@@ -24,7 +24,7 @@ from ecal.transmission import (
     transmitted_bits,
     without_packet_override,
 )
-from ecal.units import BitCount, BitRate, FieldError, FieldTypeError, Power
+from ecal.units import BitCount, FieldError, FieldTypeError
 
 DOUBLE_256 = PayloadSpec(64, 256)
 
@@ -56,7 +56,7 @@ def test_packet_override_must_cover_payload():
 
 def test_transmit_power_must_be_positive():
     with pytest.raises(ValueError, match="transmit_power"):
-        TechnologyProfile("mute", BitCount(2000), BitCount(100), Power(0.0), BitRate(1e3))
+        TechnologyProfile("mute", 2000, 100, 0.0, 1e3)
 
 
 def test_transmitted_bits_published_values():
@@ -75,7 +75,7 @@ def test_overhead_fractions_match_published_table():
     published = {"ble5": 7.93, "zigbee": 21.12, "lorawan": 13.09}
     for name, expected_pct in published.items():
         profile = technology_profile(name)
-        pct = 100.0 * profile.packet_overhead.bits / profile.packet_capacity.bits
+        pct = 100.0 * profile.packet_overhead / profile.packet_capacity
         assert abs(pct - expected_pct) < 0.01
 
 
@@ -156,7 +156,7 @@ def test_transmitted_at_least_payload(profile, spec):
     total = transmitted_bits(profile, spec).bits
     payload = payload_bits(spec).bits
     assert total >= payload
-    if profile.packet_overhead.bits > 0 and spec.sample_count > 0:
+    if profile.packet_overhead > 0 and spec.sample_count > 0:
         assert total > payload
     else:
         assert total == payload
@@ -164,9 +164,7 @@ def test_transmitted_at_least_payload(profile, spec):
 
 @given(payloads)
 def test_equality_holds_for_zero_overhead(spec):
-    zero = TechnologyProfile(
-        "zero", BitCount(2000), BitCount(0), Power(1e-3), BitRate(1e3)
-    )
+    zero = TechnologyProfile("zero", 2000, 0, 1e-3, 1e3)
     assert transmitted_bits(zero, spec).bits == payload_bits(spec).bits
 
 
@@ -206,8 +204,8 @@ def test_fixed_overhead_profile_checks_the_percentage(pct, error, message):
 
 
 def test_fixed_overhead_profile_accepts_the_whole_percentage_range():
-    assert fixed_overhead_profile(0).packet_overhead.bits == 0
-    assert fixed_overhead_profile(100).packet_overhead.bits == 2000
+    assert fixed_overhead_profile(0).packet_overhead == 0
+    assert fixed_overhead_profile(100).packet_overhead == 2000
     assert fixed_overhead_profile(30).name == fixed_overhead_profile(30.0).name == "generic_30pct"
 
 

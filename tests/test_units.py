@@ -10,14 +10,12 @@ from ecal.mlp_cost import ProcessingUnitProfile
 from ecal.transmission import TechnologyProfile
 from ecal.units import (
     BitCount,
-    BitRate,
     CarbonIntensity,
     Energy,
     EnergyPerBit,
     FlopCount,
     FieldError,
     FieldTypeError,
-    Power,
     _checked_count,
     joules_to_kwh,
     kwh_to_joules,
@@ -55,7 +53,7 @@ def test_wh_per_tb_rejects_negative():
         wh_per_tb_to_j_per_bit(-0.1)
 
 
-@pytest.mark.parametrize("quantity", [Energy, Power, EnergyPerBit, CarbonIntensity])
+@pytest.mark.parametrize("quantity", [Energy, EnergyPerBit, CarbonIntensity])
 def test_real_quantities_reject_bad_values(quantity):
     with pytest.raises(ValueError):
         quantity(-1.0)
@@ -67,11 +65,11 @@ def test_real_quantities_reject_bad_values(quantity):
 
 
 def test_bit_rate_must_be_positive():
-    with pytest.raises(ValueError):
-        BitRate(0.0)
-    with pytest.raises(ValueError):
-        BitRate(-5.0)
-    assert BitRate(1e6).bits_per_second == 1e6
+    for rate in (0.0, -5.0):
+        with pytest.raises(FieldError) as caught:
+            _profile(transmit_rate=rate)
+        assert str(caught.value) == f"transmit_rate must be positive and finite, got {rate!r}"
+    assert _profile(transmit_rate=10**6).transmit_rate == 1e6
 
 
 @pytest.mark.parametrize("quantity", [BitCount, FlopCount])
@@ -115,7 +113,7 @@ def test_counts_are_held_to_the_float_range():
         (lambda: FlopCount(-FLOAT_EDGE), beyond_float("FLOP count", 1024)),
         # The float range is checked before the minimum.
         (lambda: _checked_count(-10**400, "n", 0), beyond_float("n", 1329)),
-        (lambda: Power(10**400), beyond_float("power [W]", 1329)),
+        (lambda: _profile(transmit_power=10**400), beyond_float("transmit_power", 1329)),
         (lambda: Energy(-10**400), beyond_float("energy [J]", 1329)),
     ):
         with pytest.raises(FieldError) as caught:
@@ -131,7 +129,7 @@ def test_the_float_range_verdict_is_floats_own(value, negate):
         float(value)
     except OverflowError:
         for build, field in ((lambda: _checked_count(value, "n", minimum=-FLOAT_EDGE), "n"),
-                             (lambda: Power(value), "power [W]")):
+                             (lambda: Energy(value), "energy [J]")):
             with pytest.raises(FieldError) as caught:
                 build()
             assert str(caught.value) == beyond_float(field, value.bit_length())
@@ -140,27 +138,32 @@ def test_the_float_range_verdict_is_floats_own(value, negate):
 
 
 def _profile(**fields):
-    valid = dict(name="x", packet_capacity=BitCount(2000), packet_overhead=BitCount(168),
-                 transmit_power=Power(0.01), transmit_rate=BitRate(1e6))
+    valid = dict(name="x", packet_capacity=2000, packet_overhead=168, transmit_power=0.01,
+                 transmit_rate=1e6)
     return TechnologyProfile(**{**valid, **fields})
 
 
-# A constructor given a plain number for a unit field, and the whole message:
-# the one that Scenario gives for a part of the wrong type.
-PLAIN_UNIT_FIELDS = [
-    (lambda: _profile(packet_capacity=2000), "packet_capacity must be a BitCount, got int"),
-    (lambda: _profile(packet_overhead=168), "packet_overhead must be a BitCount, got int"),
-    (lambda: _profile(transmit_power=0.01), "transmit_power must be a Power, got float"),
-    (lambda: _profile(transmit_rate=1e6), "transmit_rate must be a BitRate, got float"),
-    (lambda: ProcessingUnitProfile(140.0, 1e10, 1e8),
-     "preprocessing_power must be a Power, got float"),
+# Which fields hold a unit, and the whole message when one is given the wrong
+# kind: a parameter given a unit, or a carbon-intensity record's one unit
+# field given a plain number.
+FIELD_KINDS = [
+    (lambda: _profile(packet_capacity=BitCount(2000)),
+     "packet_capacity must be an integer, got BitCount"),
+    (lambda: _profile(packet_overhead=BitCount(168)),
+     "packet_overhead must be an integer, got BitCount"),
+    (lambda: _profile(transmit_power=Energy(0.01)),
+     "transmit_power must be a real number, got Energy"),
+    (lambda: _profile(transmit_rate=BitCount(10**6)),
+     "transmit_rate must be a real number, got BitCount"),
+    (lambda: ProcessingUnitProfile(Energy(140.0), 1e10, 1e8),
+     "preprocessing_power must be a real number, got Energy"),
     (lambda: CarbonIntensityRecord("DE", "Germany", 2023, 425.0),
      "intensity must be a CarbonIntensity, got float"),
 ]
 
 
-@pytest.mark.parametrize("build, message", PLAIN_UNIT_FIELDS,
-                         ids=[message.split()[0] for _, message in PLAIN_UNIT_FIELDS])
+@pytest.mark.parametrize("build, message", FIELD_KINDS,
+                         ids=[message.split()[0] for _, message in FIELD_KINDS])
 def test_unit_fields_must_hold_their_unit(build, message):
     # Else the value is stored, and pricing fails later naming no field.
     with pytest.raises(FieldTypeError) as caught:
@@ -169,17 +172,27 @@ def test_unit_fields_must_hold_their_unit(build, message):
     assert str(caught.value) == message
 
 
+def test_parameters_are_stored_as_plain_numbers():
+    profile = _profile(packet_capacity=2000, transmit_power=1, transmit_rate=10**6)
+    assert (profile.packet_capacity, profile.packet_overhead) == (2000, 168)
+    assert type(profile.transmit_power) is type(profile.transmit_rate) is float
+    assert ProcessingUnitProfile(140, 1e10, 1e8).preprocessing_power == 140.0
+
+
 # Each unit type, the field it is built from, a valid value and its docstring.
 UNIT_TYPES = [
     (Energy, "joules", 1.5, "An amount of energy, stored in joules."),
-    (Power, "watts", 2.0, "A power draw, stored in watts."),
     (BitCount, "bits", 3, "An exact number of bits; all counting stays in integer arithmetic."),
-    (BitRate, "bits_per_second", 4.0, "A strictly positive transmission rate in bits per second."),
     (FlopCount, "flops", 5, "An exact number of floating-point operations."),
     (EnergyPerBit, "joules_per_bit", 6e-9, "Energy intensity in joules per bit."),
     (CarbonIntensity, "grams_co2e_per_kwh", 425.0,
      "Grid carbon intensity in grams CO2-equivalent per kWh."),
 ]
+
+
+def test_the_unit_types_are_the_five_of_one_table():
+    assert list(ecal.units._SETTERS) == [unit for unit, *_ in UNIT_TYPES]
+    assert not hasattr(ecal.units, "Power") and not hasattr(ecal.units, "BitRate")
 
 
 @pytest.mark.parametrize("unit, field, value, doc", UNIT_TYPES,

@@ -21,7 +21,6 @@ from ecal import (
     HDD,
     LORAWAN,
     BitCount,
-    BitRate,
     CarbonIntensity,
     CarbonIntensityRecord,
     Energy,
@@ -30,7 +29,6 @@ from ecal import (
     FlopLedger,
     MlpArchitecture,
     PayloadSpec,
-    Power,
     ProcessingUnitProfile,
     RawDataset,
     ReportTable,
@@ -49,7 +47,7 @@ from ecal import (
 )
 from ecal.units import _Value
 
-VALIDATING = {Energy, Power, BitCount, BitRate, FlopCount, EnergyPerBit, CarbonIntensity,
+VALIDATING = {Energy, BitCount, FlopCount, EnergyPerBit, CarbonIntensity,
               PayloadSpec, TechnologyProfile, StorageProfile, MlpArchitecture,
               ProcessingUnitProfile, RawDataset, CarbonIntensityRecord, ReportTable, Sweeps,
               Scenario}
@@ -59,7 +57,7 @@ def _examples():
     s = default_scenario()
     carbon = cf_vs_gamma(s, bundled_ci_table()[:2], [1000])
     return [
-        Energy(1.5), Power(2.0), BitCount(3), BitRate(4.0), FlopCount(5), EnergyPerBit(6e-9),
+        Energy(1.5), BitCount(3), FlopCount(5), EnergyPerBit(6e-9),
         CarbonIntensity(425.0), PayloadSpec(64, 256), BLE5, LORAWAN, HDD,
         MlpArchitecture((6, 5, 3)), DEFAULT_PROCESSING_UNIT, make_split(256, 0.7),
         RawDataset((1.0, 2.5)), lifecycle_report(s), bundled_ci_table()[0], carbon,
@@ -82,7 +80,7 @@ def _fields(value):
 
 
 def test_every_record_type_is_covered():
-    assert len({type(value) for value in ALL}) == 24
+    assert len({type(value) for value in ALL}) == 22
     assert {type(value).__name__ for value in RECORDS} == {
         "TrainSplit", "LifecycleReport", "CarbonReport", "ScenarioDocument",
         "FlopLedger", "GammaRow", "CarbonReportRow"}
@@ -97,9 +95,8 @@ def test_reprs_are_pinned():
     assert repr(Energy(1.0)) == "Energy(joules=1.0)"
     assert repr(PayloadSpec(64, 256)) == "PayloadSpec(bits_per_sample=64, sample_count=256)"
     assert repr(BLE5) == (
-        "TechnologyProfile(name='ble5', packet_capacity=BitCount(bits=2120), "
-        "packet_overhead=BitCount(bits=168), transmit_power=Power(watts=0.0031628), "
-        "transmit_rate=BitRate(bits_per_second=1000000.0), packets_override=None)")
+        "TechnologyProfile(name='ble5', packet_capacity=2120, packet_overhead=168, "
+        "transmit_power=0.0031628, transmit_rate=1000000.0, packets_override=None)")
     assert repr(ReportTable(("metric", "value"), [("a", 1.0)])) == (
         "ReportTable(columns=('metric', 'value'), rows=(('a', 1.0),))")
     assert repr(make_split(256, 0.7)) == (
@@ -112,7 +109,7 @@ def test_reprs_are_pinned():
 
 def test_equality_needs_the_same_type_and_fields():
     assert Energy(1.0) == Energy(1.0)
-    assert Energy(1.0) != Power(1.0)
+    assert Energy(1.0) != EnergyPerBit(1.0)
     assert Energy(1.0) != Energy(2.0)
     assert Energy(1.0) != (1.0,)
     assert BitCount(3) != 3
