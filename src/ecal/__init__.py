@@ -39,9 +39,9 @@ _EXPORTS = {
     "carbon": "carbon CarbonIntensityRecord CarbonReport CarbonReportRow CiTableError "
               "DuplicateCountryError UnknownCountryError bundled_ci_table carbon_footprint "
               "cf_vs_gamma load_ci_table",
-    "report": "REPRODUCE_TARGETS ReportTable UnknownTargetError reproduce",
+    "report": "REPRODUCE_TARGETS ReportTable UnknownTargetError reproduce write_report",
     "scenario_io": "scenario_io ScenarioDocument ScenarioError Sweeps load_scenario "
-                   "parse_scenario serialize_scenario write_report",
+                   "parse_scenario serialize_scenario",
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_SUBMODULE)

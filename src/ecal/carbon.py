@@ -69,7 +69,7 @@ def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensi
     if not isinstance(source, (str, bytes, os.PathLike)):  # an int would be a file descriptor
         raise FieldTypeError("source", f"must be a path or a text stream, "
                                        f"got {type(source).__name__}")
-    with open(source, "r", encoding="utf-8", newline="") as handle:
+    with open(source, "r", encoding="utf-8-sig", newline="") as handle:  # skips a leading BOM
         return _parse_ci_rows(handle)
 
 

@@ -13,11 +13,10 @@ import sys
 from collections.abc import Sequence
 from functools import partial
 
-from .report import REPRODUCE_TARGETS, ReportTable, _write
+from .report import REPRODUCE_TARGETS, ReportTable, _json, _write
 
 __all__ = ["run", "main"]
 
-CI_FILE_ENV_VAR = "ECAL_CI_FILE"
 # StandardizationMethod's values, written out so that building the parser
 # does not import ecal.preprocessing (and with it ecal.mlp_cost).
 _METHODS = ("minmax", "normalization")
@@ -82,8 +81,7 @@ def _build_parser() -> _Parser:
     carbon = sub.add_parser("carbon", parents=[output, scenario],
                             help="carbon footprint per country")
     carbon.add_argument("--ci-file", metavar="FILE",
-                        help=f"carbon-intensity CSV (default: bundled table, "
-                             f"or ${CI_FILE_ENV_VAR})")
+                        help="carbon-intensity CSV (default: bundled table)")
     carbon.set_defaults(handler=_cmd_carbon)
 
     repro = sub.add_parser("reproduce", help="emit the bundled reference datasets")
@@ -195,8 +193,7 @@ def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
     from .scenario_io import load_scenario
 
     doc = load_scenario(args.scenario)
-    ci_path = args.ci_file or os.environ.get(CI_FILE_ENV_VAR)
-    records = load_ci_table(ci_path) if ci_path else bundled_ci_table()
+    records = load_ci_table(args.ci_file) if args.ci_file else bundled_ci_table()
     report = cf_vs_gamma(doc.scenario, records, [doc.scenario.gamma])
     rows = [
         (row.gamma, row.country_code, row.intensity.grams_co2e_per_kwh,
@@ -225,20 +222,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> ReportTable | None:
     return reproduce(targets[0])
 
 
-def _emit(table: ReportTable, args: argparse.Namespace) -> None:
-    if args.json:
-        import json
-
-        payload = {"columns": list(table.columns), "rows": [list(row) for row in table.rows]}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = table.to_csv()
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation and return its exit code."""
     parser = _build_parser()
@@ -249,7 +232,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         table = args.handler(args)
         if table is not None:
-            _emit(table, args)
+            _write(args.out or sys.stdout, _json(table) if args.json else table.to_csv())
         return 0
     except (ValueError, LookupError) as exc:  # a KeyError's str is its message's repr
         print(f"ecal: error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)

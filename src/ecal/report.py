@@ -1,13 +1,16 @@
-"""Report tables, and the bundled reference datasets by name.
+"""Report tables, the one writer of reports, and the bundled reference
+datasets by name.
 
-Reports are plain CSV with LF line endings, so identical inputs always
-produce byte-identical output.  Each dataset is built by the function of
-its name in :mod:`ecal.figures`, which is imported only to reproduce one.
+Reports are plain CSV with LF line endings (or, from the CLI, JSON), so
+identical inputs always produce byte-identical output.  Each dataset is
+built by the function of its name in :mod:`ecal.figures`, which is imported
+only to reproduce one.
 """
 
 from __future__ import annotations
 
 import os
+from io import BufferedIOBase, RawIOBase, TextIOBase
 from itertools import chain
 
 from . import _all_of
@@ -64,8 +67,18 @@ def reproduce(target: str) -> ReportTable:
     return getattr(figures, target)()
 
 
-def _write(destination: str | os.PathLike, text: str) -> int:
-    """Write ``text`` to ``destination`` as UTF-8; returns the bytes written."""
+def _json(table: ReportTable) -> str:
+    """``table`` as a JSON object of its columns and its rows, each an array."""
+    import json
+
+    return json.dumps({"columns": table.columns, "rows": table.rows}, indent=2) + "\n"
+
+
+def _write(destination: str | os.PathLike | TextIOBase, text: str) -> int:
+    """Write ``text`` as UTF-8 to a path or a text stream; returns the bytes written."""
+    if hasattr(destination, "write") and not isinstance(destination, (BufferedIOBase, RawIOBase)):
+        destination.write(text)
+        return len(text.encode("utf-8"))
     if not isinstance(destination, (str, bytes, os.PathLike)):  # an int would be a file descriptor
         raise FieldTypeError("destination", f"must be a path or a text stream, "
                                             f"got {type(destination).__name__}")
@@ -76,3 +89,8 @@ def _write(destination: str | os.PathLike, text: str) -> int:
     except OSError as exc:
         raise OSError(f"cannot write report to {os.fspath(destination)!r}: {exc}") from exc
     return len(data)
+
+
+def write_report(table: ReportTable, destination: str | os.PathLike | TextIOBase) -> int:
+    """Write a table as UTF-8 CSV to a path or text stream; returns bytes written."""
+    return _write(destination, table.to_csv())

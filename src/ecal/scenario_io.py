@@ -1,11 +1,11 @@
-"""Scenario files and report writing.
+"""Scenario files.
 
 A scenario is a single strict-schema JSON document; unknown keys are
 rejected so parameter typos fail loudly.  Each object a document holds, and
 each key of it, is declared once, in ``_SCHEMA``, which the parser and the
 serializer both read.  ``ReportTable``, ``UnknownTargetError``,
-``reproduce`` and ``REPRODUCE_TARGETS`` belong to :mod:`ecal.report` and
-can be imported from here too.
+``reproduce``, ``write_report`` and ``REPRODUCE_TARGETS`` belong to
+:mod:`ecal.report` and can be imported from here too.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import json
 import os
 from collections import namedtuple
 from collections.abc import Callable
-from io import BufferedIOBase, RawIOBase, TextIOBase
 from operator import attrgetter
 
 from . import _all_of
 from .lifecycle import Scenario, Sweeps, default_scenario
 from .mlp_cost import MlpArchitecture, ProcessingUnitProfile
 from .preprocessing import StandardizationMethod
-from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _write, reproduce
+from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, reproduce, write_report
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
 from .units import FieldError, FieldTypeError
@@ -214,14 +213,5 @@ def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
     """Read and parse a scenario file."""
     if not isinstance(path, (str, bytes, os.PathLike)):  # an int would be a file descriptor
         raise FieldTypeError("path", f"must be a str or os.PathLike, got {type(path).__name__}")
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # skips a leading BOM
         return parse_scenario(handle.read())
-
-
-def write_report(table: ReportTable, destination: str | os.PathLike | TextIOBase) -> int:
-    """Write a table as UTF-8 CSV to a path or text stream; returns bytes written."""
-    text = table.to_csv()
-    if hasattr(destination, "write") and not isinstance(destination, (BufferedIOBase, RawIOBase)):
-        destination.write(text)
-        return len(text.encode("utf-8"))
-    return _write(destination, text)

@@ -1,16 +1,27 @@
+import argparse
 import ast
 import io
 import json
 import os
 import tokenize
+from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ecal import cli
+from ecal.carbon import UnknownCountryError, bundled_ci_table, cf_vs_gamma
 from ecal.cli import _METHODS, run
+from ecal.lifecycle import _price, gamma_sweep, lifecycle_report
 from ecal.preprocessing import StandardizationMethod
-from ecal.scenario_io import REPRODUCE_TARGETS, reproduce
+from ecal.scenario_io import REPRODUCE_TARGETS, ScenarioDocument, parse_scenario, reproduce
+from ecal.scenario_io import serialize_scenario
+from ecal.storage import BUILTIN_STORAGE
+from ecal.transmission import BUILTIN_TECHNOLOGIES
+from ecal.units import BitCount, Energy, EnergyPerBit
+from strategies import boundary_documents, scenarios
 from test_units import beyond_float
 
 MINIMAL_SCENARIO = {
@@ -87,6 +98,19 @@ def test_each_shared_option_is_declared_once():
 
 def test_method_choices_are_the_standardization_methods():
     assert list(_METHODS) == [m.value for m in StandardizationMethod]
+
+
+@pytest.mark.parametrize("command, dest, builtins", [
+    ("transmit", "tech", BUILTIN_TECHNOLOGIES),
+    ("storage", "medium", BUILTIN_STORAGE),
+], ids=["tech", "storage"])
+def test_help_names_the_built_ins(command, dest, builtins):
+    # Written out by hand, so that building the parser loads no model module.
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    assert action.help.partition("(")[2] == ", ".join(builtins) + ")"
+    assert action.default in builtins
 
 
 def test_train_cost_reports_flop_counts(capsys, scenario_file):
@@ -252,11 +276,13 @@ def test_carbon_ci_file_flag_and_env(capsys, scenario_file, tmp_path, monkeypatc
     assert run(["carbon", "--scenario", scenario_file, "--ci-file", str(ci)]) == 0
     assert "NO" in capsys.readouterr().out
 
+    # Without --ci-file the table is the bundled one; no environment variable is read.
+    assert run(["carbon", "--scenario", scenario_file]) == 0
+    bundled = capsys.readouterr().out
+    assert "DE" in bundled and "NO" not in bundled
     monkeypatch.setenv("ECAL_CI_FILE", str(ci))
     assert run(["carbon", "--scenario", scenario_file]) == 0
-    out = capsys.readouterr().out
-    assert "NO" in out
-    assert "DE" not in out
+    assert capsys.readouterr().out == bundled
 
 
 def test_reproduce_single_target_to_stdout(capsys):
@@ -269,7 +295,9 @@ def test_reproduce_all_targets_to_directory(tmp_path):
     assert run(["reproduce", "--target", "all", "--out", str(out_dir)]) == 0
     written = sorted(p.name for p in out_dir.iterdir())
     assert written == sorted(f"{t}.csv" for t in REPRODUCE_TARGETS)
-    assert (out_dir / "table2.csv").read_text(encoding="utf-8") == reproduce("table2").to_csv()
+    golden = Path(__file__).parent / "golden"
+    for name in written:
+        assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_reproduce_all_targets_needs_a_directory(capsys):
@@ -449,3 +477,117 @@ def test_cli_values_match_library_calls(capsys):
     b_t = transmitted_bits(BLE5, PayloadSpec(64, 256))
     assert int(rows["B_T"]) == b_t.bits
     assert float(rows["E_T_J"]) == transmission_energy(BLE5, b_t).joules
+
+
+# --- the CLI says what the library says ----------------------------------------
+
+# `ecal train-cost`'s rows, each with the field of the priced lifecycle it prints.
+TRAIN_COST_FIELDS = (
+    ("M_FP", "forward_flops"), ("M_MLP_FP", "training_forward_flops"),
+    ("M_MLP", "training_flops"), ("N_inf_flops", "inference_flops"),
+    ("E_train_J", "training"), ("E_train_b_J_per_b", "training_per_bit"),
+    ("E_eval_J", "evaluation"), ("E_eval_b_J_per_b", "forward_per_bit"),
+    ("E_inf_J", "inference"),
+)
+UNIT_FIELD = {BitCount: "bits", Energy: "joules", EnergyPerBit: "joules_per_bit"}
+SWEEP = ("--gamma-sweep", "1,1000")
+# Each scenario subcommand the property runs, as its command and flags.
+SCENARIO_CALLS = (("train-cost", ()), ("lifecycle", ()), ("lifecycle", SWEEP), ("carbon", ()))
+# Every joule is finite at gamma 1, but the development bits exceed the float range.
+WIDE_BITS = {"samples": 8388608, "bit_precision": 10**301, "mlp": {"layers": [6, 5, 3]},
+             "epochs": 1, "inference_batch": 1, "gamma": 1}
+
+
+def _library(s, command, flags=()):
+    """The columns and rows that ``ecal COMMAND FLAGS`` prints for scenario ``s``,
+    as the library gives them."""
+    if command == "train-cost":
+        p = _price(s)
+        return ("metric", "value"), [(row, getattr(p, field)) for row, field in TRAIN_COST_FIELDS]
+    if command == "carbon":
+        return (("gamma", "country_code", "ci_g_per_kwh", "cf_development_g", "cf_inference_g",
+                 "cf_total_g"),
+                [(r.gamma, r.country_code, r.intensity.grams_co2e_per_kwh, r.cf_development_g,
+                  r.cf_inference_g, r.cf_total_g)
+                 for r in cf_vs_gamma(s, bundled_ci_table(), [s.gamma]).rows])
+    if flags:
+        gammas = tuple(map(int, flags[1].split(",")))
+        return (("gamma", "ecal_abs_J", "ecal_abs_mean_J", "eCAL_J_per_b"),
+                [(g, total.joules, mean.joules, per_bit.joules_per_bit)
+                 for g, total, mean, per_bit in gamma_sweep(s, gammas)])
+    return ("metric", "value"), [
+        (row, value if type(value) is int else getattr(value, UNIT_FIELD[type(value)]))
+        for (row, _), value in zip(LIFECYCLE_ROWS, lifecycle_report(s))]
+
+
+def _outcome(call):
+    """``call()`` and None, or None and the error it raised."""
+    try:
+        return call(), None
+    except (ValueError, LookupError) as exc:
+        return None, exc
+
+
+def _printed(table, as_json):
+    """A report's text by one rule: CSV cells are ``str``, JSON rows are arrays."""
+    columns, rows = table
+    if as_json:
+        return json.dumps({"columns": list(columns), "rows": [list(row) for row in rows]},
+                          indent=2) + "\n"
+    return "".join(",".join(map(str, line)) + "\n" for line in [columns, *rows])
+
+
+def _cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def inefficient_documents(draw):
+    """A scenario document whose FLOPs per joule, 1e-308 to 1e-289, bring its
+    joules near or past the float range."""
+    s = draw(scenarios())
+    fpj = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-308, -290))
+    s = s.__replace__(processing_unit=s.processing_unit.__replace__(flops_per_joule=fpj))
+    return json.loads(serialize_scenario(ScenarioDocument(s)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.one_of(boundary_documents().map(lambda drawn: drawn[0]), inefficient_documents()))
+@example(doc=WIDE_BITS)
+@example(doc={**MINIMAL_SCENARIO, "gamma": 10**308})
+@example(doc={**MINIMAL_SCENARIO, "technology": "wifi"})
+def test_each_scenario_subcommand_prints_what_the_library_gives(doc, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    s, parse_error = _outcome(lambda: parse_scenario(text).scenario)
+    errors = []
+    for command, flags in SCENARIO_CALLS:
+        table, error = ((None, parse_error) if s is None
+                        else _outcome(partial(_library, s, command, flags)))
+        errors.append(error)
+        for as_json in (False, True):
+            argv = [command, "--scenario", str(path), *flags, *["--json"] * as_json]
+            if error is None:
+                assert _cli(argv) == (0, _printed(table, as_json), ""), argv
+            else:
+                assert "\n" not in str(error)
+                assert _cli(argv) == (1, "", f"ecal: error: {error}\n"), argv
+    train, life, sweep, carbon = (error and str(error) for error in errors)
+    # Carbon fails as lifecycle does, unless a country is not in its table.
+    assert carbon == life or isinstance(errors[3], UnknownCountryError)
+    if train is not None:  # the document does not parse or price: every call says so
+        assert life == sweep == train
+    else:
+        # What still fails fails for its gamma alone: the document prices at gamma 1,
+        # and the sweep fails as lifecycle does at its first gamma that does not price.
+        one = s.__replace__(gamma=1)
+        assert _outcome(partial(_library, one, "lifecycle"))[1] is None
+        carbon_at_one = _outcome(partial(_library, one, "carbon"))[1]
+        assert carbon_at_one is None or isinstance(carbon_at_one, UnknownCountryError)
+        at_1000 = _outcome(partial(_library, s.__replace__(gamma=1000), "lifecycle"))[1]
+        assert sweep == (at_1000 and str(at_1000))

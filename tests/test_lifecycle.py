@@ -34,12 +34,13 @@ from ecal.mlp_cost import training_forward_flops, training_total_flops
 from ecal.preprocessing import StandardizationMethod, preprocessing_energy
 from ecal.preprocessing import preprocessing_energy_per_bit, preprocessing_flops
 from ecal.report import REPRODUCE_TARGETS, reproduce
-from ecal.storage import BUILTIN_STORAGE, SSD, StorageProfile, storage_energy
-from ecal.transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, ZIGBEE
+from ecal.storage import SSD, StorageProfile, storage_energy
+from ecal.transmission import PayloadSpec, TechnologyProfile, ZIGBEE
 from ecal.transmission import cumulative_transmission_energy, payload_bits
 from ecal.transmission import transmission_energy, transmitted_bits
 from ecal.units import JOULES_PER_KWH, BitCount, Energy, EnergyPerBit, FieldError
 from ecal.units import FieldTypeError, _checked_count
+from strategies import scenarios
 from test_units import beyond_float
 
 
@@ -630,49 +631,6 @@ def test_overflowing_per_bit_training_energy_is_a_value_error():
                       lambda x: cf_vs_gamma(x, bundled_ci_table(), [1])):
             with pytest.raises(ValueError, match=message):
                 price(s)
-
-
-@st.composite
-def scenarios(draw):
-    bits_per_sample = draw(st.sampled_from([16, 32, 64]))
-    samples = draw(st.integers(1, 1024))
-    batch = draw(st.integers(1, 200))
-    builtin_radio = draw(st.booleans())
-    if builtin_radio:
-        technology = BUILTIN_TECHNOLOGIES[draw(st.sampled_from(["ble5", "zigbee"]))]
-    else:
-        f_u = draw(st.integers(256, 4096))
-        needed = -(-bits_per_sample * max(samples, batch) // f_u)
-        override = draw(st.one_of(st.none(), st.integers(needed, needed + 3)))
-        technology = TechnologyProfile(
-            "inline", f_u, draw(st.integers(0, 2000)),
-            draw(st.floats(1e-3, 0.2)), draw(st.floats(1e3, 2e6)),
-            packets_override=override,
-        )
-    if draw(st.booleans()):
-        storage = BUILTIN_STORAGE[draw(st.sampled_from(["hdd", "ssd"]))]
-    else:
-        storage = StorageProfile("inline", draw(st.floats(0.1, 5.0)))
-    hidden = draw(st.lists(st.integers(1, 32), min_size=1, max_size=6))
-    layers = (draw(st.integers(2, 16)), *hidden, draw(st.integers(1, 8)))
-    return Scenario(
-        payload=PayloadSpec(bits_per_sample, samples),
-        technology=technology,
-        storage=storage,
-        standardization=draw(st.sampled_from(list(StandardizationMethod))),
-        train_fraction=draw(st.floats(0.05, 1.0)),
-        epochs=draw(st.integers(1, 30)),
-        architecture=MlpArchitecture(layers),
-        inference_batch=batch,
-        gamma=draw(st.integers(1, 10**6)),
-        processing_unit=ProcessingUnitProfile(
-            draw(st.floats(1.0, 300.0)),
-            draw(st.floats(1e8, 1e11)),
-            draw(st.floats(1e6, 1e10)),
-        ),
-        invalid_samples=draw(st.integers(0, samples - 1)),
-        inference_invalid_samples=draw(st.integers(0, batch - 1)),
-    )
 
 
 @settings(max_examples=60, deadline=None)

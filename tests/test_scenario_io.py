@@ -33,7 +33,7 @@ from ecal.scenario_io import (
 from ecal.storage import StorageProfile, storage_profile
 from ecal.transmission import PayloadSpec, TechnologyProfile, technology_profile, transmitted_bits
 from ecal.units import FieldError, FieldTypeError
-from test_lifecycle import scenarios
+from strategies import boundary_documents, scenarios
 from test_units import FLOAT_EDGE, beyond_float
 
 MINIMAL_DOC = json.dumps(
@@ -287,76 +287,6 @@ def test_integer_over_the_digit_limit_is_a_scenario_error():
 
 
 # --- agreement of the parser with the model constructors ----------------------
-
-_OMIT = object()
-
-
-@st.composite
-def boundary_documents(draw):
-    """A document whose fields sit at the edges of their rules, the paths of
-    the fields drawn out of range, and every (path, value) that would put
-    one more field out of range.  Half the documents keep every field in
-    range; the other half let any field leave it."""
-    free = draw(st.booleans())
-    doc: dict = {}
-    bad: set = set()
-    faults: list = []
-
-    def put(key, good, out, target=doc, at="", optional=False):
-        values = [_OMIT] * optional + list(good)
-        in_range = len(values)
-        if free:
-            values += out
-        index = draw(st.integers(0, len(values) - 1))
-        value = values[index]
-        if value is not _OMIT:
-            target[key] = value
-        if index >= in_range:
-            bad.add(at + key)
-        faults.extend((at + key, fault) for fault in out)
-        return value
-
-    samples = put("samples", [0, 1, 64], [-1])
-    put("invalid_samples", [0, max(samples, 0)], [samples + 1], optional=True)
-    put("bit_precision", [1, 64], [0], optional=True)
-    if draw(st.booleans()):
-        doc["technology"] = draw(st.sampled_from(["ble5", "zigbee", "lorawan"]))
-    else:
-        radio = doc["technology"] = {}
-        put("f_u", [1, 2048], [0], radio, "technology.")
-        put("omega_u", [0, 100], [-1], radio, "technology.")
-        put("p_t_w", [1e-3], [0], radio, "technology.")
-        put("r_t_bps", [1e6], [0.0], radio, "technology.")
-        put("packets_override", [1, 1000], [0], radio, "technology.", optional=True)
-    if draw(st.booleans()):
-        doc["storage"] = draw(st.sampled_from(["hdd", "ssd"]))
-    else:
-        put("wh_per_tb", [0.0, 0.65], [-1.0, float("inf")], doc.setdefault("storage", {}),
-            "storage.")
-    put("preprocessing", ["minmax", "normalization"], ["zscore"], optional=True)
-    put("split_ratio", [0.5, 1], [0, 1.5], optional=True)
-    put("epochs", [1, 2], [-1, 0])
-    widths = draw(st.lists(st.sampled_from([1, 3, 0, 2.5] if free else [1, 3]),
-                           min_size=1 if free else 2, max_size=4))
-    doc["mlp"] = {"layers": widths}
-    bad.update(["mlp.layers"] if len(widths) < 2 else [])
-    bad.update(f"mlp.layers[{i}]" for i, width in enumerate(widths) if width in (0, 2.5))
-    faults.append(("mlp.layers", [1]))
-    faults.extend((f"mlp.layers[{i}]", width) for i in range(len(widths)) for width in (0, 2.5))
-    batch = put("inference_batch", [1, 5], [0])
-    put("inference_invalid_samples", [0, batch], [batch + 1], optional=True)
-    put("gamma", [1, 1000], [0])
-    if draw(st.booleans()):
-        codes = draw(st.sampled_from([["DE"], ["fi", "ES"]] + [["DEU"], [5]] * free))
-        doc["countries"] = codes
-        bad.update(["countries[0]"] if codes[0] in ("DEU", 5) else [])
-        faults.extend(("countries[0]", code) for code in ("DEU", 5))
-    if draw(st.booleans()):
-        unit = doc["processing_unit"] = {}
-        for key in ("preprocessing_power_w", "preprocessing_flops_per_s", "flops_per_joule"):
-            put(key, [1e9], [0.0], unit, "processing_unit.", optional=True)
-    return doc, bad, faults
-
 
 def _with(doc, path, value):
     """A copy of ``doc`` with the field at ``path`` set to ``value``."""
@@ -651,6 +581,19 @@ def test_boolean_cells_are_rejected():
             ReportTable(("a", "b"), (row,)).to_csv()
     # Text that only reads like a bool is kept.
     assert ReportTable(("True", "b"), (("False", 1),)).to_csv() == "True,b\nFalse,1\n"
+
+
+def test_load_scenario_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL_DOC.encode("utf-8"))
+    assert load_scenario(path) == parse_scenario(MINIMAL_DOC)
+
+
+def test_write_report_lives_in_report():
+    import ecal
+
+    assert scenario_io.write_report is report.write_report is ecal.write_report
+    assert "write_report" in report.__all__ and "write_report" not in scenario_io.__all__
 
 
 def test_write_report_to_path_returns_bytes_written(tmp_path):
