@@ -11,12 +11,13 @@ import csv
 import os
 from collections import namedtuple
 from collections.abc import Iterable
-from io import BufferedIOBase, RawIOBase, TextIOBase
+from io import StringIO, TextIOBase
 from itertools import repeat
 
 from . import _all_of
 from .lifecycle import Scenario, _price, _sweep
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, FieldTypeError, _checked_count
+from .report import _read
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count
 from .units import _checked_country, _checked_items, _checked_types, _Value, joules_to_kwh
 
 __all__ = _all_of(__name__)
@@ -58,33 +59,21 @@ def carbon_footprint(e: Energy, ci: CarbonIntensity) -> float:
 
 
 def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensityRecord, ...]:
-    """Load carbon-intensity records from CSV.
+    """Load carbon-intensity records from a CSV path or text stream.
 
     Expects the header ``country_code,country_name,year,ci_g_per_kwh``.
     Raises :class:`CiTableError` naming the offending line on malformed
     rows and :class:`DuplicateCountryError` on repeated (code, year) keys.
     """
-    if hasattr(source, "read") and not isinstance(source, (BufferedIOBase, RawIOBase)):
-        return _parse_ci_rows(source)
-    if not isinstance(source, (str, bytes, os.PathLike)):  # an int would be a file descriptor
-        raise FieldTypeError("source", f"must be a path or a text stream, "
-                                       f"got {type(source).__name__}")
-    with open(source, "r", encoding="utf-8-sig", newline="") as handle:  # skips a leading BOM
-        return _parse_ci_rows(handle)
-
-
-def _parse_ci_rows(stream: Iterable[str]) -> tuple[CarbonIntensityRecord, ...]:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CiTableError("carbon-intensity table is empty (missing header)") from None
+    # Rows split as in a file opened with newline="", as csv expects.
+    reader = csv.reader(StringIO(_read(source, "source"), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise CiTableError("carbon-intensity table is empty (missing header)")
     if header != _CI_HEADER:
-        raise CiTableError(
-            f"line 1: expected header {','.join(_CI_HEADER)!r}, got {','.join(header)!r}"
-        )
-    records: list[CarbonIntensityRecord] = []
-    seen: set[tuple[str, int]] = set()
+        raise CiTableError(f"line 1: expected header {','.join(_CI_HEADER)!r}, "
+                           f"got {','.join(header)!r}")
+    records: dict[tuple[str, int], CarbonIntensityRecord] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -92,8 +81,7 @@ def _parse_ci_rows(stream: Iterable[str]) -> tuple[CarbonIntensityRecord, ...]:
             raise CiTableError(f"line {lineno}: expected {len(_CI_HEADER)} fields, got {len(row)}")
         code, name, year_text, ci_text = row
         try:
-            year = int(year_text)
-            intensity = float(ci_text)
+            year, intensity = int(year_text), float(ci_text)
         except ValueError:
             raise CiTableError(f"line {lineno}: cannot parse {row!r}") from None
         try:
@@ -101,11 +89,10 @@ def _parse_ci_rows(stream: Iterable[str]) -> tuple[CarbonIntensityRecord, ...]:
         except ValueError as exc:
             raise CiTableError(f"line {lineno}: {exc}") from None
         key = (record.country_code, record.year)
-        if key in seen:
+        if key in records:
             raise DuplicateCountryError(f"line {lineno}: duplicate entry for {key}")
-        seen.add(key)
-        records.append(record)
-    return tuple(records)
+        records[key] = record
+    return tuple(records.values())
 
 
 def bundled_ci_table() -> tuple[CarbonIntensityRecord, ...]:

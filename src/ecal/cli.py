@@ -14,12 +14,18 @@ from collections.abc import Sequence
 from functools import partial
 
 from .report import REPRODUCE_TARGETS, ReportTable, _json, _write
+from .units import FieldError
 
 __all__ = ["run", "main"]
 
 # StandardizationMethod's values, written out so that building the parser
 # does not import ecal.preprocessing (and with it ecal.mlp_cost).
 _METHODS = ("minmax", "normalization")
+
+# The option, less its "--", that gives each library field a subcommand fills
+# from its command line, so that a FieldError names what was typed.
+_OPTIONS = {"sample_count": "samples", "n_s": "samples", "bits_per_sample": "precision",
+            "n_nan": "invalid", "gamma": "gamma-sweep"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,8 +240,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         if table is not None:
             _write(args.out or sys.stdout, _json(table) if args.json else table.to_csv())
         return 0
-    except (ValueError, LookupError) as exc:  # a KeyError's str is its message's repr
-        print(f"ecal: error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    except (ValueError, LookupError) as exc:
+        message = exc
+        if isinstance(exc, FieldError) and exc.field in _OPTIONS:
+            message = f"--{_OPTIONS[exc.field]}: {exc.reason}"
+        elif isinstance(exc, KeyError):  # its str is its message's repr
+            message = exc.args[0]
+        print(f"ecal: error: {message}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ecal: i/o error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from . import _all_of
 from .units import Energy, EnergyPerBit, FieldError, FlopCount
-from .units import _checked_count, _checked_items, _checked_real, _Value
+from .units import _checked_count, _checked_items, _checked_real, _checked_types, _Value
 
 __all__ = _all_of(__name__)
 
@@ -100,6 +100,8 @@ def forward_flops(arch: MlpArchitecture) -> FlopCount:
 
 def _forward(arch: MlpArchitecture) -> int:
     """:func:`forward_flops` as an int, shown to fit a float."""
+    if not isinstance(arch, MlpArchitecture):
+        _checked_types((arch, "arch", MlpArchitecture))
     total = 0
     sizes = arch.layer_sizes
     for fan_in, width in zip(sizes, sizes[1:]):
@@ -116,6 +118,8 @@ def training_forward_flops(arch: MlpArchitecture, n_epochs: int, n_train: int) -
 
 def training_total_flops(m_forward: FlopCount) -> FlopCount:
     """Total training FLOPs: forward plus a backward pass costed at twice forward."""
+    if not isinstance(m_forward, FlopCount):
+        _checked_types((m_forward, "m_forward", FlopCount))
     return FlopCount(3 * m_forward.flops)
 
 

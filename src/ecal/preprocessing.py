@@ -185,6 +185,8 @@ def preprocessing_energy(
     pu: ProcessingUnitProfile, m_pre: FlopCount
 ) -> tuple[float, Energy]:
     """Execution time in seconds and energy of ``m_pre`` preprocessing FLOPs."""
+    if not (isinstance(pu, ProcessingUnitProfile) and isinstance(m_pre, FlopCount)):
+        _checked_types((pu, "pu", ProcessingUnitProfile), (m_pre, "m_pre", FlopCount))
     t_pre = m_pre.flops / pu.preprocessing_flops_per_s
     return t_pre, Energy(pu.preprocessing_power * t_pre)
 

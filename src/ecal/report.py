@@ -1,6 +1,8 @@
-"""Report tables, the one writer of reports, and the bundled reference
-datasets by name.
+"""Report tables, the one reader and writer of files, and the bundled
+reference datasets by name.
 
+A file is a UTF-8 path (``str``, ``bytes`` or ``os.PathLike``) or a text
+stream, which stays open; text read loses a leading byte-order mark.
 Reports are plain CSV with LF line endings (or, from the CLI, JSON), so
 identical inputs always produce byte-identical output.  Each dataset is
 built by the function of its name in :mod:`ecal.figures`, which is imported
@@ -74,23 +76,36 @@ def _json(table: ReportTable) -> str:
     return json.dumps({"columns": table.columns, "rows": table.rows}, indent=2) + "\n"
 
 
-def _write(destination: str | os.PathLike | TextIOBase, text: str) -> int:
-    """Write ``text`` as UTF-8 to a path or a text stream; returns the bytes written."""
-    if hasattr(destination, "write") and not isinstance(destination, (BufferedIOBase, RawIOBase)):
-        destination.write(text)
-        return len(text.encode("utf-8"))
-    if not isinstance(destination, (str, bytes, os.PathLike)):  # an int would be a file descriptor
-        raise FieldTypeError("destination", f"must be a path or a text stream, "
-                                            f"got {type(destination).__name__}")
-    data = text.encode("utf-8")
+def _is_stream(target: object, field: str, method: str) -> bool:
+    """True for a text stream with ``method``, False for a path; anything else
+    raises naming ``field`` (an int would be a file descriptor, closed by open())."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        return False
+    if hasattr(target, method) and not isinstance(target, (BufferedIOBase, RawIOBase)):
+        return True
+    raise FieldTypeError(field, f"must be a path or a text stream, got {type(target).__name__}")
+
+
+def _read(source: str | os.PathLike | TextIOBase, field: str) -> str:
+    """The text of a path or a text stream, less a leading byte-order mark."""
+    if not _is_stream(source, field, "read"):
+        with open(source, encoding="utf-8", newline="") as handle:
+            return _read(handle, field)
+    return source.read().removeprefix("\ufeff")
+
+
+def _write(destination: str | os.PathLike | TextIOBase, text: str) -> int | None:
+    """Write ``text``; returns what a stream's ``write`` returns, or a path's bytes."""
+    if _is_stream(destination, "destination", "write"):
+        return destination.write(text)
     try:
         with open(destination, "wb") as handle:
-            handle.write(data)
+            return handle.write(text.encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write report to {os.fspath(destination)!r}: {exc}") from exc
-    return len(data)
 
 
-def write_report(table: ReportTable, destination: str | os.PathLike | TextIOBase) -> int:
-    """Write a table as UTF-8 CSV to a path or text stream; returns bytes written."""
+def write_report(table: ReportTable, destination: str | os.PathLike | TextIOBase) -> int | None:
+    """Write a table as CSV to a path or a text stream; returns the bytes written
+    to a path, or what the stream's ``write`` returns."""
     return _write(destination, table.to_csv())

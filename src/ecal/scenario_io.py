@@ -14,16 +14,18 @@ import json
 import os
 from collections import namedtuple
 from collections.abc import Callable
+from io import TextIOBase
 from operator import attrgetter
 
 from . import _all_of
 from .lifecycle import Scenario, Sweeps, default_scenario
 from .mlp_cost import MlpArchitecture, ProcessingUnitProfile
 from .preprocessing import StandardizationMethod
-from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, reproduce, write_report
+from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _read, reproduce
+from .report import write_report
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
-from .units import FieldError, FieldTypeError
+from .units import FieldError
 
 __all__ = _all_of(__name__)
 
@@ -151,9 +153,7 @@ def _parse(cls: type, value: object, path: str) -> object:
             args.append(default)
             continue
         item = value[key]
-        if rule is None:
-            pass
-        elif isinstance(rule, str):
+        if isinstance(rule, str):
             if not isinstance(item, list):
                 raise _fail(at + key, f"expected a list{rule}, got {item!r}")
             item = tuple(item)
@@ -162,7 +162,7 @@ def _parse(cls: type, value: object, path: str) -> object:
             if choice is None:
                 raise _fail(at + key, f"expected one of {', '.join(rule)}, got {item!r}")
             item = choice
-        else:
+        elif rule is not None:
             item = _parse(rule, item, at + key)
         args.append(item)
     return _build(at, _NAMES[cls], builder, *args)
@@ -209,9 +209,6 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
     return json.dumps(_to_json(doc), indent=2) + "\n"
 
 
-def load_scenario(path: str | os.PathLike) -> ScenarioDocument:
-    """Read and parse a scenario file."""
-    if not isinstance(path, (str, bytes, os.PathLike)):  # an int would be a file descriptor
-        raise FieldTypeError("path", f"must be a str or os.PathLike, got {type(path).__name__}")
-    with open(path, "r", encoding="utf-8-sig") as handle:  # skips a leading BOM
-        return parse_scenario(handle.read())
+def load_scenario(source: str | os.PathLike | TextIOBase) -> ScenarioDocument:
+    """Read and parse a scenario from a UTF-8 path or a text stream."""
+    return parse_scenario(_read(source, "source"))

@@ -42,9 +42,13 @@ def storage_profile(name: str) -> StorageProfile:
 
 def storage_energy_per_bit(profile: StorageProfile) -> EnergyPerBit:
     """Write energy per stored bit for the medium."""
+    if not isinstance(profile, StorageProfile):
+        _checked_types((profile, "profile", StorageProfile))
     return wh_per_tb_to_j_per_bit(profile.wh_per_terabyte)
 
 
 def storage_energy(profile: StorageProfile, payload: BitCount) -> Energy:
     """Energy to write ``payload`` bits once to the medium."""
+    if not isinstance(payload, BitCount):
+        _checked_types((payload, "payload", BitCount))
     return Energy(storage_energy_per_bit(profile).joules_per_bit * payload.bits)

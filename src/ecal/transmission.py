@@ -112,6 +112,8 @@ def packet_count(profile: TechnologyProfile, spec: PayloadSpec) -> int:
     packets to capacity (rounding up), unless the profile pins the count
     via ``packets_override``.
     """
+    if not (isinstance(profile, TechnologyProfile) and isinstance(spec, PayloadSpec)):
+        _checked_types((profile, "profile", TechnologyProfile), (spec, "spec", PayloadSpec))
     return _packets(profile, spec.bits_per_sample * spec.sample_count)
 
 
@@ -141,11 +143,15 @@ def transmitted_bits(profile: TechnologyProfile, spec: PayloadSpec) -> BitCount:
 
 def transmission_energy(profile: TechnologyProfile, b_t: BitCount) -> Energy:
     """Radio energy to transmit ``b_t`` bits: (power / rate) * bits."""
+    if not isinstance(b_t, BitCount):
+        _checked_types((b_t, "b_t", BitCount))
     return Energy(transmission_energy_per_bit(profile).joules_per_bit * b_t.bits)
 
 
 def transmission_energy_per_bit(profile: TechnologyProfile) -> EnergyPerBit:
     """Energy per transmitted bit; depends only on power and rate, not payload."""
+    if not isinstance(profile, TechnologyProfile):
+        _checked_types((profile, "profile", TechnologyProfile))
     return EnergyPerBit(profile.transmit_power / profile.transmit_rate)
 
 

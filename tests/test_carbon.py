@@ -118,14 +118,6 @@ def test_load_ci_table_from_path(tmp_path):
     assert records[0].intensity.grams_co2e_per_kwh == 30.0
 
 
-def test_load_ci_table_skips_a_leading_byte_order_mark(tmp_path):
-    # A spreadsheet's "CSV UTF-8" export starts with one.
-    path = tmp_path / "ci.csv"
-    text = CI_HEADER + "NO,Norway,2023,30\n"
-    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-    assert load_ci_table(path) == load_ci_table(io.StringIO(text))
-
-
 def test_record_normalizes_country_code_case():
     record = CarbonIntensityRecord("de", "Germany", 2023, CarbonIntensity(425.0))
     assert record.country_code == "DE"

@@ -231,7 +231,7 @@ def test_lifecycle_rejects_a_gamma_below_one_in_the_sweep(capsys, scenario_file)
     assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", "5,0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "ecal: error: gamma must be >= 1, got 0\n"
+    assert captured.err == "ecal: error: --gamma-sweep: must be >= 1, got 0\n"
 
 
 def test_lifecycle_uses_scenario_sweep_block(capsys, tmp_path):
@@ -376,7 +376,8 @@ def test_a_scenario_whose_bits_overflow_fails_alike_in_every_subcommand(capsys, 
 def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
     huge = "1" + "0" * 400
     assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge}"]) == 1
-    assert capsys.readouterr().err == f"ecal: error: {beyond_float('gamma', 1329)}\n"
+    assert capsys.readouterr().err == ("ecal: error: --gamma-sweep: too large for "
+                                       "floating-point arithmetic (1329-bit integer)\n")
     # Representable, but the lifecycle bits are not.
     assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge[:309]}"]) == 1
     assert capsys.readouterr().err.startswith("ecal: error: gamma is too large")
@@ -391,17 +392,37 @@ def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
 @pytest.mark.parametrize("command", [["transmit"], ["storage"],
                                      ["preprocess", "--method", "normalization"]],
                          ids=["transmit", "storage", "preprocess"])
-@pytest.mark.parametrize("counts, field", [
-    (["--samples", "1" + "0" * 400], None),
-    (["--samples", "1" + "0" * 200, "--precision", "1" + "0" * 200], "bit count"),
+@pytest.mark.parametrize("counts, message", [
+    (["--samples", "1" + "0" * 400],
+     "--samples: too large for floating-point arithmetic (1329-bit integer)"),
+    (["--samples", "1" + "0" * 200, "--precision", "1" + "0" * 200],
+     beyond_float("bit count", 1329)),
 ], ids=["401-digit samples", "10**200 each"])
-def test_counts_beyond_float_range_are_one_error_line(capsys, command, counts, field):
+def test_counts_beyond_float_range_are_one_error_line(capsys, command, counts, message):
     assert run([*command, *counts]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # preprocess counts the FLOPs of its samples first; the others build the payload.
-    field = field or ("n_s" if command[0] == "preprocess" else "sample_count")
-    assert captured.err == f"ecal: error: {beyond_float(field, 1329)}\n"
+    # An option's own count names the option; a count derived from two does not.
+    assert captured.err == f"ecal: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transmit", "--samples", "-1"], "--samples: must be >= 0, got -1"),
+    (["storage", "--samples", "-1"], "--samples: must be >= 0, got -1"),
+    (["preprocess", "--method", "minmax", "--samples", "-1"], "--samples: must be >= 0, got -1"),
+    (["transmit", "--samples", "5", "--precision", "0"], "--precision: must be >= 1, got 0"),
+    (["preprocess", "--method", "minmax", "--samples", "5", "--precision", "0"],
+     "--precision: must be >= 1, got 0"),
+    (["preprocess", "--method", "minmax", "--samples", "5", "--invalid", "-1"],
+     "--invalid: must be >= 0, got -1"),
+    # Not one option's rule: printed as the library gives it.
+    (["preprocess", "--method", "minmax", "--samples", "5", "--invalid", "5"],
+     "need at least one valid sample, got n_s=5 with n_nan=5"),
+], ids=["transmit samples", "storage samples", "preprocess samples", "transmit precision",
+        "preprocess precision", "invalid", "no valid sample"])
+def test_an_option_error_names_the_option(capsys, argv, message):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"ecal: error: {message}\n")
 
 
 def test_unknown_tech_exits_1(capsys):

@@ -34,12 +34,12 @@ from ecal.mlp_cost import training_forward_flops, training_total_flops
 from ecal.preprocessing import StandardizationMethod, preprocessing_energy
 from ecal.preprocessing import preprocessing_energy_per_bit, preprocessing_flops
 from ecal.report import REPRODUCE_TARGETS, reproduce
-from ecal.storage import SSD, StorageProfile, storage_energy
-from ecal.transmission import PayloadSpec, TechnologyProfile, ZIGBEE
+from ecal.storage import HDD, SSD, StorageProfile, storage_energy
+from ecal.transmission import BLE5, PayloadSpec, TechnologyProfile, ZIGBEE, packet_count
 from ecal.transmission import cumulative_transmission_energy, payload_bits
 from ecal.transmission import transmission_energy, transmitted_bits
 from ecal.units import JOULES_PER_KWH, BitCount, Energy, EnergyPerBit, FieldError
-from ecal.units import FieldTypeError, _checked_count
+from ecal.units import FieldTypeError, FlopCount, _checked_count
 from strategies import scenarios
 from test_units import beyond_float
 
@@ -988,6 +988,23 @@ WRONG_ARGUMENTS = [
      "records[1] must be a CarbonIntensityRecord, got NoneType"),
     ("method", lambda s, t: preprocessing_flops("minmax", 5, 0),
      "method must be a StandardizationMethod, got str"),
+    ("b_t", lambda s, t: transmission_energy(BLE5, 100), "b_t must be a BitCount, got int"),
+    ("transmission profile", lambda s, t: transmission_energy(5, BitCount(1)),
+     "profile must be a TechnologyProfile, got int"),
+    ("payload", lambda s, t: storage_energy(HDD, 100), "payload must be a BitCount, got int"),
+    ("storage profile", lambda s, t: storage_energy("hdd", BitCount(1)),
+     "profile must be a StorageProfile, got str"),
+    ("m_forward", lambda s, t: training_total_flops(5), "m_forward must be a FlopCount, got int"),
+    ("m_pre", lambda s, t: preprocessing_energy(DEFAULT_PROCESSING_UNIT, 5),
+     "m_pre must be a FlopCount, got int"),
+    ("pu", lambda s, t: preprocessing_energy(None, FlopCount(1)),
+     "pu must be a ProcessingUnitProfile, got NoneType"),
+    ("arch", lambda s, t: forward_flops((2, 3)), "arch must be a MlpArchitecture, got tuple"),
+    ("arch of inference_flops", lambda s, t: inference_flops([6, 3], 1),
+     "arch must be a MlpArchitecture, got list"),
+    ("spec", lambda s, t: packet_count(BLE5, (64, 2)), "spec must be a PayloadSpec, got tuple"),
+    ("packet_count profile", lambda s, t: packet_count("ble5", PayloadSpec(64, 2)),
+     "profile must be a TechnologyProfile, got str"),
 ]
 
 

@@ -32,7 +32,7 @@ from ecal.scenario_io import (
 )
 from ecal.storage import StorageProfile, storage_profile
 from ecal.transmission import PayloadSpec, TechnologyProfile, technology_profile, transmitted_bits
-from ecal.units import FieldError, FieldTypeError
+from ecal.units import CarbonIntensity, FieldError, FieldTypeError
 from strategies import boundary_documents, scenarios
 from test_units import FLOAT_EDGE, beyond_float
 
@@ -583,12 +583,6 @@ def test_boolean_cells_are_rejected():
     assert ReportTable(("True", "b"), (("False", 1),)).to_csv() == "True,b\nFalse,1\n"
 
 
-def test_load_scenario_skips_a_leading_byte_order_mark(tmp_path):
-    path = tmp_path / "bom.json"
-    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL_DOC.encode("utf-8"))
-    assert load_scenario(path) == parse_scenario(MINIMAL_DOC)
-
-
 def test_write_report_lives_in_report():
     import ecal
 
@@ -620,11 +614,67 @@ def test_write_report_surfaces_destination_on_failure(tmp_path):
         write_report(table, missing_dir)
 
 
+def test_write_report_returns_what_the_stream_write_returns():
+    # A text stream counts what it writes in its own terms: a TextIOWrapper counts
+    # characters, which here are neither the UTF-8 nor the UTF-16 bytes.
+    table = ReportTable(("gCO\u2082e",), ((1,),))
+    text = table.to_csv()
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-16")
+    written = write_report(table, stream)
+    assert written == io.TextIOWrapper(io.BytesIO(), encoding="utf-16").write(text) == len(text)
+    assert len(text.encode("utf-8")) != written
+    stream.flush()
+    assert stream.buffer.getvalue().decode("utf-16") == text
+    assert not stream.closed
+
+
+CI_TEXT = "country_code,country_name,year,ci_g_per_kwh\nNO,Norway,2023,30\n"
+NORWAY = (carbon.CarbonIntensityRecord("NO", "Norway", 2023, CarbonIntensity(30.0)),)
+
+
+def _path_of(tmp_path, text):
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+# Each way to hand a loader its text: as a UTF-8 file or a text stream, each with
+# and without the byte-order mark a spreadsheet's "CSV UTF-8" export starts with.
+SOURCES = {
+    "path": _path_of,
+    "BOM_path": lambda tmp_path, text: _path_of(tmp_path, "\ufeff" + text),
+    "stream": lambda tmp_path, text: io.StringIO(text),
+    "BOM_stream": lambda tmp_path, text: io.StringIO("\ufeff" + text),
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("load, text, expected", [
+    (load_scenario, MINIMAL_DOC, parse_scenario(MINIMAL_DOC)),
+    (load_ci_table, CI_TEXT, NORWAY),
+], ids=["load_scenario", "load_ci_table"])
+def test_a_path_and_a_text_stream_load_alike(tmp_path, load, text, expected, source):
+    given = SOURCES[source](tmp_path, text)
+    assert load(given) == expected
+    assert not getattr(given, "closed", False)  # a stream given is left open
+
+
+def test_crlf_lines_and_quoted_commas_read_alike_from_a_path_and_a_stream(tmp_path):
+    # Rows split as in a file opened with newline="", as the csv module asks.
+    table = (CI_TEXT + '"KR","Korea, Republic of",2023,436\n').replace("\n", "\r\n")
+    korea = carbon.CarbonIntensityRecord("KR", "Korea, Republic of", 2023, CarbonIntensity(436.0))
+    assert load_ci_table(_path_of(tmp_path, table)) == (*NORWAY, korea)
+    assert load_ci_table(io.StringIO(table)) == (*NORWAY, korea)
+    document = json.dumps(json.loads(MINIMAL_DOC), indent=2).replace("\n", "\r\n")
+    assert load_scenario(_path_of(tmp_path, document)) == parse_scenario(MINIMAL_DOC)
+    assert load_scenario(io.StringIO(document)) == parse_scenario(MINIMAL_DOC)
+
+
 # Each call that takes a path, the whole message it raises for a file descriptor,
 # and other arguments that are neither a path nor a stream it takes.
 FD_ARGUMENTS = [
-    ("load_scenario", load_scenario, "path must be a str or os.PathLike, got {}",
-     lambda: (None, io.StringIO("{}"))),
+    ("load_scenario", load_scenario, "source must be a path or a text stream, got {}",
+     lambda: (None, io.BytesIO(b"{}"))),
     ("load_ci_table", load_ci_table, "source must be a path or a text stream, got {}",
      lambda: (None, io.BytesIO(b"country_code,country_name,year,ci_g_per_kwh\n"))),
     ("write_report", lambda fd: write_report(ReportTable(("a",), ((1,),)), fd),
@@ -654,8 +704,7 @@ def test_a_file_descriptor_is_not_a_path(call, message, others, monkeypatch):
         with pytest.raises(FieldTypeError) as caught:
             call(fd)
         assert str(caught.value) == message.format("bool")
-    # None, a stream where only a path is taken, and a binary stream where text is read
-    # or written.
+    # None, and a binary stream where text is read or written.
     for other in others():
         with pytest.raises(FieldTypeError) as caught:
             call(other)
