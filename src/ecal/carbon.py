@@ -55,7 +55,10 @@ class CarbonIntensityRecord(_Value):
 
 def carbon_footprint(e: Energy, ci: CarbonIntensity) -> float:
     """Grams of CO2-equivalent emitted producing energy ``e`` at intensity ``ci``."""
-    return joules_to_kwh(e) * ci.grams_co2e_per_kwh
+    kwh = joules_to_kwh(e)
+    if not isinstance(ci, CarbonIntensity):
+        _checked_types((ci, "ci", CarbonIntensity))
+    return kwh * ci.grams_co2e_per_kwh
 
 
 def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensityRecord, ...]:

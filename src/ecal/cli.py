@@ -168,7 +168,7 @@ def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
-    from .lifecycle import _TERMS, gamma_sweep, lifecycle_report
+    from .lifecycle import _TERMS, _price, gamma_sweep
     from .scenario_io import load_scenario
     from .transmission import without_packet_override
 
@@ -176,22 +176,20 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
     scenario = doc.scenario
     if args.strict_eq2:
         scenario = scenario.__replace__(technology=without_packet_override(scenario.technology))
-    gammas: tuple[int, ...] = ()
+    gammas = doc.sweeps.gamma
     if args.gamma_sweep is not None:
         try:
             gammas = tuple(int(part) for part in args.gamma_sweep.split(","))
         except ValueError:
             raise ValueError(f"--gamma-sweep expects comma-separated integers, "
                              f"got {args.gamma_sweep!r}") from None
-    elif doc.sweeps.gamma:
-        gammas = doc.sweeps.gamma
     if gammas:
         rows = [(g, total.joules, mean.joules, per_bit.joules_per_bit)
                 for g, total, mean, per_bit in gamma_sweep(scenario, gammas)]
         return ReportTable(("gamma", "ecal_abs_J", "ecal_abs_mean_J", "eCAL_J_per_b"), rows)
-    return _key_value_table([  # each unit printed as its one field
-        (row, value if kind is int else getattr(value, kind.__match_args__[0]))
-        for (_, kind, row), value in zip(_TERMS, lifecycle_report(scenario))])
+    p = _price(scenario)
+    return _key_value_table([("gamma", scenario.gamma),
+                             *[(row, getattr(p, field)) for field, _, row in _TERMS[1:]]])
 
 
 def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
@@ -215,13 +213,13 @@ def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
 
 def _cmd_reproduce(args: argparse.Namespace) -> ReportTable | None:
     """One target's table, or None once ``--out DIR`` holds each target's CSV."""
-    from .report import reproduce
+    from .report import reproduce, write_report
 
     targets = list(REPRODUCE_TARGETS) if args.target == "all" else [args.target]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for target in targets:
-            _write(os.path.join(args.out, f"{target}.csv"), reproduce(target).to_csv())
+            write_report(reproduce(target), os.path.join(args.out, f"{target}.csv"))
         return None
     if len(targets) > 1:
         raise ValueError("writing multiple targets requires --out DIR")

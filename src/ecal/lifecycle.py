@@ -9,8 +9,8 @@ preprocesses its own ``inference_batch`` samples before the forward pass;
 each request's bits are the transmitted bits plus three passes over the
 request payload (storage, preprocessing, inference).
 
-eCAL is lifecycle energy over lifecycle bits, which ``_sweep`` alone prices
-along the request axis, for ``gamma_sweep`` and ``carbon.cf_vs_gamma`` alike:
+eCAL is lifecycle energy over lifecycle bits, which ``_at`` alone prices at a
+request count, for ``_price`` at the scenario's own gamma and ``_sweep`` alike:
 ``(E_dev + gamma * E_request) / (dev_bits + gamma * request_bits)``.
 """
 
@@ -171,10 +171,10 @@ _TRAIN_COST = (
 )
 _Lifecycle = namedtuple("_Lifecycle", (
     "forward_flops", "training_forward_flops", "training_flops", "inference_flops",
-    "forward_per_bit", *[term[0] for term in _TERMS[1:-3]]))
-_Lifecycle.__doc__ = """One scenario priced in plain ints and floats: five FLOP and per-bit
-terms that only `ecal train-cost` prints, then every LifecycleReport field that
-does not depend on gamma, under its report name and in its report order."""
+    "forward_per_bit", *[term[0] for term in _TERMS[1:]]))
+_Lifecycle.__doc__ = """One scenario priced at its own gamma in plain ints and floats: five
+FLOP and per-bit terms that only `ecal train-cost` prints, then every LifecycleReport
+field after gamma, under its report name and in its report order."""
 
 
 def _collection(s: Scenario, count: int, invalid: int) -> tuple[int, float, float, float]:
@@ -192,14 +192,14 @@ def _collection(s: Scenario, count: int, invalid: int) -> tuple[int, float, floa
 
 
 def _price(s: Scenario) -> _Lifecycle:
-    """Price both phases of ``s`` once, in the operation order of the
-    per-module equations, so every figure matches them bit for bit.  The
-    pricing is kept on ``s``, whose fields are immutable; a failure is not.
+    """Price both phases of ``s`` once, then its lifecycle at ``s.gamma``, in the
+    operation order of the per-module equations, so every figure matches them bit
+    for bit.  The pricing is kept on ``s``, whose fields are immutable; a failure is not.
 
     Raises ValueError when a count is beyond floating-point range or a returned
     float is not finite, so callers may wrap every figure unchecked.  Each bit
     denominator fits a float, and so do both after one request: only gamma can
-    take ``_at`` beyond the range.
+    take ``_at`` beyond the range, so it is checked last.
     """
     if not isinstance(s, Scenario):
         _checked_types((s, "s", Scenario))
@@ -241,23 +241,25 @@ def _price(s: Scenario) -> _Lifecycle:
     if not math.isfinite(development + request + training_per_bit + forward_per_bit):
         raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
                          f"one request {request!r} J, training {training_per_bit!r} J/b")
-
+    joules, bits = _at(development, request, dev_bits, req_bits, s.gamma)
     p = _Lifecycle(
         fwd, m_mlp_fp, m_mlp, n_inf, forward_per_bit, b_t, dev_bits, req_b_t, req_bits,
         e_t, e_storage, e_pre, e_train, e_eval, e_inf, development, development_per_bit,
-        training_per_bit, training_per_trained_bit, request, inference_phase_per_bit)
+        training_per_bit, training_per_trained_bit, request, inference_phase_per_bit,
+        joules, joules / s.gamma, joules / bits)
     object.__setattr__(s, "_lifecycle", p)
     return p
 
 
-def _at(p: _Lifecycle, gamma: int) -> tuple[float, float]:
-    """Lifecycle joules and bits after ``gamma`` requests.
+def _at(development: float, request: float, dev_bits: int, req_bits: int,
+        gamma: int) -> tuple[float, float]:
+    """Lifecycle joules and bits: development's plus ``gamma`` times one request's.
 
     Raises ValueError when either leaves the floating-point range.
     """
     try:
-        joules = p.development + gamma * p.inference_phase
-        bits = float(p.development_denominator_bits + gamma * p.inference_denominator_bits)
+        joules = development + gamma * request
+        bits = float(dev_bits + gamma * req_bits)
     except OverflowError:
         joules = math.inf
     if joules == math.inf:
@@ -276,16 +278,18 @@ def _sweep(p: _Lifecycle, gammas: Iterable[int]) -> tuple[tuple[int, ...], list,
     failing that, a check in list order raises for the first bad gamma.
     """
     gs = _checked_items(gammas, "gammas")
+    phases = development, request, dev_bits, req_bits = (
+        p.development, p.inference_phase, p.development_denominator_bits,
+        p.inference_denominator_bits)
     try:
-        proven = gs and set(map(type, gs)) == {int} and min(gs) >= 1 and _at(p, max(gs))
+        proven = gs and set(map(type, gs)) == {int} and min(gs) >= 1 and _at(*phases, max(gs))
     except ValueError:
         proven = False
     if not proven:
         for gamma in gs:
-            _at(p, _checked_count(gamma, "gamma", 1))
-    joules = list(map(add, repeat(p.development), map(mul, gs, repeat(p.inference_phase))))
-    bits = map(float, map(add, repeat(p.development_denominator_bits),
-                          map(mul, gs, repeat(p.inference_denominator_bits))))
+            _at(*phases, _checked_count(gamma, "gamma", 1))
+    joules = list(map(add, repeat(development), map(mul, gs, repeat(request))))
+    bits = map(float, map(add, repeat(dev_bits), map(mul, gs, repeat(req_bits))))
     return gs, joules, bits
 
 
@@ -297,7 +301,7 @@ def development_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
     plus the training and evaluation samples.
     """
     p = _price(s)
-    return Energy(p.development), EnergyPerBit(p.development_per_bit)
+    return tuple(_proven((Energy, EnergyPerBit), (p.development, p.development_per_bit)))
 
 
 def inference_phase_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
@@ -307,7 +311,7 @@ def inference_phase_energy(s: Scenario) -> tuple[Energy, EnergyPerBit]:
     own ``inference_batch`` samples, then adds the forward-pass energy.
     """
     p = _price(s)
-    return Energy(p.inference_phase), EnergyPerBit(p.inference_phase_per_bit)
+    return tuple(_proven((Energy, EnergyPerBit), (p.inference_phase, p.inference_phase_per_bit)))
 
 
 def ecal_abs(s: Scenario) -> Energy:
@@ -352,6 +356,4 @@ def lifecycle_report(s: Scenario) -> LifecycleReport:
     bits actually pushed through training, so it carries the epoch factor.
     """
     p = _price(s)
-    joules, bits = _at(p, s.gamma)
-    return tuple.__new__(LifecycleReport, (s.gamma, *_proven(_UNITS, (
-        *p[5:], joules, joules / s.gamma, joules / bits))))
+    return tuple.__new__(LifecycleReport, (s.gamma, *_proven(_UNITS, p[5:])))

@@ -139,6 +139,8 @@ def training_energy(
     """
     flops = training_total_flops(training_forward_flops(arch, n_epochs, n_train)).flops
     _checked_count(bits_per_sample, "bits_per_sample", 1)
+    if not isinstance(pu, ProcessingUnitProfile):
+        _checked_types((pu, "pu", ProcessingUnitProfile))
     return (Energy(flops / pu.flops_per_joule),
             EnergyPerBit(3 * _forward(arch) / (bits_per_sample * pu.flops_per_joule)))
 
@@ -164,6 +166,8 @@ def forward_pass_energy_per_bit(
     samples they process.
     """
     _checked_count(bits_per_sample, "bits_per_sample", 1)
+    if not isinstance(pu, ProcessingUnitProfile):
+        _checked_types((pu, "pu", ProcessingUnitProfile))
     return EnergyPerBit(_forward(arch) / (bits_per_sample * pu.flops_per_joule))
 
 
@@ -175,4 +179,7 @@ def inference_flops(arch: MlpArchitecture, n_infer: int) -> FlopCount:
 
 def inference_energy(arch: MlpArchitecture, n_infer: int, pu: ProcessingUnitProfile) -> Energy:
     """Energy of one inference request carrying ``n_infer`` input samples."""
-    return Energy(inference_flops(arch, n_infer).flops / pu.flops_per_joule)
+    flops = inference_flops(arch, n_infer).flops
+    if not isinstance(pu, ProcessingUnitProfile):
+        _checked_types((pu, "pu", ProcessingUnitProfile))
+    return Energy(flops / pu.flops_per_joule)

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from . import _all_of
 from .mlp_cost import ProcessingUnitProfile
-from .transmission import PayloadSpec
+from .transmission import PayloadSpec, _bits
 from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _checked_items
 from .units import _checked_real, _checked_types, _Value
 
@@ -193,7 +193,9 @@ def preprocessing_energy(
 
 def preprocessing_energy_per_bit(e_pre: Energy, spec: PayloadSpec) -> EnergyPerBit:
     """Preprocessing energy divided by the payload bits it applies to."""
-    denominator = _checked_count(spec.bits_per_sample * spec.sample_count, "bit count")
+    if not isinstance(e_pre, Energy):
+        _checked_types((e_pre, "e_pre", Energy))
+    denominator = _checked_count(_bits(spec), "bit count")
     if denominator == 0:
         raise ValueError("per-bit preprocessing energy is undefined for an empty payload")
     return EnergyPerBit(e_pre.joules / denominator)

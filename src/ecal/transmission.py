@@ -102,7 +102,14 @@ def without_packet_override(profile: TechnologyProfile) -> TechnologyProfile:
 
 def payload_bits(spec: PayloadSpec) -> BitCount:
     """Application-level payload size: bits_per_sample * sample_count."""
-    return BitCount(spec.bits_per_sample * spec.sample_count)
+    return BitCount(_bits(spec))
+
+
+def _bits(spec: PayloadSpec) -> int:
+    """:func:`payload_bits` as an int, once ``spec`` is shown a PayloadSpec."""
+    if not isinstance(spec, PayloadSpec):
+        _checked_types((spec, "spec", PayloadSpec))
+    return spec.bits_per_sample * spec.sample_count
 
 
 def packet_count(profile: TechnologyProfile, spec: PayloadSpec) -> int:
@@ -112,9 +119,9 @@ def packet_count(profile: TechnologyProfile, spec: PayloadSpec) -> int:
     packets to capacity (rounding up), unless the profile pins the count
     via ``packets_override``.
     """
-    if not (isinstance(profile, TechnologyProfile) and isinstance(spec, PayloadSpec)):
-        _checked_types((profile, "profile", TechnologyProfile), (spec, "spec", PayloadSpec))
-    return _packets(profile, spec.bits_per_sample * spec.sample_count)
+    if not isinstance(profile, TechnologyProfile):
+        _checked_types((profile, "profile", TechnologyProfile))
+    return _packets(profile, _bits(spec))
 
 
 def _packets(profile: TechnologyProfile, payload: int) -> int:
@@ -135,7 +142,9 @@ def _packets(profile: TechnologyProfile, payload: int) -> int:
 
 def transmitted_bits(profile: TechnologyProfile, spec: PayloadSpec) -> BitCount:
     """Total bits on the air: payload plus per-packet protocol overhead."""
-    payload = _checked_count(spec.bits_per_sample * spec.sample_count, "bit count")
+    if not isinstance(profile, TechnologyProfile):
+        _checked_types((profile, "profile", TechnologyProfile))
+    payload = _checked_count(_bits(spec), "bit count")
     packets = _packets(profile, payload)
     overhead = _checked_count(profile.packet_overhead * packets, "bit count")
     return BitCount(payload + overhead)

@@ -200,6 +200,8 @@ Energy, BitCount, FlopCount, EnergyPerBit, CarbonIntensity = starmap(_unit, (
 
 def joules_to_kwh(energy: Energy) -> float:
     """Convert an energy to kilowatt-hours."""
+    if not isinstance(energy, Energy):
+        _checked_types((energy, "energy", Energy))
     return energy.joules / JOULES_PER_KWH
 
 

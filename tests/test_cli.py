@@ -373,6 +373,29 @@ def test_a_scenario_whose_bits_overflow_fails_alike_in_every_subcommand(capsys, 
                                            "a count exceeds the floating-point range\n")
 
 
+def test_a_gamma_that_does_not_price_fails_alike_in_every_subcommand(capsys, tmp_path):
+    # gamma fits a float, but the lifecycle bits after that many requests do not,
+    # so no subcommand prints a figure of the scenario, swept or not.
+    path = tmp_path / "huge_gamma.json"
+    path.write_text(json.dumps({**MINIMAL_SCENARIO, "gamma": 10**308}), encoding="utf-8")
+    for argv in (["train-cost"], ["lifecycle"], ["lifecycle", *SWEEP], ["carbon"]):
+        assert run([*argv, "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", "ecal: error: gamma is too large to price: lifecycle "
+                                           "energy or bits exceed the floating-point range "
+                                           "(gamma has 1024 bits)\n")
+
+
+def test_a_file_that_is_not_utf8_is_one_error_line_naming_it(capsys, tmp_path, scenario_file):
+    table = tmp_path / "latin1.csv"
+    table.write_bytes(b"country_code,country_name,year,ci_g_per_kwh\nDE,K\xf6ln,2023,425\n")
+    document = tmp_path / "latin1.json"
+    document.write_bytes(b'{"samples": 256,\n "name": "K\xf6ln"}\n')
+    for argv, path in ((["carbon", "--scenario", scenario_file, "--ci-file", str(table)], table),
+                       (["lifecycle", "--scenario", str(document)], document)):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"ecal: error: {path}: line 2: not UTF-8 (byte 0xf6)\n")
+
+
 def test_gamma_beyond_float_range_exits_1(capsys, tmp_path, scenario_file):
     huge = "1" + "0" * 400
     assert run(["lifecycle", "--scenario", scenario_file, "--gamma-sweep", f"1,{huge}"]) == 1
@@ -601,14 +624,9 @@ def test_each_scenario_subcommand_prints_what_the_library_gives(doc, tmp_path_fa
     train, life, sweep, carbon = (error and str(error) for error in errors)
     # Carbon fails as lifecycle does, unless a country is not in its table.
     assert carbon == life or isinstance(errors[3], UnknownCountryError)
+    assert life == train  # every call prices the document at its own gamma
     if train is not None:  # the document does not parse or price: every call says so
-        assert life == sweep == train
-    else:
-        # What still fails fails for its gamma alone: the document prices at gamma 1,
-        # and the sweep fails as lifecycle does at its first gamma that does not price.
-        one = s.__replace__(gamma=1)
-        assert _outcome(partial(_library, one, "lifecycle"))[1] is None
-        carbon_at_one = _outcome(partial(_library, one, "carbon"))[1]
-        assert carbon_at_one is None or isinstance(carbon_at_one, UnknownCountryError)
+        assert sweep == train
+    else:  # the sweep fails as lifecycle does at its first gamma that does not price
         at_1000 = _outcome(partial(_library, s.__replace__(gamma=1000), "lifecycle"))[1]
         assert sweep == (at_1000 and str(at_1000))

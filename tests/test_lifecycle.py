@@ -39,7 +39,7 @@ from ecal.transmission import BLE5, PayloadSpec, TechnologyProfile, ZIGBEE, pack
 from ecal.transmission import cumulative_transmission_energy, payload_bits
 from ecal.transmission import transmission_energy, transmitted_bits
 from ecal.units import JOULES_PER_KWH, BitCount, Energy, EnergyPerBit, FieldError
-from ecal.units import FieldTypeError, FlopCount, _checked_count
+from ecal.units import FieldTypeError, FlopCount, _checked_count, joules_to_kwh
 from strategies import scenarios
 from test_units import beyond_float
 
@@ -497,7 +497,9 @@ def test_gamma_beyond_float_range_is_a_value_error():
     assert str(caught.value) == beyond_float("gamma", 1329)
     # Representable, but the lifecycle bits are not.
     huge = replace(s, gamma=10**308)
-    for metric in (ecal_abs, ecal_abs_mean, ecal, lifecycle_report):
+    for metric in (ecal_abs, ecal_abs_mean, ecal, lifecycle_report, _price, development_energy,
+                   inference_phase_energy, lambda x: gamma_sweep(x, [1]),
+                   lambda x: cf_vs_gamma(x, bundled_ci_table(), [1])):
         with pytest.raises(ValueError, match="gamma is too large"):
             metric(huge)
     for sweep in (lambda: gamma_sweep(s, [1, HUGE]),
@@ -786,7 +788,8 @@ def _row_by_row(s, records, gammas):
     sweep, carbon = [], []
     for gamma in gammas:
         _checked_count(gamma, "gamma", 1)
-        joules, bits = _at(p, gamma)
+        joules, bits = _at(p.development, p.inference_phase, p.development_denominator_bits,
+                           p.inference_denominator_bits, gamma)
         sweep.append(GammaRow(gamma, Energy(joules), Energy(joules / gamma),
                               EnergyPerBit(joules / bits)))
         for r in chosen:
@@ -1005,6 +1008,30 @@ WRONG_ARGUMENTS = [
     ("spec", lambda s, t: packet_count(BLE5, (64, 2)), "spec must be a PayloadSpec, got tuple"),
     ("packet_count profile", lambda s, t: packet_count("ble5", PayloadSpec(64, 2)),
      "profile must be a TechnologyProfile, got str"),
+    ("payload_bits spec", lambda s, t: payload_bits(5), "spec must be a PayloadSpec, got int"),
+    ("transmitted_bits spec", lambda s, t: transmitted_bits(BLE5, 5),
+     "spec must be a PayloadSpec, got int"),
+    ("transmitted_bits profile", lambda s, t: transmitted_bits(5, PayloadSpec(64, 2)),
+     "profile must be a TechnologyProfile, got int"),
+    ("e_pre", lambda s, t: preprocessing_energy_per_bit(5, PayloadSpec(64, 2)),
+     "e_pre must be a Energy, got int"),
+    ("preprocessing_energy_per_bit spec",
+     lambda s, t: preprocessing_energy_per_bit(Energy(1.0), (64, 2)),
+     "spec must be a PayloadSpec, got tuple"),
+    ("pu of training_energy", lambda s, t: training_energy(s.architecture, 1, 1, 5, 64),
+     "pu must be a ProcessingUnitProfile, got int"),
+    ("pu of inference_energy", lambda s, t: inference_energy(s.architecture, 1, None),
+     "pu must be a ProcessingUnitProfile, got NoneType"),
+    ("pu of forward_pass_energy_per_bit",
+     lambda s, t: forward_pass_energy_per_bit(s.architecture, "pu", 64),
+     "pu must be a ProcessingUnitProfile, got str"),
+    ("pu of evaluation_energy", lambda s, t: evaluation_energy(s.architecture, 1, 5, 64),
+     "pu must be a ProcessingUnitProfile, got int"),
+    ("energy", lambda s, t: joules_to_kwh(5), "energy must be a Energy, got int"),
+    ("carbon_footprint e", lambda s, t: carbon_footprint(1.0, t[0].intensity),
+     "energy must be a Energy, got float"),
+    ("ci", lambda s, t: carbon_footprint(Energy(1.0), 5),
+     "ci must be a CarbonIntensity, got int"),
 ]
 
 

@@ -659,6 +659,23 @@ def test_a_path_and_a_text_stream_load_alike(tmp_path, load, text, expected, sou
     assert not getattr(given, "closed", False)  # a stream given is left open
 
 
+@pytest.mark.parametrize("load, text", [
+    (load_scenario, '{"samples": 256,\n "name": "K\xf6ln"}\n'),
+    (load_ci_table, CI_TEXT.replace("NO,Norway", "DE,K\xf6ln")),
+], ids=["load_scenario", "load_ci_table"])
+def test_text_that_is_not_utf8_is_named_with_its_line_and_byte(tmp_path, load, text):
+    # The decoder's own message names neither the file nor its line.
+    data = text.encode("latin-1")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    for source, name in ((path, str(path)), (bytes(path), str(path)),
+                         (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), "source")):
+        with pytest.raises(ValueError) as caught:
+            load(source)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{name}: line 2: not UTF-8 (byte 0xf6)"
+
+
 def test_crlf_lines_and_quoted_commas_read_alike_from_a_path_and_a_stream(tmp_path):
     # Rows split as in a file opened with newline="", as the csv module asks.
     table = (CI_TEXT + '"KR","Korea, Republic of",2023,436\n').replace("\n", "\r\n")
