@@ -37,9 +37,9 @@ _EXPORTS = {
                  "development_energy ecal ecal_abs ecal_abs_mean gamma_sweep "
                  "inference_phase_energy lifecycle_report",
     "carbon": "carbon CarbonIntensityRecord CarbonReport CarbonReportRow CiTableError "
-              "DuplicateCountryError UnknownCountryError bundled_ci_table carbon_footprint "
-              "cf_vs_gamma load_ci_table",
-    "report": "REPRODUCE_TARGETS ReportTable UnknownTargetError reproduce write_report",
+              "DuplicateCountryError bundled_ci_table carbon_footprint cf_vs_gamma "
+              "load_ci_table",
+    "report": "REPRODUCE_TARGETS ReportTable reproduce write_report",
     "scenario_io": "scenario_io ScenarioDocument ScenarioError Sweeps load_scenario "
                    "parse_scenario serialize_scenario",
 }

@@ -17,8 +17,8 @@ from itertools import repeat
 from . import _all_of
 from .lifecycle import Scenario, _price, _sweep
 from .report import _read
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count
-from .units import _checked_country, _checked_items, _checked_types, _Value, joules_to_kwh
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, joules_to_kwh
+from .units import _checked_country, _checked_items, _checked_types, _unknown, _Value
 
 __all__ = _all_of(__name__)
 
@@ -32,10 +32,6 @@ class CiTableError(ValueError):
 
 class DuplicateCountryError(CiTableError):
     """Two rows share the same (country_code, year) key."""
-
-
-class UnknownCountryError(LookupError):
-    """A requested country is not present in the loaded intensity table."""
 
 
 class CarbonIntensityRecord(_Value):
@@ -121,7 +117,7 @@ def cf_vs_gamma(
     Uses the scenario's country list, or every loaded record when the list
     is empty.  Within one gamma, rows are ordered by descending intensity.
     Raises :class:`CiTableError` when a country to price has records for
-    more than one year.
+    more than one year, and ``LookupError`` when it has none.
     """
     p = _price(s)
     records = _checked_items(records, "records")
@@ -133,10 +129,7 @@ def cf_vs_gamma(
         try:
             chosen = [by_code[code] for code in s.countries]
         except KeyError as exc:
-            known = ", ".join(sorted(by_code))
-            raise UnknownCountryError(
-                f"country {exc.args[0]!r} not in the intensity table (has: {known})"
-            ) from None
+            raise _unknown("country", exc.args[0], by_code) from None
     else:
         chosen = list(records)
     if len(by_code) < len(records):

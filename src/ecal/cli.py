@@ -14,13 +14,9 @@ from collections.abc import Sequence
 from functools import partial
 
 from .report import REPRODUCE_TARGETS, ReportTable, _json, _write
-from .units import FieldError
+from .units import FieldError, _unknown
 
 __all__ = ["run", "main"]
-
-# StandardizationMethod's values, written out so that building the parser
-# does not import ecal.preprocessing (and with it ecal.mlp_cost).
-_METHODS = ("minmax", "normalization")
 
 # The option, less its "--", that gives each library field a subcommand fills
 # from its command line, so that a FieldError names what was typed.
@@ -70,7 +66,8 @@ def _build_parser() -> _Parser:
     preprocess = sub.add_parser("preprocess", parents=[output, dataset],
                                 help="FLOPs, time, and energy of preprocessing "
                                      "on the default processing unit")
-    preprocess.add_argument("--method", required=True, choices=_METHODS)
+    preprocess.add_argument("--method", required=True,
+                            help="preprocessing method (minmax, normalization)")
     preprocess.add_argument("--invalid", type=int, default=0)
     preprocess.set_defaults(handler=_cmd_preprocess)
 
@@ -142,11 +139,13 @@ def _cmd_storage(args: argparse.Namespace) -> ReportTable:
 
 def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
     from .mlp_cost import DEFAULT_PROCESSING_UNIT
-    from .preprocessing import (StandardizationMethod, preprocessing_energy,
+    from .preprocessing import (_METHOD_BY_NAME, preprocessing_energy,
                                 preprocessing_energy_per_bit, preprocessing_flops)
     from .transmission import PayloadSpec
 
-    flops = preprocessing_flops(StandardizationMethod(args.method), args.samples, args.invalid)
+    if args.method not in _METHOD_BY_NAME:
+        raise _unknown("preprocessing method", args.method, _METHOD_BY_NAME)
+    flops = preprocessing_flops(_METHOD_BY_NAME[args.method], args.samples, args.invalid)
     t_pre, e_pre = preprocessing_energy(DEFAULT_PROCESSING_UNIT, flops)
     per_bit = preprocessing_energy_per_bit(e_pre, PayloadSpec(args.precision, args.samples))
     return _key_value_table(
@@ -242,8 +241,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         message = exc
         if isinstance(exc, FieldError) and exc.field in _OPTIONS:
             message = f"--{_OPTIONS[exc.field]}: {exc.reason}"
-        elif isinstance(exc, KeyError):  # its str is its message's repr
-            message = exc.args[0]
         print(f"ecal: error: {message}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -87,6 +87,8 @@ def uniform_architecture(
     inputs: int, hidden_width: int, hidden_layers: int, outputs: int
 ) -> MlpArchitecture:
     """Architecture with ``hidden_layers`` hidden layers of equal width."""
+    if type(hidden_layers) is not int or hidden_layers < 0:
+        _checked_count(hidden_layers, "hidden_layers")
     return MlpArchitecture((inputs, *([hidden_width] * hidden_layers), outputs))
 
 

@@ -44,6 +44,10 @@ class StandardizationMethod(enum.Enum):
     NORMALIZATION = "normalization"
 
 
+# The one table that a document's "preprocessing" and ``--method`` name a method in.
+_METHOD_BY_NAME = {method.value: method for method in StandardizationMethod}
+
+
 class RawDataset(_Value):
     """A collected sample sequence in which non-finite entries mark invalid data."""
 
@@ -78,6 +82,8 @@ def clean(data: RawDataset) -> tuple[list[float], FlopCount]:
 
     Pure comparison and memory work, so the FLOP cost is zero.
     """
+    if not isinstance(data, RawDataset):
+        _checked_types((data, "data", RawDataset))
     valid = [x for x in data.samples if math.isfinite(x)]
     return valid, FlopCount(0)
 
@@ -89,6 +95,7 @@ def minmax_scale(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     subtraction for the range, then one subtraction and one division per
     sample.  The min/max search itself is comparisons only.
     """
+    valid = _checked_items(valid, "valid", _checked_real, maximum=None)
     if len(valid) == 0:
         raise ValueError("minmax_scale needs at least one sample")
     low = valid[0]
@@ -120,6 +127,7 @@ def normalize(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     Three passes: sum for the mean, accumulate squared deviations, then
     normalize each sample.  Both divisors use the valid-sample count.
     """
+    valid = _checked_items(valid, "valid", _checked_real, maximum=None)
     n = len(valid)
     if n < 2:
         raise ValueError(f"normalize needs at least two samples, got {n}")

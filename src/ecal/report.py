@@ -16,16 +16,12 @@ from io import BufferedIOBase, RawIOBase, TextIOBase
 from itertools import chain
 
 from . import _all_of
-from .units import FieldTypeError, _Value
+from .units import FieldTypeError, _checked_items, _checked_types, _unknown, _Value
 
 __all__ = _all_of(__name__)
 
 REPRODUCE_TARGETS = ("table1", "table2", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
                      "fig9ab", "fig11", "fig12", "table3", "fig13")
-
-
-class UnknownTargetError(ValueError):
-    """An unknown reproduce target was requested; the message lists valid ones."""
 
 
 class ReportTable(_Value):
@@ -34,8 +30,13 @@ class ReportTable(_Value):
     __slots__ = __match_args__ = ("columns", "rows")
 
     def __init__(self, columns: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
-        columns = tuple(columns)
-        rows = tuple(map(tuple, rows))
+        try:
+            columns, rows = tuple(columns), tuple(rows)
+            rows = tuple(map(tuple, rows))
+        except TypeError:  # name the argument, or the row, that is not a sequence
+            _checked_items(columns, "columns")
+            _checked_items(rows, "rows", _checked_items)
+            raise
         width = len(columns)
         if set(map(len, rows)) - {width}:
             row = next(row for row in rows if len(row) != width)
@@ -62,8 +63,7 @@ def reproduce(target: str) -> ReportTable:
     the bundled snapshot); nothing is hard-coded.
     """
     if target not in REPRODUCE_TARGETS:
-        known = ", ".join(REPRODUCE_TARGETS)
-        raise UnknownTargetError(f"unknown target {target!r}; known targets: {known}")
+        raise _unknown("reproduce target", target, REPRODUCE_TARGETS)
     from . import figures
 
     return getattr(figures, target)()
@@ -115,4 +115,6 @@ def _write(destination: str | os.PathLike | TextIOBase, text: str) -> int | None
 def write_report(table: ReportTable, destination: str | os.PathLike | TextIOBase) -> int | None:
     """Write a table as CSV to a path or a text stream; returns the bytes written
     to a path, or what the stream's ``write`` returns."""
+    if not isinstance(table, ReportTable):
+        _checked_types((table, "table", ReportTable))
     return _write(destination, table.to_csv())

@@ -3,9 +3,8 @@
 A scenario is a single strict-schema JSON document; unknown keys are
 rejected so parameter typos fail loudly.  Each object a document holds, and
 each key of it, is declared once, in ``_SCHEMA``, which the parser and the
-serializer both read.  ``ReportTable``, ``UnknownTargetError``,
-``reproduce``, ``write_report`` and ``REPRODUCE_TARGETS`` belong to
-:mod:`ecal.report` and can be imported from here too.
+serializer both read.  ``ReportTable``, ``reproduce``, ``write_report`` and
+``REPRODUCE_TARGETS`` belong to :mod:`ecal.report`; import them from here too.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from operator import attrgetter
 from . import _all_of
 from .lifecycle import Scenario, Sweeps, default_scenario
 from .mlp_cost import MlpArchitecture, ProcessingUnitProfile
-from .preprocessing import StandardizationMethod
-from .report import REPRODUCE_TARGETS, ReportTable, UnknownTargetError, _read, reproduce
-from .report import write_report
+from .preprocessing import _METHOD_BY_NAME
+from .report import REPRODUCE_TARGETS, ReportTable, _read, reproduce, write_report
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
-from .units import FieldError
+from .units import FieldError, FieldTypeError, _checked_types, _unknown
 
 __all__ = _all_of(__name__)
 
@@ -72,10 +70,10 @@ _D = default_scenario()
 _PU = _D.processing_unit
 
 # Every object of a scenario document, by the type it is built as: its builder,
-# its built-ins by name and the lookup whose KeyError names them, and its
+# its built-ins by name and the lookup whose LookupError names them, and its
 # fields in write order.  Per field: the document key; the attribute path it
 # is read back from (None: the key); its rule, which is None (as given), a
-# type of this table, a list (its description) or the preprocessing choices;
+# type of this table, a list (its description) or the preprocessing methods;
 # and its default as built, or _REQUIRED.
 _SCHEMA = {
     ScenarioDocument: (_scenario_document, None, None, (
@@ -84,8 +82,7 @@ _SCHEMA = {
         ("bit_precision", "scenario.payload.bits_per_sample", None, _D.payload.bits_per_sample),
         ("technology", "scenario.technology", TechnologyProfile, _D.technology),
         ("storage", "scenario.storage", StorageProfile, _D.storage),
-        ("preprocessing", "scenario.standardization.value",
-         {method.value: method for method in StandardizationMethod}, _D.standardization),
+        ("preprocessing", "scenario.standardization.value", _METHOD_BY_NAME, _D.standardization),
         ("split_ratio", "scenario.train_fraction", None, _D.train_fraction),
         ("epochs", "scenario.epochs", None, _REQUIRED),
         ("mlp", "scenario.architecture", MlpArchitecture, _REQUIRED),
@@ -123,9 +120,9 @@ _SCHEMA = {
         ("invalid_samples", None, "", ()),
     )),
 }
-# Per object, its keys; and each part of each field's attribute path with the
-# field's key, since a constructor's error names the field by such a part.
-_KEYS = {cls: frozenset(field[0] for field in entry[3]) for cls, entry in _SCHEMA.items()}
+# Per object, its keys in write order; and each part of each field's attribute path
+# with the field's key, since a constructor's error names the field by such a part.
+_KEYS = {cls: {field[0]: None for field in entry[3]}.keys() for cls, entry in _SCHEMA.items()}
 _NAMES = {cls: {part: key for key, attr, _, _ in entry[3] for part in (attr or key).split(".")}
           for cls, entry in _SCHEMA.items()}
 
@@ -137,14 +134,14 @@ def _parse(cls: type, value: object, path: str) -> object:
     if lookup is not None and isinstance(value, str):
         try:
             return lookup(value)
-        except KeyError as exc:
-            raise _fail(path, exc.args[0]) from None
+        except LookupError as exc:
+            raise _fail(path, str(exc)) from None
     if not isinstance(value, dict):
         raise _fail(path or "scenario", f"expected an object, got {type(value).__name__}")
     at = path and f"{path}."
-    if not value.keys() <= _KEYS[cls]:
-        key = next(key for key in value if key not in _KEYS[cls])
-        raise _fail(at + key, "unknown field")
+    if not value.keys() <= (keys := _KEYS[cls]):
+        key = next(key for key in value if key not in keys)
+        raise _fail(at + key, str(_unknown("field", key, keys)))
     args = []
     for key, _, rule, default in fields:
         if key not in value:
@@ -160,7 +157,7 @@ def _parse(cls: type, value: object, path: str) -> object:
         elif isinstance(rule, dict):
             choice = rule.get(item) if isinstance(item, str) else None
             if choice is None:
-                raise _fail(at + key, f"expected one of {', '.join(rule)}, got {item!r}")
+                raise _fail(at + key, str(_unknown("preprocessing method", item, rule)))
             item = choice
         elif rule is not None:
             item = _parse(rule, item, at + key)
@@ -197,6 +194,9 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
         raise ScenarioError(f"invalid JSON: {exc}") from None
+    except TypeError:
+        raise FieldTypeError(
+            "text", f"must be a str or bytes, got {type(text).__name__}") from None
     return _parse(ScenarioDocument, raw, "")
 
 
@@ -206,6 +206,8 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 
     ``parse_scenario(serialize_scenario(doc))`` reproduces ``doc`` exactly.
     """
+    if not isinstance(doc, ScenarioDocument):
+        _checked_types((doc, "doc", ScenarioDocument))
     return json.dumps(_to_json(doc), indent=2) + "\n"
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import _all_of
 from .units import BitCount, Energy, EnergyPerBit, _Value
-from .units import _checked_real, _checked_types, wh_per_tb_to_j_per_bit
+from .units import _checked_real, _checked_types, _unknown, wh_per_tb_to_j_per_bit
 
 __all__ = _all_of(__name__)
 
@@ -35,9 +35,8 @@ def storage_profile(name: str) -> StorageProfile:
     """Look up a built-in storage profile by name."""
     try:
         return BUILTIN_STORAGE[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_STORAGE))
-        raise KeyError(f"unknown storage medium {name!r}; built-ins: {known}") from None
+    except (KeyError, TypeError):
+        raise _unknown("storage medium", name, BUILTIN_STORAGE) from None
 
 
 def storage_energy_per_bit(profile: StorageProfile) -> EnergyPerBit:

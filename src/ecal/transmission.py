@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import _all_of
 from .units import BitCount, Energy, EnergyPerBit, FieldError, _Value
-from .units import _checked_count, _checked_real, _checked_types, _proven
+from .units import _checked_count, _checked_real, _checked_types, _proven, _unknown
 
 __all__ = _all_of(__name__)
 
@@ -79,9 +79,8 @@ def technology_profile(name: str) -> TechnologyProfile:
     """Look up a built-in technology profile by name."""
     try:
         return BUILTIN_TECHNOLOGIES[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_TECHNOLOGIES))
-        raise KeyError(f"unknown technology {name!r}; built-ins: {known}") from None
+    except (KeyError, TypeError):
+        raise _unknown("technology", name, BUILTIN_TECHNOLOGIES) from None
 
 
 def fixed_overhead_profile(overhead_pct: float) -> TechnologyProfile:
@@ -95,6 +94,8 @@ def fixed_overhead_profile(overhead_pct: float) -> TechnologyProfile:
 
 def without_packet_override(profile: TechnologyProfile) -> TechnologyProfile:
     """Return a copy of ``profile`` with any packet-count override removed."""
+    if not isinstance(profile, TechnologyProfile):
+        _checked_types((profile, "profile", TechnologyProfile))
     if profile.packets_override is None:
         return profile
     return profile.__replace__(packets_override=None)

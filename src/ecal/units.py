@@ -108,6 +108,12 @@ def _checked_types(*checks: tuple) -> None:
             raise FieldTypeError(field, f"must be a {cls.__name__}, got {type(value).__name__}")
 
 
+def _unknown(what: str, name: object, names) -> LookupError:
+    """The one error for a ``name`` a user typed that is not among ``names``
+    (a table's keys, listed in its order): ``unknown <what> <name!r>; known: …``."""
+    return LookupError(f"unknown {what} {name!r}; known: {', '.join(names)}")
+
+
 def _checked_country(code: str, field: str) -> str:
     """Return ``code`` in upper case if it is two ASCII letters."""
     if not isinstance(code, str) or len(code) != 2 or not code.isascii() or not code.isalpha():
@@ -207,7 +213,7 @@ def joules_to_kwh(energy: Energy) -> float:
 
 def kwh_to_joules(kwh: float) -> Energy:
     """Convert kilowatt-hours to an energy quantity."""
-    return Energy(kwh * JOULES_PER_KWH)
+    return Energy(_checked_real(kwh, "kwh") * JOULES_PER_KWH)
 
 
 def wh_per_tb_to_j_per_bit(wh_per_terabyte: float) -> EnergyPerBit:

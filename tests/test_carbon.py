@@ -8,7 +8,6 @@ from ecal.carbon import (
     CarbonReportRow,
     CiTableError,
     DuplicateCountryError,
-    UnknownCountryError,
     bundled_ci_table,
     carbon_footprint,
     cf_vs_gamma,
@@ -211,8 +210,9 @@ def test_cf_vs_gamma_scenario_country_subset():
 
 def test_cf_vs_gamma_unknown_country():
     s = replace(default_scenario(), countries=("XX",))
-    with pytest.raises(UnknownCountryError):
+    with pytest.raises(LookupError) as caught:
         cf_vs_gamma(s, bundled_ci_table(), [1])
+    assert str(caught.value) == "unknown country 'XX'; known: DE, IE, SI, ES, FI"
 
 
 def test_cf_vs_gamma_takes_records_from_an_iterator():

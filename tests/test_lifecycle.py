@@ -30,16 +30,18 @@ from ecal.lifecycle import (
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, MlpArchitecture, ProcessingUnitProfile
 from ecal.mlp_cost import evaluation_energy, forward_flops, forward_pass_energy_per_bit
 from ecal.mlp_cost import inference_energy, inference_flops, make_split, training_energy
-from ecal.mlp_cost import training_forward_flops, training_total_flops
-from ecal.preprocessing import StandardizationMethod, preprocessing_energy
-from ecal.preprocessing import preprocessing_energy_per_bit, preprocessing_flops
-from ecal.report import REPRODUCE_TARGETS, reproduce
+from ecal.mlp_cost import training_forward_flops, training_total_flops, uniform_architecture
+from ecal.preprocessing import StandardizationMethod, clean, minmax_scale, normalize
+from ecal.preprocessing import preprocessing_energy, preprocessing_energy_per_bit
+from ecal.preprocessing import preprocessing_flops
+from ecal.report import REPRODUCE_TARGETS, ReportTable, reproduce, write_report
+from ecal.scenario_io import parse_scenario, serialize_scenario
 from ecal.storage import HDD, SSD, StorageProfile, storage_energy
 from ecal.transmission import BLE5, PayloadSpec, TechnologyProfile, ZIGBEE, packet_count
 from ecal.transmission import cumulative_transmission_energy, payload_bits
-from ecal.transmission import transmission_energy, transmitted_bits
+from ecal.transmission import transmission_energy, transmitted_bits, without_packet_override
 from ecal.units import JOULES_PER_KWH, BitCount, Energy, EnergyPerBit, FieldError
-from ecal.units import FieldTypeError, FlopCount, _checked_count, joules_to_kwh
+from ecal.units import FieldTypeError, FlopCount, _checked_count, joules_to_kwh, kwh_to_joules
 from strategies import scenarios
 from test_units import beyond_float
 
@@ -1032,6 +1034,26 @@ WRONG_ARGUMENTS = [
      "energy must be a Energy, got float"),
     ("ci", lambda s, t: carbon_footprint(Energy(1.0), 5),
      "ci must be a CarbonIntensity, got int"),
+    ("data", lambda s, t: clean(5), "data must be a RawDataset, got int"),
+    ("without_packet_override profile", lambda s, t: without_packet_override(5),
+     "profile must be a TechnologyProfile, got int"),
+    ("table", lambda s, t: write_report(5, "unwritten.csv"),
+     "table must be a ReportTable, got int"),
+    ("kwh", lambda s, t: kwh_to_joules(None), "kwh must be a real number, got NoneType"),
+    ("minmax_scale valid", lambda s, t: minmax_scale(5), "valid must be a sequence, got int"),
+    ("minmax_scale valid[1]", lambda s, t: minmax_scale([1.0, "2"]),
+     "valid[1] must be a real number, got str"),
+    ("normalize valid", lambda s, t: normalize(None), "valid must be a sequence, got NoneType"),
+    ("normalize valid[0]", lambda s, t: normalize([[5], 1.0]),
+     "valid[0] must be a real number, got list"),
+    ("text", lambda s, t: parse_scenario(5), "text must be a str or bytes, got int"),
+    ("doc", lambda s, t: serialize_scenario(s), "doc must be a ScenarioDocument, got Scenario"),
+    ("hidden_layers", lambda s, t: uniform_architecture(6, 5, None, 3),
+     "hidden_layers must be an integer, got NoneType"),
+    ("columns", lambda s, t: ReportTable(5, ((1,),)), "columns must be a sequence, got int"),
+    ("rows", lambda s, t: ReportTable(("a",), 5), "rows must be a sequence, got int"),
+    ("rows[1]", lambda s, t: ReportTable(("a",), ((1,), 2)),
+     "rows[1] must be a sequence, got int"),
 ]
 
 

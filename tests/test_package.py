@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -42,11 +43,11 @@ EXPORTS = {
                  "development_energy ecal ecal_abs ecal_abs_mean gamma_sweep "
                  "inference_phase_energy lifecycle_report",
     "carbon": "carbon CarbonIntensityRecord CarbonReport CarbonReportRow CiTableError "
-              "DuplicateCountryError UnknownCountryError bundled_ci_table carbon_footprint "
-              "cf_vs_gamma load_ci_table",
+              "DuplicateCountryError bundled_ci_table carbon_footprint cf_vs_gamma "
+              "load_ci_table",
     "scenario_io": "scenario_io REPRODUCE_TARGETS ReportTable ScenarioDocument ScenarioError "
-                   "Sweeps UnknownTargetError load_scenario parse_scenario reproduce "
-                   "serialize_scenario write_report",
+                   "Sweeps load_scenario parse_scenario reproduce serialize_scenario "
+                   "write_report",
 }
 NAMES = [name for names in EXPORTS.values() for name in names.split()]
 
@@ -61,7 +62,7 @@ def _fresh_python(code, *args):
 
 
 def test_public_names_are_pinned():
-    assert len(NAMES) == len(set(NAMES)) == 96
+    assert len(NAMES) == len(set(NAMES)) == 94
     assert sorted(ecal.__all__) == sorted(NAMES)
 
 
@@ -72,7 +73,7 @@ def test_each_public_name_is_in_one_submodule_all():
     listed = [name for names in lists.values() for name in names]
     assert len(listed) == len(set(listed))  # the lists are pairwise disjoint
     assert set(listed) == set(ecal.__all__) - set(modules)
-    assert len(listed) == 96 - 8
+    assert len(listed) == 94 - 8
     for module, names in lists.items():
         own = importlib.import_module(f"ecal.{module}")
         assert [name for name in names if not hasattr(own, name)] == [], module
@@ -102,6 +103,86 @@ print(json.dumps({"loaded": loaded, "wrong": wrong, "dir": dir(ecal),
     assert result["star"] == sorted(NAMES)
     assert set(NAMES) <= set(result["dir"])
     assert "__version__" in result["dir"]
+
+
+# Every public callable is total: given a wrong value for any one argument, it
+# returns or raises a ValueError (a FieldError names the argument) or a
+# LookupError (an unknown name), never a bare Python error.  So each callable
+# has one valid call here, and each of its arguments is replaced in turn.
+WRONG_VALUES = (5, "x", None, 2.5, [5], True)
+# Public callables left out: exception classes, and namedtuples of results.
+NOT_CALLED = {"CiTableError", "DegenerateDeviationError", "DegenerateRangeError",
+              "DuplicateCountryError", "ScenarioError", "CarbonReport", "CarbonReportRow",
+              "FlopLedger", "GammaRow", "LifecycleReport", "ScenarioDocument", "TrainSplit"}
+# Arguments that are paths, by callable: only they may raise an OSError.
+PATH_ARGUMENTS = {"load_ci_table": 0, "load_scenario": 0, "write_report": 1}
+_S = ecal.default_scenario()
+_SPEC, _ARCH, _PU = _S.payload, _S.architecture, _S.processing_unit
+VALID_CALLS = {
+    "BitCount": (1,), "CarbonIntensity": (1.0,), "Energy": (1.0,), "EnergyPerBit": (1.0,),
+    "FlopCount": (1,), "joules_to_kwh": (ecal.Energy(1.0),), "kwh_to_joules": (1.0,),
+    "wh_per_tb_to_j_per_bit": (0.65,),
+    "PayloadSpec": (64, 2), "TechnologyProfile": ("radio", 2000, 8, 0.01, 1e3, 9),
+    "cumulative_transmission_energy": (ecal.BLE5, _SPEC, 60.0, 120.0),
+    "fixed_overhead_profile": (30.0,), "packet_count": (ecal.BLE5, _SPEC),
+    "payload_bits": (_SPEC,), "technology_profile": ("ble5",),
+    "transmission_energy": (ecal.BLE5, ecal.BitCount(8)),
+    "transmission_energy_per_bit": (ecal.BLE5,), "transmitted_bits": (ecal.BLE5, _SPEC),
+    "without_packet_override": (ecal.LORAWAN,),
+    "StorageProfile": ("disk", 0.65), "storage_energy": (ecal.HDD, ecal.BitCount(8)),
+    "storage_energy_per_bit": (ecal.HDD,), "storage_profile": ("hdd",),
+    "RawDataset": ([1.0, float("nan")],), "StandardizationMethod": ("minmax",),
+    "clean": (ecal.RawDataset([1.0]),), "minmax_scale": ([1.0, 2.0],),
+    "normalize": ([1.0, 2.0],), "preprocessing_energy": (_PU, ecal.FlopCount(1)),
+    "preprocessing_energy_per_bit": (ecal.Energy(1.0), _SPEC),
+    "preprocessing_flops": (ecal.StandardizationMethod.MINMAX, 5, 1),
+    "MlpArchitecture": ((6, 5, 3),), "ProcessingUnitProfile": (140.0, 1e10, 1e8),
+    "evaluation_energy": (_ARCH, 3, _PU, 64), "forward_flops": (_ARCH,),
+    "forward_pass_energy_per_bit": (_ARCH, _PU, 64), "inference_energy": (_ARCH, 3, _PU),
+    "inference_flops": (_ARCH, 3), "make_split": (10, 0.7),
+    "training_energy": (_ARCH, 2, 3, _PU, 64), "training_forward_flops": (_ARCH, 2, 3),
+    "training_total_flops": (ecal.FlopCount(1),), "uniform_architecture": (6, 5, 3, 3),
+    "Scenario": tuple(getattr(_S, name) for name in _S.__match_args__),
+    "default_scenario": (1000,), "development_energy": (_S,), "ecal": (_S,),
+    "ecal_abs": (_S,), "ecal_abs_mean": (_S,), "gamma_sweep": (_S, [1, 10]),
+    "inference_phase_energy": (_S,), "lifecycle_report": (_S,),
+    "CarbonIntensityRecord": ("DE", "Germany", 2023, ecal.CarbonIntensity(425.0)),
+    "bundled_ci_table": (), "carbon_footprint": (ecal.Energy(1.0), ecal.CarbonIntensity(1.0)),
+    "cf_vs_gamma": (_S, ecal.bundled_ci_table(), [1]),
+    "load_ci_table": (os.path.join(os.path.dirname(ecal.__file__), "data", "ci_2023.csv"),),
+    "ReportTable": (("a",), ((1,),)), "reproduce": ("table1",),
+    "write_report": (ecal.ReportTable(("a",), ((1,),)), "report.csv"),
+    "Sweeps": ([1], [1.0], [0]), "load_scenario": (os.path.join(
+        os.path.dirname(__file__), os.pardir, "scenarios", "default.json"),),
+    "parse_scenario": (json.dumps(MINIMAL_SCENARIO),),
+    "serialize_scenario": (ecal.ScenarioDocument(_S),),
+}
+
+
+def test_every_public_callable_has_one_valid_call():
+    callables = {name for name in ecal.__all__ if callable(getattr(ecal, name))}
+    assert NOT_CALLED <= callables
+    assert all(issubclass(getattr(ecal, name), (Exception, tuple)) for name in NOT_CALLED)
+    assert sorted(VALID_CALLS) == sorted(callables - NOT_CALLED)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CALLS))
+def test_every_public_callable_is_total(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # write_report writes its report here
+    call, args = getattr(ecal, name), VALID_CALLS[name]
+    call(*args)
+    bare = []
+    for position, wrong in product(range(len(args)), WRONG_VALUES):
+        try:
+            call(*args[:position], wrong, *args[position + 1:])
+        except (ValueError, LookupError):
+            pass
+        except OSError as exc:
+            if PATH_ARGUMENTS.get(name) != position:
+                bare.append((position, wrong, repr(exc)))
+        except Exception as exc:  # a bare Python error: what this test forbids
+            bare.append((position, wrong, repr(exc)))
+    assert bare == []
 
 
 def test_unknown_name_is_an_attribute_error():

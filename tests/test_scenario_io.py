@@ -23,7 +23,6 @@ from ecal.scenario_io import (
     ScenarioDocument,
     ScenarioError,
     Sweeps,
-    UnknownTargetError,
     load_scenario,
     parse_scenario,
     reproduce,
@@ -130,13 +129,25 @@ SHAPE_ERRORS = [
     (_doc_with(sweeps={"gamma": 10}), "sweeps.gamma: expected a list, got 10"),
     (_doc_with(split_ratio="0.7"), "split_ratio: must be a real number, got str"),
     (_doc_with(technology="x"),
-     "technology: unknown technology 'x'; built-ins: ble5, lorawan, zigbee"),
-    (_doc_with(storage="x"), "storage: unknown storage medium 'x'; built-ins: hdd, ssd"),
+     "technology: unknown technology 'x'; known: ble5, zigbee, lorawan"),
+    (_doc_with(storage="x"), "storage: unknown storage medium 'x'; known: hdd, ssd"),
+    (_doc_with(preprocessing="x"),
+     "preprocessing: unknown preprocessing method 'x'; known: minmax, normalization"),
+    (_doc_with(preprocessing=["minmax"]),
+     "preprocessing: unknown preprocessing method ['minmax']; known: minmax, normalization"),
+    (_doc_with(samplez=1),
+     "samplez: unknown field 'samplez'; known: samples, invalid_samples, bit_precision, "
+     "technology, storage, preprocessing, split_ratio, epochs, mlp, inference_batch, "
+     "inference_invalid_samples, gamma, processing_unit, countries, sweeps"),
+    (_doc_with(technology={"name": "r", "f_u": 2000, "omega_u": 8, "p_t_w": 0.01,
+                           "r_t_bps": 1e3, "gain_db": 3}),
+     "technology.gain_db: unknown field 'gain_db'; known: name, f_u, omega_u, p_t_w, r_t_bps, "
+     "packets_override"),
 ]
 
 
 @pytest.mark.parametrize("text, message", SHAPE_ERRORS,
-                         ids=[message.split(":")[0] + " lookup" * ("built-ins" in message)
+                         ids=[message.split(":")[0] + " lookup" * ("; known: " in message)
                               for _, message in SHAPE_ERRORS])
 def test_shape_and_type_errors_are_pinned(text, message):
     with pytest.raises(ScenarioError) as caught:
@@ -731,8 +742,11 @@ def test_a_file_descriptor_is_not_a_path(call, message, others, monkeypatch):
 # --- reproduce targets ---------------------------------------------------------
 
 def test_unknown_target_lists_known_ones():
-    with pytest.raises(UnknownTargetError, match="table1"):
+    with pytest.raises(LookupError) as caught:
         reproduce("table99")
+    assert str(caught.value) == (
+        "unknown reproduce target 'table99'; known: table1, table2, fig2, fig4, fig5, fig6, "
+        "fig7, fig8, fig9ab, fig11, fig12, table3, fig13")
 
 
 def test_reproduce_table1_values():

@@ -47,8 +47,10 @@ def test_infinite_density_rejected():
 
 
 def test_unknown_profile_name():
-    with pytest.raises(KeyError):
-        storage_profile("tape")
+    for name in ("tape", [5]):
+        with pytest.raises(LookupError) as caught:
+            storage_profile(name)
+        assert str(caught.value) == f"unknown storage medium {name!r}; known: hdd, ssd"
     assert storage_profile("hdd") is HDD
     assert storage_profile("ssd") is SSD
 

@@ -103,8 +103,10 @@ def test_energy_per_bit_published_values():
 
 
 def test_unknown_technology_name():
-    with pytest.raises(KeyError):
-        technology_profile("wifi7")
+    for name in ("wifi7", [5]):
+        with pytest.raises(LookupError) as caught:
+            technology_profile(name)
+        assert str(caught.value) == f"unknown technology {name!r}; known: ble5, zigbee, lorawan"
 
 
 def test_cumulative_series_ble_two_minutes():
