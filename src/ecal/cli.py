@@ -3,15 +3,16 @@
 Every number the CLI prints comes straight from a library call; the CLI
 adds no arithmetic of its own.  Exit codes: 0 success, 1 validation or
 usage error, 2 I/O error.  Each subcommand imports only the modules it uses.
+A well-formed call is parsed from one table of options; argparse, which reads
+the same table, is imported only to print help or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Sequence
-from functools import partial
+from types import SimpleNamespace
 
 from .report import REPRODUCE_TARGETS, ReportTable, _json, _write
 from .units import FieldError, _unknown
@@ -23,85 +24,11 @@ __all__ = ["run", "main"]
 _OPTIONS = {"sample_count": "samples", "n_s": "samples", "bits_per_sample": "precision",
             "n_nan": "invalid", "gamma": "gamma-sweep"}
 
-
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits with code 1 on usage errors."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    # Every parser wraps help at 78 columns, the width argparse falls back to
-    # without a terminal: asking for the terminal's width would import shutil.
-    new = partial(_Parser, formatter_class=partial(argparse.HelpFormatter, width=78))
-    parser = new(prog="ecal", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=new)
-
-    # Options that several subcommands share, each declared once.
-    output = new(add_help=False)
-    output.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    output.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
-    dataset = new(add_help=False)
-    dataset.add_argument("--samples", type=int, required=True)
-    dataset.add_argument("--precision", type=int, default=64, help="bits per sample")
-    scenario = new(add_help=False)
-    scenario.add_argument("--scenario", required=True, metavar="FILE")
-    strict = new(add_help=False)
-    strict.add_argument("--strict-eq2", action="store_true",
-                        help="ignore per-profile packet-count overrides")
-
-    transmit = sub.add_parser("transmit", parents=[output, dataset, strict],
-                              help="packet accounting and radio energy")
-    transmit.add_argument("--tech", default="ble5", help="technology name (ble5, zigbee, lorawan)")
-    transmit.set_defaults(handler=_cmd_transmit)
-
-    storage = sub.add_parser("storage", parents=[output, dataset],
-                             help="write energy of storing a dataset")
-    storage.add_argument("--storage", default="hdd", dest="medium",
-                         help="storage medium name (hdd, ssd)")
-    storage.set_defaults(handler=_cmd_storage)
-
-    preprocess = sub.add_parser("preprocess", parents=[output, dataset],
-                                help="FLOPs, time, and energy of preprocessing "
-                                     "on the default processing unit")
-    preprocess.add_argument("--method", required=True,
-                            help="preprocessing method (minmax, normalization)")
-    preprocess.add_argument("--invalid", type=int, default=0)
-    preprocess.set_defaults(handler=_cmd_preprocess)
-
-    train = sub.add_parser("train-cost", parents=[output, scenario],
-                           help="training, evaluation, and inference cost")
-    train.set_defaults(handler=_cmd_train_cost)
-
-    lifecycle = sub.add_parser("lifecycle", parents=[output, scenario, strict],
-                               help="full lifecycle report for a scenario")
-    lifecycle.add_argument("--gamma-sweep", metavar="A,B,C",
-                           help="comma-separated request counts to sweep")
-    lifecycle.set_defaults(handler=_cmd_lifecycle)
-
-    carbon = sub.add_parser("carbon", parents=[output, scenario],
-                            help="carbon footprint per country")
-    carbon.add_argument("--ci-file", metavar="FILE",
-                        help="carbon-intensity CSV (default: bundled table)")
-    carbon.set_defaults(handler=_cmd_carbon)
-
-    repro = sub.add_parser("reproduce", help="emit the bundled reference datasets")
-    repro.add_argument("--target", required=True,
-                       help=f"one of: {', '.join(REPRODUCE_TARGETS)}, or 'all'")
-    repro.add_argument("--out", metavar="DIR",
-                       help="directory to write <target>.csv files into")
-    repro.set_defaults(handler=_cmd_reproduce, json=False)
-
-    return parser
-
-
 def _key_value_table(pairs: Sequence[tuple[str, object]]) -> ReportTable:
     return ReportTable(("metric", "value"), tuple(pairs))
 
 
-def _cmd_transmit(args: argparse.Namespace) -> ReportTable:
+def _cmd_transmit(args: SimpleNamespace) -> ReportTable:
     from .transmission import (PayloadSpec, packet_count, payload_bits, technology_profile,
                                transmission_energy, transmission_energy_per_bit,
                                transmitted_bits, without_packet_override)
@@ -122,7 +49,7 @@ def _cmd_transmit(args: argparse.Namespace) -> ReportTable:
     )
 
 
-def _cmd_storage(args: argparse.Namespace) -> ReportTable:
+def _cmd_storage(args: SimpleNamespace) -> ReportTable:
     from .storage import storage_energy, storage_energy_per_bit, storage_profile
     from .transmission import PayloadSpec, payload_bits
 
@@ -137,7 +64,7 @@ def _cmd_storage(args: argparse.Namespace) -> ReportTable:
     )
 
 
-def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
+def _cmd_preprocess(args: SimpleNamespace) -> ReportTable:
     from .mlp_cost import DEFAULT_PROCESSING_UNIT
     from .preprocessing import (_METHOD_BY_NAME, preprocessing_energy,
                                 preprocessing_energy_per_bit, preprocessing_flops)
@@ -158,7 +85,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> ReportTable:
     )
 
 
-def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
+def _cmd_train_cost(args: SimpleNamespace) -> ReportTable:
     from .lifecycle import _TRAIN_COST, _price
     from .scenario_io import load_scenario
 
@@ -166,7 +93,7 @@ def _cmd_train_cost(args: argparse.Namespace) -> ReportTable:
     return _key_value_table([(row, getattr(p, field)) for row, field in _TRAIN_COST])
 
 
-def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
+def _cmd_lifecycle(args: SimpleNamespace) -> ReportTable:
     from .lifecycle import _TERMS, _price, gamma_sweep
     from .scenario_io import load_scenario
     from .transmission import without_packet_override
@@ -191,12 +118,12 @@ def _cmd_lifecycle(args: argparse.Namespace) -> ReportTable:
                              *[(row, getattr(p, field)) for field, _, row in _TERMS[1:]]])
 
 
-def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
+def _cmd_carbon(args: SimpleNamespace) -> ReportTable:
     from .carbon import bundled_ci_table, cf_vs_gamma, load_ci_table
     from .scenario_io import load_scenario
 
     doc = load_scenario(args.scenario)
-    records = load_ci_table(args.ci_file) if args.ci_file else bundled_ci_table()
+    records = bundled_ci_table() if args.ci_file is None else load_ci_table(args.ci_file)
     report = cf_vs_gamma(doc.scenario, records, [doc.scenario.gamma])
     rows = [
         (row.gamma, row.country_code, row.intensity.grams_co2e_per_kwh,
@@ -210,12 +137,12 @@ def _cmd_carbon(args: argparse.Namespace) -> ReportTable:
     )
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> ReportTable | None:
+def _cmd_reproduce(args: SimpleNamespace) -> ReportTable | None:
     """One target's table, or None once ``--out DIR`` holds each target's CSV."""
     from .report import reproduce, write_report
 
     targets = list(REPRODUCE_TARGETS) if args.target == "all" else [args.target]
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         for target in targets:
             write_report(reproduce(target), os.path.join(args.out, f"{target}.csv"))
@@ -225,17 +152,113 @@ def _cmd_reproduce(args: argparse.Namespace) -> ReportTable | None:
     return reproduce(targets[0])
 
 
+# Every subcommand's options, each declared once.  An option is its flag and
+# the keywords of argparse's add_argument, in the order help lists them:
+# `_parse` reads them for a well-formed call, `_build_parser` for any other.
+_OUTPUT = {"--json": {"action": "store_true", "default": False, "help": "emit JSON instead of CSV"},
+           "--out": {"metavar": "PATH", "help": "write the report to PATH instead of stdout"}}
+_DATASET = {"--samples": {"type": int, "required": True},
+            "--precision": {"type": int, "default": 64, "help": "bits per sample"}}
+_SCENARIO = {"--scenario": {"required": True, "metavar": "FILE"}}
+_STRICT = {"--strict-eq2": {"action": "store_true", "default": False,
+                            "help": "ignore per-profile packet-count overrides"}}
+# Each subcommand: its help line, its handler and its options.
+_COMMANDS = {
+    "transmit": ("packet accounting and radio energy", _cmd_transmit, {
+        **_OUTPUT, **_DATASET, **_STRICT,
+        "--tech": {"default": "ble5", "help": "technology name (ble5, zigbee, lorawan)"}}),
+    "storage": ("write energy of storing a dataset", _cmd_storage, {
+        **_OUTPUT, **_DATASET,
+        "--storage": {"default": "hdd", "dest": "medium",
+                      "help": "storage medium name (hdd, ssd)"}}),
+    "preprocess": ("FLOPs, time, and energy of preprocessing on the default processing unit",
+                   _cmd_preprocess, {
+        **_OUTPUT, **_DATASET,
+        "--method": {"required": True, "help": "preprocessing method (minmax, normalization)"},
+        "--invalid": {"type": int, "default": 0}}),
+    "train-cost": ("training, evaluation, and inference cost", _cmd_train_cost,
+                   {**_OUTPUT, **_SCENARIO}),
+    "lifecycle": ("full lifecycle report for a scenario", _cmd_lifecycle, {
+        **_OUTPUT, **_SCENARIO, **_STRICT,
+        "--gamma-sweep": {"metavar": "A,B,C", "help": "comma-separated request counts to sweep"}}),
+    "carbon": ("carbon footprint per country", _cmd_carbon, {
+        **_OUTPUT, **_SCENARIO,
+        "--ci-file": {"metavar": "FILE", "help": "carbon-intensity CSV (default: bundled table)"}}),
+    "reproduce": ("emit the bundled reference datasets", _cmd_reproduce, {
+        "--target": {"required": True, "help": f"one of: {', '.join(REPRODUCE_TARGETS)}, or 'all'"},
+        "--out": {"metavar": "DIR", "help": "directory to write <target>.csv files into"}}),
+}
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed call, or None for any other.
+
+    A well-formed call is a subcommand, then exact flags of its own, each value
+    its own ``str`` that does not start with "-".  Help, abbreviations,
+    ``--opt=value`` and every usage error are left to argparse, so its texts
+    and exit codes are the only ones there are.
+    """
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if type(command) is not str or command not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[command]
+    given = {}
+    for flag in tokens:
+        option = options.get(flag) if type(flag) is str else None
+        if option is None:
+            return None
+        if "action" in option:  # a store_true flag
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if type(value) is not str or value.startswith("-"):
+            return None
+        try:
+            given[flag] = option.get("type", str)(value)
+        except ValueError:
+            return None
+    args = SimpleNamespace(command=command, handler=handler)
+    for flag, option in options.items():
+        if flag not in given and option.get("required"):
+            return None
+        setattr(args, option.get("dest", flag[2:].replace("-", "_")),
+                given.get(flag, option.get("default")))
+    return args
+
+
+def _build_parser():
+    """argparse's parser of ``_COMMANDS``, imported and built only for help and
+    usage errors."""
+    from argparse import ArgumentParser, HelpFormatter
+    from functools import partial
+
+    # Every parser wraps help at 78 columns, the width argparse falls back to
+    # without a terminal: asking for the terminal's width would import shutil.
+    new = partial(ArgumentParser, formatter_class=partial(HelpFormatter, width=78))
+    parser = new(prog="ecal", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new)
+    for command, (help_line, handler, options) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_line)
+        for flag, option in options.items():
+            subparser.add_argument(flag, **option)
+        subparser.set_defaults(handler=handler)
+    return parser
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation and return its exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+        except SystemExit as exc:  # 0 after help; argparse's 2 for a usage error is 1 here
+            return 1 if exc.code else 0
     try:
         table = args.handler(args)
         if table is not None:
-            _write(args.out or sys.stdout, _json(table) if args.json else table.to_csv())
+            _write(sys.stdout if args.out is None else args.out,
+                   _json(table) if getattr(args, "json", False) else table.to_csv())
         return 0
     except (ValueError, LookupError) as exc:
         message = exc

@@ -33,8 +33,10 @@ class ReportTable(_Value):
         try:
             columns, rows = tuple(columns), tuple(rows)
             rows = tuple(map(tuple, rows))
-        except TypeError:  # name the argument, or the row, that is not a sequence
-            _checked_items(columns, "columns")
+            "".join(columns)  # raises unless every column name is a str
+        except TypeError:  # name the argument, the column or the row that is wrong
+            columns = _checked_items(columns, "columns")
+            _checked_types(*[(name, f"columns[{i}]", str) for i, name in enumerate(columns)])
             _checked_items(rows, "rows", _checked_items)
             raise
         width = len(columns)

@@ -1051,6 +1051,8 @@ WRONG_ARGUMENTS = [
     ("hidden_layers", lambda s, t: uniform_architecture(6, 5, None, 3),
      "hidden_layers must be an integer, got NoneType"),
     ("columns", lambda s, t: ReportTable(5, ((1,),)), "columns must be a sequence, got int"),
+    ("columns[1]", lambda s, t: ReportTable(("a", 5), ((1, 2),)),
+     "columns[1] must be a str, got int"),
     ("rows", lambda s, t: ReportTable(("a",), 5), "rows must be a sequence, got int"),
     ("rows[1]", lambda s, t: ReportTable(("a",), ((1,), 2)),
      "rows[1] must be a sequence, got int"),

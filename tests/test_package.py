@@ -2,7 +2,8 @@
 
 ``import ecal`` imports no submodule: each public name is loaded from its
 submodule on first use, and each CLI subcommand imports only what it uses,
-never ``typing``, ``dataclasses`` or ``shutil``.
+never ``typing``, ``dataclasses`` or ``shutil``; a well-formed call never
+imports ``argparse`` either.
 Import checks run in a fresh ``python -S`` interpreter, so modules that a
 site hook happens to import cannot hide an import of ecal's own.
 """
@@ -17,7 +18,7 @@ from itertools import product
 import pytest
 
 import ecal
-from test_cli import LORAWAN_STRICT_LIFECYCLE_ROWS, MINIMAL_SCENARIO
+from test_cli import HELP, LORAWAN_STRICT_LIFECYCLE_ROWS, MINIMAL_SCENARIO, _usage
 
 # The package's public names, by the submodule they come from.
 EXPORTS = {
@@ -192,12 +193,13 @@ def test_unknown_name_is_an_attribute_error():
         exec("from ecal import no_such_name", {})
 
 
-RUN_AND_LIST_MODULES = ("import sys\nfrom ecal.cli import run\nrun(sys.argv[1:])\n"
-                        "print()\nprint(*sorted(sys.modules))")
+RUN_AND_LIST_MODULES = ("import sys\nsys.stderr = sys.stdout\nfrom ecal.cli import run\n"
+                        "run(sys.argv[1:])\nprint()\nprint(*sorted(sys.modules))")
 
 
 def _modules_after(argv):
-    """Output and modules loaded by one CLI call in a fresh ``python -S``."""
+    """Output, stderr included, and modules loaded by one CLI call in a fresh
+    ``python -S``."""
     out = _fresh_python(RUN_AND_LIST_MODULES, *argv)
     text, _, modules = out.rpartition("\n\n")
     return text, set(modules.split())
@@ -206,6 +208,9 @@ def _modules_after(argv):
 # What `import shutil` loads, which argparse imports to ask for the terminal's
 # width unless its help formatter is given one; no CLI call loads it.
 SHUTIL_MODULES = {"shutil", "bz2", "lzma", "fnmatch"}
+# What argparse loads, with what its messages load; only help and usage errors
+# load them, never a well-formed call.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "default.json")
 LIGHT_CALLS = [
     ["transmit", "--tech", "lorawan", "--samples", "256", "--strict-eq2"],
@@ -225,7 +230,7 @@ def test_radio_storage_and_preprocessing_calls_load_no_scenario_machinery(argv):
     text, modules = _modules_after(argv)
     assert text.startswith("metric,value\n")
     heavy = {"dataclasses", "json", "csv", "ecal.lifecycle", "ecal.scenario_io", "ecal.carbon",
-             "typing", *SHUTIL_MODULES}
+             "typing", *SHUTIL_MODULES, *ARGPARSE_MODULES}
     if argv[0] != "preprocess":
         heavy |= {"ecal.preprocessing", "ecal.mlp_cost"}
     assert modules & heavy == set()
@@ -277,7 +282,7 @@ def test_scenario_calls_load_no_dataclasses(argv, tmp_path):
         argv = [*argv, str(tmp_path)]
     text, modules = _modules_after(argv)
     assert "ecal.lifecycle" in modules
-    assert modules & (DATACLASS_MODULES | SHUTIL_MODULES) == set()
+    assert modules & (DATACLASS_MODULES | SHUTIL_MODULES | ARGPARSE_MODULES) == set()
     if argv[0] == "reproduce":
         assert len(os.listdir(tmp_path)) == 13
 
@@ -298,7 +303,14 @@ def test_json_output_imports_json():
 
 def test_reproduce_help_lists_every_target_without_the_model():
     text, modules = _modules_after(["reproduce", "--help"])
-    targets = ("table1, table2, fig2, fig4, fig5, fig6, fig7, fig8, fig9ab, fig11, fig12, "
-               "table3, fig13")
-    assert targets in " ".join(text.split())
+    assert text + "\n" == HELP[("reproduce",)]  # which lists every target
+    assert "argparse" in modules
     assert modules & {"ecal.lifecycle", *SHUTIL_MODULES} == set()
+
+
+def test_a_usage_error_prints_argparse_text_in_a_fresh_interpreter():
+    text, modules = _modules_after(["transmit", "--samples", "x"])
+    assert text + "\n" == (_usage(("transmit",)) + "ecal transmit: error: "
+                           "argument --samples: invalid int value: 'x'\n")
+    assert "argparse" in modules
+    assert modules & {"ecal.transmission", *SHUTIL_MODULES} == set()
