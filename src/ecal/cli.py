@@ -14,8 +14,8 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .report import REPRODUCE_TARGETS, ReportTable, _json, _write
-from .units import FieldError, _unknown
+from .report import REPRODUCE_TARGETS, ReportTable, _json, _project, _write
+from .units import FieldError, _checked_types, _unknown
 
 __all__ = ["run", "main"]
 
@@ -110,9 +110,9 @@ def _cmd_lifecycle(args: SimpleNamespace) -> ReportTable:
             raise ValueError(f"--gamma-sweep expects comma-separated integers, "
                              f"got {args.gamma_sweep!r}") from None
     if gammas:
-        rows = [(g, total.joules, mean.joules, per_bit.joules_per_bit)
-                for g, total, mean, per_bit in gamma_sweep(scenario, gammas)]
-        return ReportTable(("gamma", "ecal_abs_J", "ecal_abs_mean_J", "eCAL_J_per_b"), rows)
+        return _project(gamma_sweep(scenario, gammas), {
+            "gamma": "gamma", "ecal_abs_J": "ecal_abs.joules",
+            "ecal_abs_mean_J": "ecal_abs_mean.joules", "eCAL_J_per_b": "ecal.joules_per_bit"})
     p = _price(scenario)
     return _key_value_table([("gamma", scenario.gamma),
                              *[(row, getattr(p, field)) for field, _, row in _TERMS[1:]]])
@@ -124,17 +124,10 @@ def _cmd_carbon(args: SimpleNamespace) -> ReportTable:
 
     doc = load_scenario(args.scenario)
     records = bundled_ci_table() if args.ci_file is None else load_ci_table(args.ci_file)
-    report = cf_vs_gamma(doc.scenario, records, [doc.scenario.gamma])
-    rows = [
-        (row.gamma, row.country_code, row.intensity.grams_co2e_per_kwh,
-         row.cf_development_g, row.cf_inference_g, row.cf_total_g)
-        for row in report.rows
-    ]
-    return ReportTable(
-        ("gamma", "country_code", "ci_g_per_kwh", "cf_development_g",
-         "cf_inference_g", "cf_total_g"),
-        rows,
-    )
+    return _project(cf_vs_gamma(doc.scenario, records, [doc.scenario.gamma]).rows, {
+        "gamma": "gamma", "country_code": "country_code",
+        "ci_g_per_kwh": "intensity.grams_co2e_per_kwh", "cf_development_g": "cf_development_g",
+        "cf_inference_g": "cf_inference_g", "cf_total_g": "cf_total_g"})
 
 
 def _cmd_reproduce(args: SimpleNamespace) -> ReportTable | None:
@@ -248,18 +241,19 @@ def _build_parser():
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation and return its exit code."""
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        try:
-            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
-        except SystemExit as exc:  # 0 after help; argparse's 2 for a usage error is 1 here
-            return 1 if exc.code else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv)
     try:
+        if args is None:  # argparse reads only str tokens
+            _checked_types(*[(token, f"argv[{i}]", str) for i, token in enumerate(argv)])
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         table = args.handler(args)
         if table is not None:
             _write(sys.stdout if args.out is None else args.out,
                    _json(table) if getattr(args, "json", False) else table.to_csv())
         return 0
+    except SystemExit as exc:  # 0 after help; argparse's 2 for a usage error is 1 here
+        return 1 if exc.code else 0
     except (ValueError, LookupError) as exc:
         message = exc
         if isinstance(exc, FieldError) and exc.field in _OPTIONS:

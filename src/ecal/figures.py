@@ -7,7 +7,7 @@ Each function is named after its ``reproduce`` target (see
 from __future__ import annotations
 
 from .carbon import bundled_ci_table, cf_vs_gamma
-from .lifecycle import default_scenario, gamma_sweep, lifecycle_report
+from .lifecycle import _price, default_scenario, gamma_sweep
 from .mlp_cost import forward_flops, training_forward_flops, uniform_architecture
 from .preprocessing import (
     StandardizationMethod,
@@ -15,7 +15,7 @@ from .preprocessing import (
     preprocessing_energy_per_bit,
     preprocessing_flops,
 )
-from .report import REPRODUCE_TARGETS, ReportTable
+from .report import REPRODUCE_TARGETS, ReportTable, _project
 from .transmission import (
     BUILTIN_TECHNOLOGIES,
     PayloadSpec,
@@ -33,6 +33,11 @@ _GAMMA_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 2000
 # The paper's reference configuration, priced once for every figure that
 # prices it; BUILTIN_TECHNOLOGIES holds the paper's three radios in its order.
 _REFERENCE = default_scenario()
+# Fig. 8's bars, each with the _Lifecycle field it plots, in plot order.
+_FIG8 = (("transmission", "transmission"), ("storage", "storage"),
+         ("preprocessing", "preprocessing"), ("training", "training"),
+         ("evaluation", "evaluation"), ("inference", "inference"),
+         ("development_total", "development"), ("inference_phase_total", "inference_phase"))
 
 
 def table1() -> ReportTable:
@@ -83,11 +88,7 @@ def fig2() -> ReportTable:
 
 
 def fig4() -> ReportTable:
-    rows = [
-        (profile.name, transmission_energy_per_bit(profile).joules_per_bit)
-        for profile in BUILTIN_TECHNOLOGIES.values()
-    ]
-    return ReportTable(("technology", "e_t_b_j"), rows)
+    return ReportTable(("technology", "e_t_b_j"), [(row[0], row[3]) for row in table2().rows])
 
 
 def fig5() -> ReportTable:
@@ -127,18 +128,8 @@ def fig7() -> ReportTable:
 
 
 def fig8() -> ReportTable:
-    report = lifecycle_report(_REFERENCE)
-    rows = [
-        ("transmission", report.transmission.joules),
-        ("storage", report.storage.joules),
-        ("preprocessing", report.preprocessing.joules),
-        ("training", report.training.joules),
-        ("evaluation", report.evaluation.joules),
-        ("inference", report.inference.joules),
-        ("development_total", report.development.joules),
-        ("inference_phase_total", report.inference_phase.joules),
-    ]
-    return ReportTable(("component", "energy_j"), rows)
+    p = _price(_REFERENCE)
+    return ReportTable(("component", "energy_j"), [(bar, getattr(p, f)) for bar, f in _FIG8])
 
 
 def fig9ab() -> ReportTable:
@@ -167,35 +158,24 @@ def fig9ab() -> ReportTable:
 
 
 def fig11() -> ReportTable:
-    rows = [
-        (row.gamma, row.ecal_abs.joules, row.ecal_abs_mean.joules)
-        for row in gamma_sweep(_REFERENCE, _GAMMA_GRID)
-    ]
-    return ReportTable(("gamma", "ecal_abs_j", "ecal_abs_mean_j"), rows)
+    return _project(gamma_sweep(_REFERENCE, _GAMMA_GRID), {
+        "gamma": "gamma", "ecal_abs_j": "ecal_abs.joules",
+        "ecal_abs_mean_j": "ecal_abs_mean.joules"})
 
 
 def fig12() -> ReportTable:
-    rows = [(row.gamma, row.ecal.joules_per_bit) for row in gamma_sweep(_REFERENCE, _GAMMA_GRID)]
-    return ReportTable(("gamma", "ecal_j_per_b"), rows)
+    return _project(gamma_sweep(_REFERENCE, _GAMMA_GRID),
+                    {"gamma": "gamma", "ecal_j_per_b": "ecal.joules_per_bit"})
 
 
 def table3() -> ReportTable:
-    report = cf_vs_gamma(_REFERENCE, bundled_ci_table(), [_REFERENCE.gamma])
-    rows = [
-        (row.country_code, row.country_name, row.intensity.grams_co2e_per_kwh,
-         row.cf_development_g, row.cf_inference_g)
-        for row in report.rows
-    ]
-    return ReportTable(
-        ("country_code", "country_name", "ci_g_per_kwh", "cf_development_g", "cf_inference_g"),
-        rows,
-    )
+    return _project(cf_vs_gamma(_REFERENCE, bundled_ci_table(), [_REFERENCE.gamma]).rows, {
+        "country_code": "country_code", "country_name": "country_name",
+        "ci_g_per_kwh": "intensity.grams_co2e_per_kwh",
+        "cf_development_g": "cf_development_g", "cf_inference_g": "cf_inference_g"})
 
 
 def fig13() -> ReportTable:
-    report = cf_vs_gamma(_REFERENCE, bundled_ci_table(), _GAMMA_GRID)
-    rows = [
-        (row.gamma, row.country_code, row.intensity.grams_co2e_per_kwh, row.cf_total_g)
-        for row in report.rows
-    ]
-    return ReportTable(("gamma", "country_code", "ci_g_per_kwh", "cf_total_g"), rows)
+    return _project(cf_vs_gamma(_REFERENCE, bundled_ci_table(), _GAMMA_GRID).rows, {
+        "gamma": "gamma", "country_code": "country_code",
+        "ci_g_per_kwh": "intensity.grams_co2e_per_kwh", "cf_total_g": "cf_total_g"})

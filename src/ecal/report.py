@@ -3,17 +3,20 @@ reference datasets by name.
 
 A file is a UTF-8 path (``str``, ``bytes`` or ``os.PathLike``) or a text
 stream, which stays open; text read loses a leading byte-order mark.
-Reports are plain CSV with LF line endings (or, from the CLI, JSON), so
-identical inputs always produce byte-identical output.  Each dataset is
-built by the function of its name in :mod:`ecal.figures`, which is imported
-only to reproduce one.
+Reports are CSV with LF line endings (or, from the CLI, JSON), so identical
+inputs always produce byte-identical output; a cell is its ``str``, quoted if
+it holds a comma, a quote or a line break.  Each dataset is built by the
+function of its name in :mod:`ecal.figures`, which is imported only to
+reproduce one.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from io import BufferedIOBase, RawIOBase, TextIOBase
 from itertools import chain
+from operator import attrgetter
 
 from . import _all_of
 from .units import FieldTypeError, _checked_items, _checked_types, _unknown, _Value
@@ -47,15 +50,35 @@ class ReportTable(_Value):
         object.__setattr__(self, "rows", rows)
 
     def to_csv(self) -> str:
-        """Render as CSV: header first, LF endings, full-precision numbers
-        (``%s`` formats with ``str``, and a float's ``str`` round-trips)."""
-        template = ",".join(["%s"] * len(self.columns))
+        """Render as CSV: header first, LF endings, each cell its ``str`` (a float's
+        round-trips), quoted with quotes doubled if it holds a comma, a quote or a
+        line break, or is a row's one cell and empty.  A bool cell is a TypeError."""
+        width, lines = len(self.columns), len(self.rows) + 1
+        template = ",".join(["%s"] * width)
         text = "\n".join([",".join(self.columns), *[template % row for row in self.rows]]) + "\n"
         # A bool cell renders as True or False, so only such text needs the scan.
         if ("True" in text or "False" in text) and bool in set(
                 map(type, chain.from_iterable(self.rows))):
             raise TypeError("boolean cells are not supported in reports")
+        # Only a cell to quote adds a comma, a line break, a quote or (one column) an empty line.
+        if (text.count(",") != (width - 1) * lines or text.count("\n") != lines
+                or '"' in text or "\r" in text
+                or width == 1 and ("\n\n" in text or text[0] == "\n")):
+            text = "".join(map(_csv_line, (self.columns, *self.rows)))
         return text
+
+
+def _csv_line(row: tuple) -> str:
+    """``row`` as a line of :meth:`ReportTable.to_csv`, each cell quoted as it says."""
+    cells = [str(cell) for cell in row]
+    return ",".join(['"%s"' % cell.replace('"', '""') if cells == [""] or set(',"\r\n') & set(cell)
+                     else cell for cell in cells]) + "\n"
+
+
+def _project(records: Iterable, spec: dict[str, str]) -> ReportTable:
+    """A row of each record: ``spec`` maps each of two or more column names to the
+    attribute it reads, a dotted path such as ``"ecal_abs.joules"``."""
+    return ReportTable(tuple(spec), map(attrgetter(*spec.values()), records))
 
 
 def reproduce(target: str) -> ReportTable:
