@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .report import REPRODUCE_TARGETS, ReportTable, _json, _project, _write
-from .units import FieldError, _checked_types, _unknown
+from .units import FieldError, _checked_items, _checked_types, _unknown
 
 __all__ = ["run", "main"]
 
@@ -191,7 +191,10 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
     ``--opt=value`` and every usage error are left to argparse, so its texts
     and exit codes are the only ones there are.
     """
-    tokens = iter(argv)
+    try:
+        tokens = iter(argv)
+    except TypeError:
+        return None
     command = next(tokens, None)
     if type(command) is not str or command not in _COMMANDS:
         return None
@@ -244,7 +247,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     try:
-        if args is None:  # argparse reads only str tokens
+        if args is None:  # argparse reads only a sequence of str tokens
+            argv = _checked_items(argv, "argv")
             _checked_types(*[(token, f"argv[{i}]", str) for i, token in enumerate(argv)])
             args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         table = args.handler(args)

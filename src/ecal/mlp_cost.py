@@ -24,6 +24,7 @@ __all__ = _all_of(__name__)
 # training samples, 226-FLOP forward pass) costs 141 times one BLE transfer
 # of 256 double-precision samples.
 DEFAULT_FLOPS_PER_JOULE = 1.5351e8
+_MAX_HIDDEN_LAYERS = 1000  # of one uniform_architecture
 
 
 class MlpArchitecture(_Value):
@@ -32,12 +33,10 @@ class MlpArchitecture(_Value):
     __slots__ = __match_args__ = ("layer_sizes",)
 
     def __init__(self, layer_sizes: tuple[int, ...]) -> None:
-        sizes = _checked_items(layer_sizes, "layer_sizes")
+        sizes = _checked_items(layer_sizes, "layer_sizes", _checked_count, 1)
         if len(sizes) < 2:
             raise FieldError("layer_sizes", "must list at least an input and an output "
                                             f"layer, got {len(sizes)} layer(s)")
-        for index, width in enumerate(sizes):
-            _checked_count(width, f"layer_sizes[{index}]", 1)
         object.__setattr__(self, "layer_sizes", sizes)
 
 
@@ -86,9 +85,13 @@ def make_split(sample_count: int, train_fraction: float) -> TrainSplit:
 def uniform_architecture(
     inputs: int, hidden_width: int, hidden_layers: int, outputs: int
 ) -> MlpArchitecture:
-    """Architecture with ``hidden_layers`` hidden layers of equal width."""
-    if type(hidden_layers) is not int or hidden_layers < 0:
-        _checked_count(hidden_layers, "hidden_layers")
+    """Architecture with ``hidden_layers`` hidden layers of equal width.
+
+    ``hidden_layers`` is an integer from 0 to 1,000, checked before the widths
+    are listed.
+    """
+    if type(hidden_layers) is not int or not 0 <= hidden_layers <= _MAX_HIDDEN_LAYERS:
+        _checked_count(hidden_layers, "hidden_layers", 0, _MAX_HIDDEN_LAYERS)
     return MlpArchitecture((inputs, *([hidden_width] * hidden_layers), outputs))
 
 

@@ -98,13 +98,7 @@ def minmax_scale(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     valid = _checked_items(valid, "valid", _checked_real, maximum=None)
     if len(valid) == 0:
         raise ValueError("minmax_scale needs at least one sample")
-    low = valid[0]
-    high = valid[0]
-    for x in valid[1:]:
-        if x < low:
-            low = x
-        if x > high:
-            high = x
+    low, high = min(valid), max(valid)
     value_range = high - low
     subtractions = 1
     if value_range == 0.0:

@@ -146,9 +146,7 @@ def transmitted_bits(profile: TechnologyProfile, spec: PayloadSpec) -> BitCount:
     if not isinstance(profile, TechnologyProfile):
         _checked_types((profile, "profile", TechnologyProfile))
     payload = _checked_count(_bits(spec), "bit count")
-    packets = _packets(profile, payload)
-    overhead = _checked_count(profile.packet_overhead * packets, "bit count")
-    return BitCount(payload + overhead)
+    return BitCount(payload + profile.packet_overhead * _packets(profile, payload))
 
 
 def transmission_energy(profile: TechnologyProfile, b_t: BitCount) -> Energy:
@@ -183,12 +181,12 @@ def cumulative_transmission_energy(
     horizon_s = _checked_real(horizon_s, "horizon_s", positive=True)
     if interval_s > horizon_s:
         raise FieldError("interval_s", f"({interval_s!r}) must not exceed horizon_s ({horizon_s!r})")
-    steps = int(horizon_s // interval_s)
+    steps = horizon_s // interval_s  # inf when the quotient leaves the float range
     if steps >= _MAX_POINTS:
         raise FieldError("horizon_s", f"gives {steps + 1:.7g} points at interval_s={interval_s!r}, "
                                       f"over the maximum of {_MAX_POINTS}")
     joules = transmission_energy(profile, transmitted_bits(profile, spec)).joules
     _checked_real(steps * joules, "energy [J]")  # the largest point; no point falls as k grows
-    points = range(steps + 1)
+    points = range(int(steps) + 1)
     return list(zip([k * interval_s for k in points],
                     _proven(Energy, [k * joules for k in points])))

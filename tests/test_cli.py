@@ -317,7 +317,8 @@ def test_bad_flag_exits_1(capsys):
     (["transmit", "--samples", 5], "argv[2] must be a str, got int"),
     (["transmit", 5], "argv[1] must be a str, got int"),
     ([b"transmit"], "argv[0] must be a str, got bytes"),
-], ids=["int-value", "int-command", "bytes-command"])
+    (5, "argv must be a sequence, got int"),
+], ids=["int-value", "int-command", "bytes-command", "int-argv"])
 def test_an_argv_item_that_is_not_a_str_is_one_error_line(capsys, argv, message):
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"ecal: error: {message}\n")

@@ -545,6 +545,9 @@ _FAST = TechnologyProfile("fast", 1, 0, 1e308, 1e-308)
     (lambda: transmitted_bits(TechnologyProfile("x", 1, 2**600, 1.0, 1.0),
                               PayloadSpec(2**600, 1)),
      beyond_float("bit count", 1201)),
+    # The payload fits a float, but its packets' overhead alone does not.
+    (lambda: transmitted_bits(TechnologyProfile("x", 1, 2**1023, 1.0, 1.0), PayloadSpec(1, 2)),
+     beyond_float("bit count", 1025)),
     (lambda: storage_energy(StorageProfile("x", 1e300), BitCount(10**300)), _NOT_FINITE),
     (lambda: preprocessing_energy_per_bit(Energy(1.0), PayloadSpec(10**200, 10**200)),
      beyond_float("bit count", 1329)),
@@ -579,9 +582,9 @@ _FAST = TechnologyProfile("fast", 1, 0, 1e308, 1e-308)
     # Power over rate, and a storage density in J/b, overflow before any bit is counted.
     (lambda: transmission_energy(_FAST, BitCount(1)), _PER_BIT_NOT_FINITE),
     (lambda: storage_energy(StorageProfile("x", 1e308), BitCount(1)), _PER_BIT_NOT_FINITE),
-], ids=["transmitted payload", "transmitted overhead", "storage", "preprocessing per bit",
-        "training forward", "training run", "training energy forward", "training energy run",
-        "training energy total", "evaluation", "evaluation run", "training bits zero",
+], ids=["transmitted payload", "transmitted overhead", "transmitted overhead alone", "storage",
+        "preprocessing per bit", "training forward", "training run", "training energy forward",
+        "training energy run", "training energy total", "evaluation", "evaluation run", "training bits zero",
         "evaluation bits negative", "forward pass bits bool", "training bits float",
         "inference forward", "inference request", "cumulative series", "evaluation count",
         "inference count", "training epochs", "training count", "training flops before bits",

@@ -19,7 +19,7 @@ from ecal.mlp_cost import (
     uniform_architecture,
 )
 from ecal.transmission import BLE5, PayloadSpec, transmission_energy, transmitted_bits
-from ecal.units import FieldTypeError, FlopCount
+from ecal.units import FieldError, FieldTypeError, FlopCount
 
 REFERENCE_ARCH = MlpArchitecture((6, 5, 5, 5, 3))
 
@@ -82,6 +82,15 @@ def test_forward_flops_growth_in_depth():
         assert steps == {2 * width * (width + 1)}
 
 
+def test_uniform_architecture_caps_its_hidden_layers():
+    # Past the cap the widths are not listed: 10**9 layers would exhaust memory.
+    # tests/test_package.py calls it with 10**9 in a memory-capped child.
+    assert len(uniform_architecture(6, 5, 1000, 3).layer_sizes) == 1002
+    with pytest.raises(FieldError) as caught:
+        uniform_architecture(6, 5, 1001, 3)
+    assert str(caught.value) == "hidden_layers must be in [0, 1000], got 1001"
+
+
 def test_architecture_validation():
     with pytest.raises(ValueError):
         MlpArchitecture((5,))
@@ -89,6 +98,10 @@ def test_architecture_validation():
         MlpArchitecture((5, 0, 3))
     with pytest.raises(TypeError):
         MlpArchitecture((5, 2.5, 3))  # type: ignore[arg-type]
+    # Each width is checked before the layer count.
+    with pytest.raises(FieldError) as caught:
+        MlpArchitecture((0,))
+    assert str(caught.value) == "layer_sizes[0] must be >= 1, got 0"
 
 
 def test_architecture_needs_a_sequence_of_widths():

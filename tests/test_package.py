@@ -9,13 +9,16 @@ site hook happens to import cannot hide an import of ecal's own.
 """
 
 import importlib
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, Verbosity, example, given, settings, strategies as st
 
 import ecal
 from test_cli import HELP, LORAWAN_STRICT_LIFECYCLE_ROWS, MINIMAL_SCENARIO, _usage
@@ -184,6 +187,77 @@ def test_every_public_callable_is_total(name, tmp_path, monkeypatch):
         except Exception as exc:  # a bare Python error: what this test forbids
             bare.append((position, wrong, repr(exc)))
     assert bare == []
+
+
+# The same property under hypothesis, driven by each callable's signature: each
+# argument is drawn as its valid value, another value of its annotated type, or
+# an edge value (0 and -1 stand for an int where a sequence or a unit belongs).
+EDGE_VALUES = (0, -1, 2**1100 - 1, math.nan, math.inf, -math.inf, 5e-324, "x", None)
+# Other values of each annotated type; the ints reach sizes that an allocation
+# in proportion to them would not survive.
+SAME_TYPE = {"int": st.integers(-1, 2**64) | st.sampled_from([10**k for k in range(3, 19, 3)]),
+             "float": st.floats(), "str": st.text(max_size=8)}
+# Calls each property makes first, since each once broke it.
+EXPLICIT_CALLS = {"uniform_architecture": [(6, 5, 10**9, 3), (6, 5, 10**12, 3)],
+                  "cumulative_transmission_energy": [(ecal.BLE5, _SPEC, 5e-324, 1.0)]}
+# Runs the property in a child whose address space is capped at 512 MiB, so an
+# allocation out of proportion fails there with a MemoryError instead of
+# growing on the host.
+TOTALITY_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+sys.path.insert(0, sys.argv[1])
+from test_package import _failures_under_hypothesis
+print(json.dumps(_failures_under_hypothesis(int(sys.argv[2]))))
+"""
+
+
+def _totality(name, examples):
+    """The property of ``ecal.<name>``: a call with arguments drawn from its
+    signature returns or raises a ValueError or a LookupError (or an OSError,
+    if it takes a path)."""
+    call, valid = getattr(ecal, name), VALID_CALLS[name]
+    # The leading parameters: an enum's call also takes the functional API's.
+    parameters = list(inspect.signature(call).parameters.values())[:len(valid)]
+    kinds = [p.annotation if p.annotation is not p.empty else type(value).__name__
+             for p, value in zip(parameters, valid)]
+
+    @settings(max_examples=examples, deadline=None, database=None, verbosity=Verbosity.quiet,
+              report_multiple_bugs=False, suppress_health_check=list(HealthCheck))
+    @given(st.tuples(*[st.just(value) | SAME_TYPE.get(kind, st.nothing())
+                       | st.sampled_from(EDGE_VALUES) for value, kind in zip(valid, kinds)]))
+    def total(args):
+        try:
+            call(*args)
+        except (ValueError, LookupError):
+            pass
+        except Exception as exc:
+            if not (isinstance(exc, OSError) and name in PATH_ARGUMENTS):
+                raise AssertionError(f"{name}{args!r} raised {exc!r}") from None
+
+    for args in EXPLICIT_CALLS.get(name, ()):
+        total = example(args)(total)
+    return total
+
+
+def _failures_under_hypothesis(examples):
+    """The shrunk call of each public callable that breaks its property."""
+    failures = []
+    for name in VALID_CALLS:
+        try:
+            _totality(name, examples)()
+        except AssertionError as exc:
+            failures.append(str(exc))
+    return failures
+
+
+def test_every_public_callable_is_total_under_hypothesis(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", TOTALITY_CHILD, os.path.dirname(os.path.abspath(__file__)), "40"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=600)  # write_report writes its reports in tmp_path
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -79,6 +79,12 @@ def test_clean_treats_any_non_finite_as_invalid():
 def test_minmax_scale_maps_endpoints_and_midpoint():
     scaled, _ = minmax_scale([2.0, 4.0, 6.0])
     assert scaled == [0.0, 0.5, 1.0]
+    # A repeated minimum keeps its first copy, as the sign of a zero shows, and a
+    # leading NaN is both ends of the range.
+    for xs, expected in (([0.0, -0.0, 2.0, -0.0], "0.0 -0.0 1.0 -0.0"),
+                         ([-0.0, 0.0, -0.0, 2.0], "0.0 0.0 0.0 1.0"),
+                         ([math.nan, 0.0, 0.0, 2.0], "nan nan nan nan")):
+        assert " ".join(map(repr, minmax_scale(xs)[0])) == expected
 
 
 def test_minmax_scale_degenerate_range():

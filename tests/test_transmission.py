@@ -232,7 +232,7 @@ def test_a_series_past_the_point_cap_is_rejected_before_it_is_allocated():
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
         from ecal.transmission import BLE5, PayloadSpec, cumulative_transmission_energy
-        for interval_s, horizon_s in ((1.0, 1e6), (1e-300, 1.0)):
+        for interval_s, horizon_s in ((1.0, 1e6), (1e-300, 1.0), (5e-324, 1.0)):
             try:
                 cumulative_transmission_energy(BLE5, PayloadSpec(64, 256), interval_s, horizon_s)
             except ValueError as exc:
@@ -246,4 +246,6 @@ def test_a_series_past_the_point_cap_is_rejected_before_it_is_allocated():
         "FieldError horizon_s gives 1000001 points at interval_s=1.0, over the maximum of 1000000",
         "FieldError horizon_s gives 1e+300 points at interval_s=1e-300, "
         "over the maximum of 1000000",
+        # The quotient leaves the float range.
+        "FieldError horizon_s gives inf points at interval_s=5e-324, over the maximum of 1000000",
     ]
