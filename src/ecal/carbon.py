@@ -8,6 +8,7 @@ follow the intensity table.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from collections import namedtuple
 from collections.abc import Iterable
@@ -17,8 +18,8 @@ from itertools import repeat
 from . import _all_of
 from .lifecycle import Scenario, _price, _sweep
 from .report import _read
-from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, joules_to_kwh
-from .units import _checked_country, _checked_items, _checked_types, _unknown, _Value
+from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _checked_country
+from .units import _checked_items, _checked_real, _checked_types, _unknown, _Value, joules_to_kwh
 
 __all__ = _all_of(__name__)
 
@@ -50,11 +51,14 @@ class CarbonIntensityRecord(_Value):
 
 
 def carbon_footprint(e: Energy, ci: CarbonIntensity) -> float:
-    """Grams of CO2-equivalent emitted producing energy ``e`` at intensity ``ci``."""
+    """Grams of CO2-equivalent emitted producing energy ``e`` at intensity ``ci``.
+
+    Raises ValueError when the product leaves the floating-point range.
+    """
     kwh = joules_to_kwh(e)
     if not isinstance(ci, CarbonIntensity):
         _checked_types((ci, "ci", CarbonIntensity))
-    return kwh * ci.grams_co2e_per_kwh
+    return _checked_real(kwh * ci.grams_co2e_per_kwh, "carbon footprint [gCO2eq]")
 
 
 def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensityRecord, ...]:
@@ -117,7 +121,8 @@ def cf_vs_gamma(
     Uses the scenario's country list, or every loaded record when the list
     is empty.  Within one gamma, rows are ordered by descending intensity.
     Raises :class:`CiTableError` when a country to price has records for
-    more than one year, and ``LookupError`` when it has none.
+    more than one year, ``LookupError`` when it has none, and ValueError
+    when a footprint leaves the floating-point range.
     """
     p = _price(s)
     records = _checked_items(records, "records")
@@ -150,6 +155,10 @@ def cf_vs_gamma(
         countries.append((record.country_code, record.country_name, record.intensity,
                           dev_kwh * ci, request_kwh * ci, ci))
     new, kwhs = tuple.__new__, [j / JOULES_PER_KWH for j in joules]
+    # Rows run by descending intensity, and kWh grow with gamma: no cell tops this one.
+    if kwhs and countries and max(kwhs) * countries[0][5] == math.inf:
+        raise ValueError(f"carbon footprint is not finite in {countries[0][0]!r} at gamma "
+                         f"{max(gs)}: {max(kwhs)!r} kWh at {countries[0][5]!r} gCO2eq/kWh")
     return CarbonReport(tuple([
         new(CarbonReportRow, (g, code, name, intensity, dev_g, inf_g, kwh * ci))
         for g, kwh in zip(gs, kwhs) for code, name, intensity, dev_g, inf_g, ci in countries]))

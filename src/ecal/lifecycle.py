@@ -73,14 +73,15 @@ class Scenario(_Value):
                        (standardization, "standardization", StandardizationMethod),
                        (architecture, "architecture", MlpArchitecture),
                        (processing_unit, "processing_unit", ProcessingUnitProfile))
-        codes = []
-        for i, code in enumerate(_checked_items(countries, "countries")):
-            if (code := _checked_country(code, f"countries[{i}]")) in codes:
-                raise FieldError(f"countries[{i}]", f"repeats {code!r}")
-            codes.append(code)
+        codes = _checked_items(countries, "countries", _checked_country)
+        if len(set(codes)) < len(codes):
+            i = next(i for i, code in enumerate(codes) if code in codes[:i])
+            raise FieldError(f"countries[{i}]", f"repeats {codes[i]!r}")
         _checked_count(invalid_samples, "invalid_samples", 0, payload.sample_count)
         train_fraction = _checked_real(train_fraction, "train_fraction", positive=True,
                                        maximum=1.0)
+        if payload.sample_count and train_fraction * payload.sample_count < 1:  # _price floors it
+            raise FieldError("train_fraction", f"leaves no training sample, got {train_fraction!r}")
         _checked_count(epochs, "epochs", 1)
         _checked_count(inference_batch, "inference_batch", 1)
         _checked_count(inference_invalid_samples, "inference_invalid_samples",
@@ -89,7 +90,7 @@ class Scenario(_Value):
         for name, value in zip(self.__slots__, (
                 payload, technology, storage, standardization, train_fraction, epochs,
                 architecture, inference_batch, gamma, processing_unit, invalid_samples,
-                inference_invalid_samples, tuple(codes), None)):
+                inference_invalid_samples, codes, None)):
             object.__setattr__(self, name, value)
 
 
@@ -230,17 +231,18 @@ def _price(s: Scenario) -> _Lifecycle:
         training_per_bit = 3 * fwd / (bits_per_sample * fpj)
         forward_per_bit = fwd / (bits_per_sample * fpj)
         development_per_bit = development / dev_bits
-        training_per_trained_bit = (e_train / (bits_per_sample * train_count)
-                                    if train_count else 0.0)
+        training_per_trained_bit = e_train / (bits_per_sample * train_count)
         inference_phase_per_bit = request / req_bits
         float(dev_bits + req_bits)  # the bits after one request fit too: only gamma fails _at
     except OverflowError:
         raise ValueError(
             "scenario is too large to price: a count exceeds the floating-point range"
         ) from None
-    if not math.isfinite(development + request + training_per_bit + forward_per_bit):
+    # Every per-bit figure is at most a term of development or of the request: training
+    # per bit is at most e_train, since a scenario trains one sample or more.
+    if not math.isfinite(development + request):
         raise ValueError(f"lifecycle energy is not finite: development {development!r} J, "
-                         f"one request {request!r} J, training {training_per_bit!r} J/b")
+                         f"one request {request!r} J")
     joules, bits = _at(development, request, dev_bits, req_bits, s.gamma)
     p = _Lifecycle(
         fwd, m_mlp_fp, m_mlp, n_inf, forward_per_bit, b_t, dev_bits, req_b_t, req_bits,

@@ -4,6 +4,8 @@ They build model objects only when drawn, so importing this module constructs
 nothing.
 """
 
+import math
+
 from hypothesis import strategies as st
 
 from ecal.lifecycle import Scenario
@@ -18,6 +20,9 @@ def scenarios(draw):
     """A scenario whose every parameter is drawn from a range the model prices."""
     bits_per_sample = draw(st.sampled_from([16, 32, 64]))
     samples = draw(st.integers(1, 1024))
+    # The least split that trains a sample: 1 / samples, or the next float up where
+    # the product rounds below 1 (49 * (1 / 49) does).
+    least = 1 / samples if samples * (1 / samples) >= 1 else math.nextafter(1 / samples, 1)
     batch = draw(st.integers(1, 200))
     builtin_radio = draw(st.booleans())
     if builtin_radio:
@@ -42,7 +47,7 @@ def scenarios(draw):
         technology=technology,
         storage=storage,
         standardization=draw(st.sampled_from(list(StandardizationMethod))),
-        train_fraction=draw(st.floats(0.05, 1.0)),
+        train_fraction=draw(st.floats(max(0.05, least), 1.0)),
         epochs=draw(st.integers(1, 30)),
         architecture=MlpArchitecture(layers),
         inference_batch=batch,
@@ -103,7 +108,9 @@ def boundary_documents(draw):
         put("wh_per_tb", [0.0, 0.65], [-1.0, float("inf")], doc.setdefault("storage", {}),
             "storage.")
     put("preprocessing", ["minmax", "normalization"], ["zscore"], optional=True)
-    put("split_ratio", [0.5, 1], [0, 1.5], optional=True)
+    split = put("split_ratio", [0.5, 1], [0, 1.5], optional=True)
+    if samples == 1 and split in (_OMIT, 0.5):  # 0.5 or the default 0.7 trains no sample
+        bad.add("split_ratio")
     put("epochs", [1, 2], [-1, 0])
     widths = draw(st.lists(st.sampled_from([1, 3, 0, 2.5] if free else [1, 3]),
                            min_size=1 if free else 2, max_size=4))

@@ -1,7 +1,12 @@
 import io
+import json
+import math
+import re
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ecal.carbon import (
     CarbonIntensityRecord,
@@ -13,8 +18,9 @@ from ecal.carbon import (
     cf_vs_gamma,
     load_ci_table,
 )
+from ecal.cli import run
 from ecal.lifecycle import default_scenario, development_energy, ecal_abs, inference_phase_energy
-from ecal.units import CarbonIntensity, Energy, FieldTypeError
+from ecal.units import JOULES_PER_KWH, CarbonIntensity, Energy, FieldTypeError
 
 CI_HEADER = "country_code,country_name,year,ci_g_per_kwh\n"
 
@@ -251,3 +257,46 @@ def test_cf_vs_gamma_rejects_bad_gamma():
 def test_cf_vs_gamma_rejects_non_integer_gamma_as_type_error():
     with pytest.raises(TypeError, match="gamma"):
         cf_vs_gamma(default_scenario(), bundled_ci_table(), [1.5])
+
+
+def test_a_footprint_beyond_the_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^carbon footprint \[gCO2eq\] must be .* got inf$"):
+        carbon_footprint(Energy(1e308), CarbonIntensity(1e308))
+
+
+@given(st.floats(0.0, sys.float_info.max), st.floats(0.0, sys.float_info.max))
+def test_a_footprint_is_finite_or_a_value_error(joules, intensity):
+    try:
+        footprint = carbon_footprint(Energy(joules), CarbonIntensity(intensity))
+    except ValueError:
+        assert joules / JOULES_PER_KWH * intensity == math.inf
+    else:
+        assert math.isfinite(footprint)
+
+
+HUGE_CI = CI_HEADER + "DE,Germany,2023,425\nXX,X,2023,1e308\n"
+
+
+def test_cf_vs_gamma_rejects_a_footprint_beyond_the_float_range():
+    records = load_ci_table(io.StringIO(HUGE_CI))
+    s = default_scenario(gamma=10**12)
+    assert all(map(math.isfinite, cf_vs_gamma(s, records, [1]).rows[0][4:]))
+    # Rows run by descending intensity, so the largest gamma in XX is the one cell checked.
+    with pytest.raises(ValueError) as caught:
+        cf_vs_gamma(s, records, [1, 10**12, 1000])
+    assert re.fullmatch(r"carbon footprint is not finite in 'XX' at gamma 1000000000000: "
+                        r"\S+ kWh at 1e\+308 gCO2eq/kWh", str(caught.value))
+
+
+def test_ecal_carbon_rejects_a_footprint_beyond_the_float_range(capsys, tmp_path):
+    (tmp_path / "huge_ci.csv").write_text(HUGE_CI, encoding="utf-8")
+    scenario = tmp_path / "gamma_1e12.json"
+    scenario.write_text(json.dumps({"samples": 256, "mlp": {"layers": [6, 5, 5, 5, 3]},
+                                    "epochs": 10, "inference_batch": 77,
+                                    "gamma": 1000000000000}), encoding="utf-8")
+    argv = ["carbon", "--scenario", str(scenario), "--ci-file", str(tmp_path / "huge_ci.csv")]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ecal: error: carbon footprint is not finite in 'XX' at gamma ")
+    assert len(err.splitlines()) == 1

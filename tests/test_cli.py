@@ -16,8 +16,8 @@ from ecal.carbon import bundled_ci_table, cf_vs_gamma
 from ecal.cli import run
 from ecal.lifecycle import _price, gamma_sweep, lifecycle_report
 from ecal.preprocessing import StandardizationMethod
-from ecal.scenario_io import REPRODUCE_TARGETS, ScenarioDocument, parse_scenario, reproduce
-from ecal.scenario_io import serialize_scenario
+from ecal.scenario_io import REPRODUCE_TARGETS, ScenarioDocument, ScenarioError, parse_scenario
+from ecal.scenario_io import reproduce, serialize_scenario
 from ecal.storage import BUILTIN_STORAGE
 from ecal.transmission import BUILTIN_TECHNOLOGIES
 from ecal.units import BitCount, Energy, EnergyPerBit
@@ -342,6 +342,15 @@ def test_invalid_scenario_contents_exit_1(capsys, tmp_path):
         assert captured.out == ""
         errors.append(captured.err)
     assert errors == ["ecal: error: need at least one valid sample, got n_s=0 with n_nan=0\n"] * 3
+    # The default 70/30 split of one sample trains none: rejected where it is given.
+    path.write_text(json.dumps({"samples": 1, "mlp": {"layers": [6, 5, 3]}, "epochs": 10,
+                                "inference_batch": 7, "gamma": 10}), encoding="utf-8")
+    message = "split_ratio: leaves no training sample, got 0.7"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(path.read_text(encoding="utf-8"))
+    for command in ("lifecycle", "train-cost", "carbon"):
+        assert run([command, "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"ecal: error: {message}\n")
     path.write_text("[" * 100_000, encoding="utf-8")
     assert run(["lifecycle", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
@@ -350,9 +359,10 @@ def test_invalid_scenario_contents_exit_1(capsys, tmp_path):
 
 
 def test_train_cost_rejects_an_overflowing_per_bit_training_energy(capsys, tmp_path):
-    # Development plus one request stays finite, but 3 * M_FP / (alpha * fpj) overflows.
-    doc = {**MINIMAL_SCENARIO, "bit_precision": 1, "samples": 1, "inference_batch": 1,
-           "mlp": {"layers": [6, 5, 3]},
+    # 3 * M_FP / (alpha * fpj) overflows, and so does the training term of development,
+    # which is at least as large on one trained sample.
+    doc = {**MINIMAL_SCENARIO, "bit_precision": 1, "samples": 1, "split_ratio": 1.0,
+           "inference_batch": 1, "mlp": {"layers": [6, 5, 3]},
            "processing_unit": {"flops_per_joule": 1.474111431261021e-306}}
     path = tmp_path / "tiny_fpj.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

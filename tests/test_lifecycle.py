@@ -100,7 +100,7 @@ def spreadsheet_oracle(
         "e_pre": e_pre,
         "e_train": e_train,
         "e_train_b": 3 * fwd / (alpha * fpj),
-        "e_train_trained_b": e_train / (alpha * n_t) if n_t else 0.0,
+        "e_train_trained_b": e_train / (alpha * n_t),
         "e_eval": e_eval,
         "e_d": e_d,
         "e_d_b": e_d / dev_bits,
@@ -258,11 +258,14 @@ def test_scenario_validation():
 
 def test_a_repeated_country_is_rejected_at_its_second_occurrence():
     s = default_scenario()
-    for countries, field, code in ((("de", "DE"), "countries[1]", "DE"),
-                                   (("FI", "ES", "fi"), "countries[2]", "FI")):
+    for countries, field, reason in (
+            (("de", "DE"), "countries[1]", "repeats 'DE'"),
+            (("FI", "ES", "fi"), "countries[2]", "repeats 'FI'"),
+            # Every code is checked before any repeat is looked for.
+            (("DE", "de", "DEU"), "countries[2]", "must be a two-letter country code, got 'DEU'")):
         with pytest.raises(FieldError) as caught:
             replace(s, countries=countries)
-        assert (caught.value.field, caught.value.reason) == (field, f"repeats {code!r}")
+        assert (caught.value.field, caught.value.reason) == (field, reason)
         assert type(caught.value) is FieldError
 
 
@@ -479,6 +482,25 @@ def test_report_training_per_bit_columns():
     )
 
 
+def test_a_split_that_trains_no_sample_is_rejected():
+    s = default_scenario()
+    # 49 * (1 / 49) rounds below 1, so that split floors to no training sample too.
+    for samples, fraction in ((1, 0.7), (1, 0.5), (3, 0.3), (49, 1 / 49)):
+        with pytest.raises(FieldError) as caught:
+            replace(s, payload=PayloadSpec(64, samples), train_fraction=fraction)
+        assert (caught.value.field, caught.value.reason) == (
+            "train_fraction", f"leaves no training sample, got {fraction!r}")
+    for samples, fraction in ((1, 1.0), (2, 0.5), (49, math.nextafter(1 / 49, 1))):
+        report = lifecycle_report(replace(s, payload=PayloadSpec(64, samples),
+                                          train_fraction=fraction))
+        assert report.training.joules > 0
+        assert report.training_per_trained_bit.joules_per_bit == report.training.joules / 64
+    # An empty dataset builds, and fails when it is priced, as before.
+    empty = replace(s, payload=PayloadSpec(64, 0))
+    with pytest.raises(ValueError, match="^need at least one valid sample, got n_s=0"):
+        lifecycle_report(empty)
+
+
 def test_scenario_counts_must_be_integers():
     s = default_scenario()
     for field in ("epochs", "inference_batch", "gamma", "invalid_samples",
@@ -616,18 +638,18 @@ TOO_LARGE = "scenario is too large to price: a count exceeds the floating-point 
 
 def test_overflowing_per_bit_training_energy_is_a_value_error():
     tiny = replace(
-        default_scenario(gamma=1), payload=PayloadSpec(1, 1), inference_batch=1,
-        architecture=MlpArchitecture((6, 5, 3)),
+        default_scenario(gamma=1), payload=PayloadSpec(1, 1), train_fraction=1.0,
+        inference_batch=1, architecture=MlpArchitecture((6, 5, 3)),
         processing_unit=ProcessingUnitProfile(140.0, 1e10, 1.474111431261021e-306),
     )
-    finite_phases = r"development \S+e\+307 J, one request \S+e\+307 J, training inf J/b"
     wide = replace(default_scenario(gamma=1), payload=PayloadSpec(10**301, 8388608),
                    architecture=MlpArchitecture((6, 5, 3)))
-    one_each = replace(wide, payload=PayloadSpec(3 * 2**1020, 1), inference_batch=1)
+    one_each = replace(wide, payload=PayloadSpec(3 * 2**1020, 1), train_fraction=1.0,
+                       inference_batch=1)
     for s, message in (
-        # Development plus one request stays finite at gamma 1, but the closed-form
-        # training energy per bit, 3 * M_FP / (alpha * fpj), overflows.
-        (tiny, f"lifecycle energy is not finite: {finite_phases}"),
+        # The closed-form training energy per bit, 3 * M_FP / (alpha * fpj), overflows,
+        # and so does the training term of development, at least as large on one sample.
+        (tiny, r"lifecycle energy is not finite: development inf J, one request \S+e\+307 J$"),
         # Every joule is finite, but the development bits exceed the float range.
         (wide, re.escape(TOO_LARGE)),
         # Each phase's bits fit a float (1.37e308), but not both after one request.
