@@ -2,9 +2,16 @@
 
 Every number the CLI prints comes straight from a library call; the CLI
 adds no arithmetic of its own.  Exit codes: 0 success, 1 validation or
-usage error, 2 I/O error.  Each subcommand imports only the modules it uses.
-A well-formed call is parsed from one table of options; argparse, which reads
-the same table, is imported only to print help or a usage error.
+usage error, 2 I/O error, a report that cannot be written to stdout included.
+Each subcommand imports only the modules it uses.  A well-formed call is
+parsed from one table of options; argparse, which reads the same table, is
+imported only to print help or a usage error.
+
+A CLI process (``python -m ecal``, ``python -m ecal.cli`` or the ``ecal``
+script, all through ``main``) flushes stdout and stderr, then ends with
+``os._exit``: it skips the interpreter's teardown, about 10 ms of a 60 ms call
+on a shared 2-vCPU host, so no ``atexit`` hook (coverage's subprocess hook,
+for one) runs in it.  To run the CLI inside a process, call ``run``.
 """
 
 from __future__ import annotations
@@ -253,8 +260,14 @@ def run(argv: Sequence[str] | None = None) -> int:
             args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         table = args.handler(args)
         if table is not None:
-            _write(sys.stdout if args.out is None else args.out,
-                   _json(table) if getattr(args, "json", False) else table.to_csv())
+            text = _json(table) if getattr(args, "json", False) else table.to_csv()
+            if args.out is not None:
+                _write(args.out, text)
+            elif sys.stdout is None:  # the process started with stdout closed
+                raise OSError("stdout is closed")
+            else:
+                _write(sys.stdout, text)
+                sys.stdout.flush()  # a report that cannot be delivered fails here, not at exit
         return 0
     except SystemExit as exc:  # 0 after help; argparse's 2 for a usage error is 1 here
         return 1 if exc.code else 0
@@ -270,7 +283,20 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command line of this process, then end it without interpreter teardown.
+
+    ``run`` has flushed any report on stdout, and reported a failure of it.
+    What is left is flushed, a failure ignored, and the process ends with
+    ``os._exit``: no module is finalized, and no ``atexit`` hook runs.  An
+    exception ``run`` lets through ends the process the normal way.
+    """
+    code = run()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # a closed stream, or a reader gone
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

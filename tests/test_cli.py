@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tokenize
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
@@ -864,3 +866,77 @@ def test_each_scenario_subcommand_prints_what_the_library_gives(doc, tmp_path_fa
     else:  # the sweep fails as lifecycle does at its first gamma that does not price
         at_1000 = _outcome(partial(_library, s.__replace__(gamma=1000), "lifecycle"))[1]
         assert sweep == (at_1000 and str(at_1000))
+
+
+# --- a process prints what run returns -----------------------------------------
+
+ROOT = Path(__file__).parent.parent
+# Without PYTHONUNBUFFERED stdout is block-buffered, as on most hosts, so a
+# report that a process ended by os._exit left unflushed would be lost.
+CHILD_ENV = {**{key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+MODULE = (sys.executable, "-m", "ecal")
+CONSOLE_SCRIPT = (sys.executable, "-c", "from ecal.cli import main; main()")
+
+
+def _process(argv, command=MODULE, stdout=subprocess.PIPE):
+    """Exit code, stdout bytes and stderr of ``command ARGV`` in a new process."""
+    proc = subprocess.run([*command, *argv], cwd=ROOT, env=CHILD_ENV, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("command, argv", [
+    (MODULE, ["transmit", "--samples", "256"]),
+    (MODULE, ["storage", "--samples", "256"]),
+    (MODULE, ["preprocess", "--method", "normalization", "--samples", "256"]),
+    (MODULE, ["train-cost", "--scenario", "scenarios/default.json"]),
+    (MODULE, ["lifecycle", "--scenario", "scenarios/default.json"]),
+    (MODULE, ["lifecycle", "--scenario", "scenarios/default.json", "--gamma-sweep", "100,1000"]),
+    (MODULE, ["carbon", "--scenario", "scenarios/default.json"]),
+    (MODULE, ["carbon", "--scenario", "scenarios/default.json", "--json"]),
+    (MODULE, ["--help"]),
+    (MODULE, ["transmit", "--samples", "-1"]),
+    (MODULE, ["lifecycle", "--scenario", "missing.json"]),
+    (CONSOLE_SCRIPT, ["lifecycle", "--scenario", "scenarios/default.json", "--json"]),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else
+    "console script" if value == CONSOLE_SCRIPT else "-m")
+def test_a_process_prints_what_run_returns(command, argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, err = _cli(argv)
+    assert _process(argv, command) == (code, out.encode(), err)
+
+
+def test_a_process_writes_the_files_run_writes(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["reproduce", "--target", "all", "--out"]
+    assert _process([*argv, str(tmp_path / "process")]) == (0, b"", "")
+    assert _cli([*argv, str(tmp_path / "run")]) == (0, "", "")
+    written = {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+    assert len(written) == len(REPRODUCE_TARGETS)
+    assert {path.name: path.read_bytes()
+            for path in (tmp_path / "process").iterdir()} == written
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_report_that_stdout_cannot_take_is_an_io_error():
+    with open("/dev/full", "wb") as full:
+        assert _process(["transmit", "--samples", "5"], stdout=full) == (
+            2, None, "ecal: i/o error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("target", ["table1", "fig5"])  # fig5 outgrows a pipe's buffer
+def test_a_report_whose_reader_is_gone_is_an_io_error(target):
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        assert _process(["reproduce", "--target", target], stdout=writer) == (
+            2, None, "ecal: i/o error: [Errno 32] Broken pipe\n")
+    finally:
+        os.close(writer)
+
+
+def test_a_closed_stdout_is_an_io_error():
+    closed = ("sh", "-c", 'exec "$0" -m ecal "$@" >&-', sys.executable)
+    assert _process(["transmit", "--samples", "5"], closed, stdout=None) == (
+        2, None, "ecal: i/o error: stdout is closed\n")
