@@ -24,11 +24,10 @@ _EXPORTS = {
                     "without_packet_override",
     "storage": "storage BUILTIN_STORAGE HDD SSD StorageProfile storage_energy "
                "storage_energy_per_bit storage_profile",
-    "preprocessing": "preprocessing DegenerateDeviationError DegenerateRangeError FlopLedger "
-                     "RawDataset StandardizationMethod clean minmax_scale "
-                     "normalize preprocessing_energy preprocessing_energy_per_bit "
-                     "preprocessing_flops",
-    "mlp_cost": "mlp_cost DEFAULT_FLOPS_PER_JOULE DEFAULT_PROCESSING_UNIT MlpArchitecture "
+    "preprocessing": "preprocessing FlopLedger RawDataset StandardizationMethod clean "
+                     "minmax_scale normalize preprocessing_energy "
+                     "preprocessing_energy_per_bit preprocessing_flops",
+    "mlp_cost": "mlp_cost DEFAULT_PROCESSING_UNIT MlpArchitecture "
                 "ProcessingUnitProfile TrainSplit evaluation_energy forward_flops "
                 "forward_pass_energy_per_bit inference_energy inference_flops make_split "
                 "training_energy training_forward_flops training_total_flops "
@@ -37,8 +36,7 @@ _EXPORTS = {
                  "development_energy ecal ecal_abs ecal_abs_mean gamma_sweep "
                  "inference_phase_energy lifecycle_report",
     "carbon": "carbon CarbonIntensityRecord CarbonReport CarbonReportRow CiTableError "
-              "DuplicateCountryError bundled_ci_table carbon_footprint cf_vs_gamma "
-              "load_ci_table",
+              "bundled_ci_table carbon_footprint cf_vs_gamma load_ci_table",
     "report": "REPRODUCE_TARGETS ReportTable reproduce write_report",
     "scenario_io": "scenario_io ScenarioDocument ScenarioError Sweeps load_scenario "
                    "parse_scenario serialize_scenario",

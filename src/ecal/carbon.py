@@ -31,10 +31,6 @@ class CiTableError(ValueError):
     country to price."""
 
 
-class DuplicateCountryError(CiTableError):
-    """Two rows share the same (country_code, year) key."""
-
-
 class CarbonIntensityRecord(_Value):
     """Average grid carbon intensity of one country in one year."""
 
@@ -65,8 +61,8 @@ def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensi
     """Load carbon-intensity records from a CSV path or text stream.
 
     Expects the header ``country_code,country_name,year,ci_g_per_kwh``.
-    Raises :class:`CiTableError` naming the offending line on malformed
-    rows and :class:`DuplicateCountryError` on repeated (code, year) keys.
+    Raises :class:`CiTableError` naming the offending line on a malformed
+    row or on a repeated (code, year) key.
     """
     # Rows split as in a file opened with newline="", as csv expects.
     reader = csv.reader(StringIO(_read(source, "source"), newline=""))
@@ -93,7 +89,7 @@ def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensi
             raise CiTableError(f"line {lineno}: {exc}") from None
         key = (record.country_code, record.year)
         if key in records:
-            raise DuplicateCountryError(f"line {lineno}: duplicate entry for {key}")
+            raise CiTableError(f"line {lineno}: duplicate entry for {key}")
         records[key] = record
     return tuple(records.values())
 

@@ -2,7 +2,7 @@
 
 Every number the CLI prints comes straight from a library call; the CLI
 adds no arithmetic of its own.  Exit codes: 0 success, 1 validation or
-usage error, 2 I/O error, a report that cannot be written to stdout included.
+usage error, 2 I/O error, a report or help that stdout cannot take included.
 Each subcommand imports only the modules it uses.  A well-formed call is
 parsed from one table of options; argparse, which reads the same table, is
 imported only to print help or a usage error.
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .report import REPRODUCE_TARGETS, ReportTable, _json, _project, _write
-from .units import FieldError, _checked_items, _checked_types, _unknown
+from .units import FieldError, _checked_items, _checked_types
 
 __all__ = ["run", "main"]
 
@@ -73,13 +73,11 @@ def _cmd_storage(args: SimpleNamespace) -> ReportTable:
 
 def _cmd_preprocess(args: SimpleNamespace) -> ReportTable:
     from .mlp_cost import DEFAULT_PROCESSING_UNIT
-    from .preprocessing import (_METHOD_BY_NAME, preprocessing_energy,
+    from .preprocessing import (StandardizationMethod, preprocessing_energy,
                                 preprocessing_energy_per_bit, preprocessing_flops)
     from .transmission import PayloadSpec
 
-    if args.method not in _METHOD_BY_NAME:
-        raise _unknown("preprocessing method", args.method, _METHOD_BY_NAME)
-    flops = preprocessing_flops(_METHOD_BY_NAME[args.method], args.samples, args.invalid)
+    flops = preprocessing_flops(StandardizationMethod(args.method), args.samples, args.invalid)
     t_pre, e_pre = preprocessing_energy(DEFAULT_PROCESSING_UNIT, flops)
     per_bit = preprocessing_energy_per_bit(e_pre, PayloadSpec(args.precision, args.samples))
     return _key_value_table(
@@ -236,9 +234,13 @@ def _build_parser():
     from argparse import ArgumentParser, HelpFormatter
     from functools import partial
 
+    class Parser(ArgumentParser):
+        def print_help(self, file=None) -> None:  # a help that stdout cannot take is an OSError
+            _deliver(self.format_help())
+
     # Every parser wraps help at 78 columns, the width argparse falls back to
     # without a terminal: asking for the terminal's width would import shutil.
-    new = partial(ArgumentParser, formatter_class=partial(HelpFormatter, width=78))
+    new = partial(Parser, formatter_class=partial(HelpFormatter, width=78))
     parser = new(prog="ecal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=new)
     for command, (help_line, handler, options) in _COMMANDS.items():
@@ -247,6 +249,18 @@ def _build_parser():
             subparser.add_argument(flag, **option)
         subparser.set_defaults(handler=handler)
     return parser
+
+
+def _deliver(text: str, out: str | None = None) -> None:
+    """Write ``text`` to the path ``out``, or to stdout and flush it: a report or a
+    help text that cannot be delivered is an OSError here, not lost at exit."""
+    if out is not None:
+        _write(out, text)
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise OSError("stdout is closed")
+    else:
+        _write(sys.stdout, text)
+        sys.stdout.flush()
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -260,14 +274,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         table = args.handler(args)
         if table is not None:
-            text = _json(table) if getattr(args, "json", False) else table.to_csv()
-            if args.out is not None:
-                _write(args.out, text)
-            elif sys.stdout is None:  # the process started with stdout closed
-                raise OSError("stdout is closed")
-            else:
-                _write(sys.stdout, text)
-                sys.stdout.flush()  # a report that cannot be delivered fails here, not at exit
+            _deliver(_json(table) if getattr(args, "json", False) else table.to_csv(), args.out)
         return 0
     except SystemExit as exc:  # 0 after help; argparse's 2 for a usage error is 1 here
         return 1 if exc.code else 0
@@ -285,7 +292,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     """Run the command line of this process, then end it without interpreter teardown.
 
-    ``run`` has flushed any report on stdout, and reported a failure of it.
+    ``run`` has flushed any report or help on stdout, and reported a failure of it.
     What is left is flushed, a failure ignored, and the process ends with
     ``os._exit``: no module is finalized, and no ``atexit`` hook runs.  An
     exception ``run`` lets through ends the process the normal way.

@@ -19,11 +19,6 @@ from .units import _checked_count, _checked_items, _checked_real, _checked_types
 
 __all__ = _all_of(__name__)
 
-# Training efficiency used when a scenario does not set its own value,
-# calibrated so that training the default configuration (10 epochs, 179
-# training samples, 226-FLOP forward pass) costs 141 times one BLE transfer
-# of 256 double-precision samples.
-DEFAULT_FLOPS_PER_JOULE = 1.5351e8
 _MAX_HIDDEN_LAYERS = 1000  # of one uniform_architecture
 
 
@@ -63,7 +58,11 @@ class ProcessingUnitProfile(_Value):
                            _checked_real(flops_per_joule, "flops_per_joule", positive=True))
 
 
-DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(140.0, 1e10, DEFAULT_FLOPS_PER_JOULE)
+# The processing unit of a scenario that does not set its own.  Its training
+# efficiency is calibrated so that training the default configuration (10
+# epochs, 179 training samples, 226-FLOP forward pass) costs 141 times one BLE
+# transfer of 256 double-precision samples.
+DEFAULT_PROCESSING_UNIT = ProcessingUnitProfile(140.0, 1e10, 1.5351e8)
 
 
 TrainSplit = namedtuple("TrainSplit", "sample_count train_fraction train_count eval_count")

@@ -23,18 +23,10 @@ from collections.abc import Sequence
 from . import _all_of
 from .mlp_cost import ProcessingUnitProfile
 from .transmission import PayloadSpec, _bits
-from .units import Energy, EnergyPerBit, FlopCount, _checked_count, _checked_items
-from .units import _checked_real, _checked_types, _Value
+from .units import Energy, EnergyPerBit, FieldError, FlopCount, _checked_count, _checked_items
+from .units import _checked_real, _checked_types, _unknown, _Value
 
 __all__ = _all_of(__name__)
-
-
-class DegenerateRangeError(ValueError):
-    """All samples are equal, so min-max scaling has a zero range."""
-
-
-class DegenerateDeviationError(ValueError):
-    """Samples have zero standard deviation, so normalization is undefined."""
 
 
 class StandardizationMethod(enum.Enum):
@@ -43,9 +35,9 @@ class StandardizationMethod(enum.Enum):
     MINMAX = "minmax"
     NORMALIZATION = "normalization"
 
-
-# The one table that a document's "preprocessing" and ``--method`` name a method in.
-_METHOD_BY_NAME = {method.value: method for method in StandardizationMethod}
+    @classmethod
+    def _missing_(cls, value: object) -> None:  # an unknown name fails as every other does
+        raise _unknown("preprocessing method", value, [method.value for method in cls])
 
 
 class RawDataset(_Value):
@@ -88,6 +80,18 @@ def clean(data: RawDataset) -> tuple[list[float], FlopCount]:
     return valid, FlopCount(0)
 
 
+def _finite(valid: Sequence[float], minimum: int) -> tuple[float, ...]:
+    """The samples of ``valid`` as floats, if there are at least ``minimum`` and
+    each is finite."""
+    valid = _checked_items(valid, "valid", _checked_real, maximum=None)
+    if len(valid) < minimum:
+        raise FieldError("valid", f"must hold {minimum} or more samples, got {len(valid)}")
+    for i, x in enumerate(valid):
+        if not math.isfinite(x):
+            raise FieldError(f"valid[{i}]", f"must be finite, got {x!r}")
+    return valid
+
+
 def minmax_scale(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     """Scale samples into [0, 1] by (x - min) / (max - min).
 
@@ -95,16 +99,12 @@ def minmax_scale(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     subtraction for the range, then one subtraction and one division per
     sample.  The min/max search itself is comparisons only.
     """
-    valid = _checked_items(valid, "valid", _checked_real, maximum=None)
-    if len(valid) == 0:
-        raise ValueError("minmax_scale needs at least one sample")
+    valid = _finite(valid, 1)
     low, high = min(valid), max(valid)
     value_range = high - low
     subtractions = 1
-    if value_range == 0.0:
-        raise DegenerateRangeError(
-            f"all {len(valid)} samples equal {low!r}; min-max range is zero"
-        )
+    if not 0.0 < value_range < math.inf:
+        raise FieldError("valid", f"must span a non-zero, finite range, got {low!r} to {high!r}")
     divisions = 0
     scaled = []
     for x in valid:
@@ -121,10 +121,8 @@ def normalize(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     Three passes: sum for the mean, accumulate squared deviations, then
     normalize each sample.  Both divisors use the valid-sample count.
     """
-    valid = _checked_items(valid, "valid", _checked_real, maximum=None)
+    valid = _finite(valid, 2)
     n = len(valid)
-    if n < 2:
-        raise ValueError(f"normalize needs at least two samples, got {n}")
     additions = subtractions = multiplications = 0
     total = 0.0
     for x in valid:
@@ -143,10 +141,9 @@ def normalize(valid: Sequence[float]) -> tuple[list[float], FlopLedger]:
     std_dev = math.sqrt(squared_deviations / n)
     divisions += 1
     square_roots = 1
-    if std_dev == 0.0:
-        raise DegenerateDeviationError(
-            f"all {n} samples equal {valid[0]!r}; standard deviation is zero"
-        )
+    if not 0.0 < std_dev < math.inf:
+        raise FieldError("valid", f"must have a non-zero, finite standard deviation, "
+                                  f"got {std_dev!r}")
     normalized = []
     for x in valid:
         shifted = x - mean
@@ -166,8 +163,7 @@ def preprocessing_flops(method: StandardizationMethod, n_s: int, n_nan: int) -> 
     """
     if not isinstance(method, StandardizationMethod):
         _checked_types((method, "method", StandardizationMethod))
-    _checked_count(n_s, "n_s")
-    _checked_count(n_nan, "n_nan")
+    _checked_count(n_nan, "n_nan", 0, _checked_count(n_s, "n_s", 1) - 1)  # one valid sample
     return FlopCount(_flops(method, n_s, n_nan))
 
 
@@ -199,5 +195,5 @@ def preprocessing_energy_per_bit(e_pre: Energy, spec: PayloadSpec) -> EnergyPerB
         _checked_types((e_pre, "e_pre", Energy))
     denominator = _checked_count(_bits(spec), "bit count")
     if denominator == 0:
-        raise ValueError("per-bit preprocessing energy is undefined for an empty payload")
+        raise FieldError("spec", "must hold at least one payload bit, got 0 samples")
     return EnergyPerBit(e_pre.joules / denominator)

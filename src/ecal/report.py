@@ -19,7 +19,7 @@ from itertools import chain
 from operator import attrgetter
 
 from . import _all_of
-from .units import FieldTypeError, _checked_items, _checked_types, _unknown, _Value
+from .units import FieldError, FieldTypeError, _checked_items, _checked_types, _unknown, _Value
 
 __all__ = _all_of(__name__)
 
@@ -44,8 +44,8 @@ class ReportTable(_Value):
             raise
         width = len(columns)
         if set(map(len, rows)) - {width}:
-            row = next(row for row in rows if len(row) != width)
-            raise ValueError(f"row {row!r} has {len(row)} cells, expected {width}")
+            i, row = next((i, row) for i, row in enumerate(rows) if len(row) != width)
+            raise FieldError(f"rows[{i}]", f"must have {width} cells, got {len(row)}: {row!r}")
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "rows", rows)
 
@@ -103,8 +103,11 @@ def _json(table: ReportTable) -> str:
 
 def _is_stream(target: object, field: str, method: str) -> bool:
     """True for a text stream with ``method``, False for a path; anything else
-    raises naming ``field`` (an int would be a file descriptor, closed by open())."""
+    raises naming ``field`` (an int would be a file descriptor, closed by open()),
+    as does a path with a NUL character, which open() rejects naming nothing."""
     if isinstance(target, (str, bytes, os.PathLike)):
+        if "\0" in os.fsdecode(target):
+            raise FieldError(field, f"must be a path without a NUL character, got {target!r}")
         return False
     if hasattr(target, method) and not isinstance(target, (BufferedIOBase, RawIOBase)):
         return True

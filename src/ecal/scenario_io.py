@@ -19,7 +19,7 @@ from operator import attrgetter
 from . import _all_of
 from .lifecycle import Scenario, Sweeps, default_scenario
 from .mlp_cost import MlpArchitecture, ProcessingUnitProfile
-from .preprocessing import _METHOD_BY_NAME
+from .preprocessing import StandardizationMethod
 from .report import REPRODUCE_TARGETS, ReportTable, _read, reproduce, write_report
 from .storage import BUILTIN_STORAGE, StorageProfile, storage_profile
 from .transmission import BUILTIN_TECHNOLOGIES, PayloadSpec, TechnologyProfile, technology_profile
@@ -73,8 +73,8 @@ _PU = _D.processing_unit
 # its built-ins by name and the lookup whose LookupError names them, and its
 # fields in write order.  Per field: the document key; the attribute path it
 # is read back from (None: the key); its rule, which is None (as given), a
-# type of this table, a list (its description) or the preprocessing methods;
-# and its default as built, or _REQUIRED.
+# type of this table, a list (its description) or StandardizationMethod (a
+# method by its name); and its default as built, or _REQUIRED.
 _SCHEMA = {
     ScenarioDocument: (_scenario_document, None, None, (
         ("samples", "scenario.payload.sample_count", None, _REQUIRED),
@@ -82,7 +82,8 @@ _SCHEMA = {
         ("bit_precision", "scenario.payload.bits_per_sample", None, _D.payload.bits_per_sample),
         ("technology", "scenario.technology", TechnologyProfile, _D.technology),
         ("storage", "scenario.storage", StorageProfile, _D.storage),
-        ("preprocessing", "scenario.standardization.value", _METHOD_BY_NAME, _D.standardization),
+        ("preprocessing", "scenario.standardization.value", StandardizationMethod,
+         _D.standardization),
         ("split_ratio", "scenario.train_fraction", None, _D.train_fraction),
         ("epochs", "scenario.epochs", None, _REQUIRED),
         ("mlp", "scenario.architecture", MlpArchitecture, _REQUIRED),
@@ -154,11 +155,11 @@ def _parse(cls: type, value: object, path: str) -> object:
             if not isinstance(item, list):
                 raise _fail(at + key, f"expected a list{rule}, got {item!r}")
             item = tuple(item)
-        elif isinstance(rule, dict):
-            choice = rule.get(item) if isinstance(item, str) else None
-            if choice is None:
-                raise _fail(at + key, str(_unknown("preprocessing method", item, rule)))
-            item = choice
+        elif rule is StandardizationMethod:
+            try:
+                item = rule(item)
+            except LookupError as exc:
+                raise _fail(at + key, str(exc)) from None
         elif rule is not None:
             item = _parse(rule, item, at + key)
         args.append(item)

@@ -450,15 +450,15 @@ def test_counts_beyond_float_range_are_one_error_line(capsys, command, counts, m
 @pytest.mark.parametrize("argv, message", [
     (["transmit", "--samples", "-1"], "--samples: must be >= 0, got -1"),
     (["storage", "--samples", "-1"], "--samples: must be >= 0, got -1"),
-    (["preprocess", "--method", "minmax", "--samples", "-1"], "--samples: must be >= 0, got -1"),
+    # preprocess needs one valid sample: --samples at least 1, --invalid below it.
+    (["preprocess", "--method", "minmax", "--samples", "-1"], "--samples: must be >= 1, got -1"),
     (["transmit", "--samples", "5", "--precision", "0"], "--precision: must be >= 1, got 0"),
     (["preprocess", "--method", "minmax", "--samples", "5", "--precision", "0"],
      "--precision: must be >= 1, got 0"),
     (["preprocess", "--method", "minmax", "--samples", "5", "--invalid", "-1"],
-     "--invalid: must be >= 0, got -1"),
-    # Not one option's rule: printed as the library gives it.
+     "--invalid: must be in [0, 4], got -1"),
     (["preprocess", "--method", "minmax", "--samples", "5", "--invalid", "5"],
-     "need at least one valid sample, got n_s=5 with n_nan=5"),
+     "--invalid: must be in [0, 4], got 5"),
 ], ids=["transmit samples", "storage samples", "preprocess samples", "transmit precision",
         "preprocess precision", "invalid", "no valid sample"])
 def test_an_option_error_names_the_option(capsys, argv, message):
@@ -922,6 +922,19 @@ def test_a_process_writes_the_files_run_writes(tmp_path, monkeypatch):
 def test_a_report_that_stdout_cannot_take_is_an_io_error():
     with open("/dev/full", "wb") as full:
         assert _process(["transmit", "--samples", "5"], stdout=full) == (
+            2, None, "ecal: i/o error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["transmit", "--help"]], ids=" ".join)
+def test_a_help_that_stdout_cannot_take_is_an_io_error(argv, unbuffered, monkeypatch):
+    # Help is written and flushed as a report is, so it is not lost in silence:
+    # buffered, the flush fails; unbuffered, the write does.
+    if unbuffered:
+        monkeypatch.setitem(CHILD_ENV, "PYTHONUNBUFFERED", "1")
+    with open("/dev/full", "wb") as full:
+        assert _process(argv, stdout=full) == (
             2, None, "ecal: i/o error: [Errno 28] No space left on device\n")
 
 

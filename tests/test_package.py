@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, Verbosity, example, given, settings, strategies as st
 
 import ecal
+from ecal.units import FieldError, _Value
 from test_cli import HELP, LORAWAN_STRICT_LIFECYCLE_ROWS, MINIMAL_SCENARIO, _usage
 
 # The package's public names, by the submodule they come from.
@@ -34,11 +35,10 @@ EXPORTS = {
                     "without_packet_override",
     "storage": "storage BUILTIN_STORAGE HDD SSD StorageProfile storage_energy "
                "storage_energy_per_bit storage_profile",
-    "preprocessing": "preprocessing DegenerateDeviationError DegenerateRangeError FlopLedger "
-                     "RawDataset StandardizationMethod clean minmax_scale "
-                     "normalize preprocessing_energy preprocessing_energy_per_bit "
-                     "preprocessing_flops",
-    "mlp_cost": "mlp_cost DEFAULT_FLOPS_PER_JOULE DEFAULT_PROCESSING_UNIT MlpArchitecture "
+    "preprocessing": "preprocessing FlopLedger RawDataset StandardizationMethod clean "
+                     "minmax_scale normalize preprocessing_energy "
+                     "preprocessing_energy_per_bit preprocessing_flops",
+    "mlp_cost": "mlp_cost DEFAULT_PROCESSING_UNIT MlpArchitecture "
                 "ProcessingUnitProfile TrainSplit evaluation_energy forward_flops "
                 "forward_pass_energy_per_bit inference_energy inference_flops make_split "
                 "training_energy training_forward_flops training_total_flops "
@@ -47,8 +47,7 @@ EXPORTS = {
                  "development_energy ecal ecal_abs ecal_abs_mean gamma_sweep "
                  "inference_phase_energy lifecycle_report",
     "carbon": "carbon CarbonIntensityRecord CarbonReport CarbonReportRow CiTableError "
-              "DuplicateCountryError bundled_ci_table carbon_footprint cf_vs_gamma "
-              "load_ci_table",
+              "bundled_ci_table carbon_footprint cf_vs_gamma load_ci_table",
     "scenario_io": "scenario_io REPRODUCE_TARGETS ReportTable ScenarioDocument ScenarioError "
                    "Sweeps load_scenario parse_scenario reproduce serialize_scenario "
                    "write_report",
@@ -66,7 +65,7 @@ def _fresh_python(code, *args):
 
 
 def test_public_names_are_pinned():
-    assert len(NAMES) == len(set(NAMES)) == 94
+    assert len(NAMES) == len(set(NAMES)) == 90
     assert sorted(ecal.__all__) == sorted(NAMES)
 
 
@@ -77,7 +76,7 @@ def test_each_public_name_is_in_one_submodule_all():
     listed = [name for names in lists.values() for name in names]
     assert len(listed) == len(set(listed))  # the lists are pairwise disjoint
     assert set(listed) == set(ecal.__all__) - set(modules)
-    assert len(listed) == 94 - 8
+    assert len(listed) == 90 - 8
     for module, names in lists.items():
         own = importlib.import_module(f"ecal.{module}")
         assert [name for name in names if not hasattr(own, name)] == [], module
@@ -110,15 +109,17 @@ print(json.dumps({"loaded": loaded, "wrong": wrong, "dir": dir(ecal),
 
 
 # Every public callable is total: given a wrong value for any one argument, it
-# returns or raises a ValueError (a FieldError names the argument) or a
-# LookupError (an unknown name), never a bare Python error.  So each callable
-# has one valid call here, and each of its arguments is replaced in turn.
+# returns only finite floats, or raises a FieldError (which names the
+# argument), a CiTableError or a ScenarioError (which name the line or the
+# field of a file's content) or a LookupError (an unknown name), never a bare
+# Python error.  So each callable has one valid call here, and each of its
+# arguments is replaced in turn.
 WRONG_VALUES = (5, "x", None, 2.5, [5], True)
+ALLOWED_ERRORS = (FieldError, ecal.CiTableError, ecal.ScenarioError, LookupError)
 # Public callables left out: exception classes, and namedtuples of results.
-NOT_CALLED = {"CiTableError", "DegenerateDeviationError", "DegenerateRangeError",
-              "DuplicateCountryError", "ScenarioError", "CarbonReport", "CarbonReportRow",
-              "FlopLedger", "GammaRow", "LifecycleReport", "ScenarioDocument", "TrainSplit"}
-# Arguments that are paths, by callable: only they may raise an OSError.
+NOT_CALLED = {"CiTableError", "ScenarioError", "CarbonReport", "CarbonReportRow", "FlopLedger",
+              "GammaRow", "LifecycleReport", "ScenarioDocument", "TrainSplit"}
+# Arguments that are paths, by callable: only a path there may raise an OSError.
 PATH_ARGUMENTS = {"load_ci_table": 0, "load_scenario": 0, "write_report": 1}
 _S = ecal.default_scenario()
 _SPEC, _ARCH, _PU = _S.payload, _S.architecture, _S.processing_unit
@@ -170,23 +171,44 @@ def test_every_public_callable_has_one_valid_call():
     assert sorted(VALID_CALLS) == sorted(callables - NOT_CALLED)
 
 
+def _non_finite(value):
+    """The first float in ``value`` that is not finite, or None: ``value`` itself, a
+    field of a ``_Value`` or an item of a tuple or a list (a namedtuple too), at any
+    depth.  ``RawDataset.samples`` is left out: a non-finite sample marks it invalid."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else value
+    if isinstance(value, _Value) and not isinstance(value, ecal.RawDataset):
+        value = value._values()
+    if isinstance(value, (tuple, list)):
+        return next((bad for bad in map(_non_finite, value) if bad is not None), None)
+    return None
+
+
+def _fault(name, args):
+    """What breaks the property in the call ``ecal.<name>(*args)``, or None."""
+    try:
+        result = getattr(ecal, name)(*args)
+    except ALLOWED_ERRORS:
+        return None
+    except Exception as exc:  # a bare Python error, or an OSError from what is not a path
+        path = PATH_ARGUMENTS.get(name)
+        given_a_path = path is not None and isinstance(args[path], (str, bytes, os.PathLike))
+        return None if isinstance(exc, OSError) and given_a_path else f"raised {exc!r}"
+    bad = _non_finite(result)
+    return None if bad is None else f"returned {bad!r}"
+
+
 @pytest.mark.parametrize("name", sorted(VALID_CALLS))
 def test_every_public_callable_is_total(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # write_report writes its report here
-    call, args = getattr(ecal, name), VALID_CALLS[name]
-    call(*args)
-    bare = []
+    args = VALID_CALLS[name]
+    assert _non_finite(getattr(ecal, name)(*args)) is None
+    faults = []
     for position, wrong in product(range(len(args)), WRONG_VALUES):
-        try:
-            call(*args[:position], wrong, *args[position + 1:])
-        except (ValueError, LookupError):
-            pass
-        except OSError as exc:
-            if PATH_ARGUMENTS.get(name) != position:
-                bare.append((position, wrong, repr(exc)))
-        except Exception as exc:  # a bare Python error: what this test forbids
-            bare.append((position, wrong, repr(exc)))
-    assert bare == []
+        fault = _fault(name, (*args[:position], wrong, *args[position + 1:]))
+        if fault is not None:
+            faults.append((position, wrong, fault))
+    assert faults == []
 
 
 # The same property under hypothesis, driven by each callable's signature: each
@@ -198,8 +220,18 @@ EDGE_VALUES = (0, -1, 2**1100 - 1, math.nan, math.inf, -math.inf, 5e-324, "x", N
 SAME_TYPE = {"int": st.integers(-1, 2**64) | st.sampled_from([10**k for k in range(3, 19, 3)]),
              "float": st.floats(), "str": st.text(max_size=8)}
 # Calls each property makes first, since each once broke it.
-EXPLICIT_CALLS = {"uniform_architecture": [(6, 5, 10**9, 3), (6, 5, 10**12, 3)],
-                  "cumulative_transmission_energy": [(ecal.BLE5, _SPEC, 5e-324, 1.0)]}
+EXPLICIT_CALLS = {
+    "uniform_architecture": [(6, 5, 10**9, 3), (6, 5, 10**12, 3)],
+    "cumulative_transmission_energy": [(ecal.BLE5, _SPEC, 5e-324, 1.0)],
+    "minmax_scale": [([],), ([1.0, 1.0],), ([1.0, math.inf],), ([1.0, math.nan],)],
+    "normalize": [([1.0],), ([1.0, 1.0],), ([1.0, math.inf],), ([1e200, -1e200],)],
+    "preprocessing_flops": [(ecal.StandardizationMethod.MINMAX, 5, 303)],
+    "preprocessing_energy_per_bit": [(ecal.Energy(1.0), ecal.PayloadSpec(64, 0))],
+    "ReportTable": [(("a",), ((1, 2),))],
+    "StandardizationMethod": [("x",)],
+    "load_ci_table": [("a\0b",)], "load_scenario": [(b"a\0b",)],
+    "write_report": [(ecal.ReportTable(("a",), ((1,),)), "a\0b")],
+}
 # Runs the property in a child whose address space is capped at 512 MiB, so an
 # allocation out of proportion fails there with a MemoryError instead of
 # growing on the host.
@@ -213,9 +245,8 @@ print(json.dumps(_failures_under_hypothesis(int(sys.argv[2]))))
 
 
 def _totality(name, examples):
-    """The property of ``ecal.<name>``: a call with arguments drawn from its
-    signature returns or raises a ValueError or a LookupError (or an OSError,
-    if it takes a path)."""
+    """The property of ``ecal.<name>`` for calls with arguments drawn from its
+    signature: ``_fault`` finds nothing wrong with any of them."""
     call, valid = getattr(ecal, name), VALID_CALLS[name]
     # The leading parameters: an enum's call also takes the functional API's.
     parameters = list(inspect.signature(call).parameters.values())[:len(valid)]
@@ -227,13 +258,9 @@ def _totality(name, examples):
     @given(st.tuples(*[st.just(value) | SAME_TYPE.get(kind, st.nothing())
                        | st.sampled_from(EDGE_VALUES) for value, kind in zip(valid, kinds)]))
     def total(args):
-        try:
-            call(*args)
-        except (ValueError, LookupError):
-            pass
-        except Exception as exc:
-            if not (isinstance(exc, OSError) and name in PATH_ARGUMENTS):
-                raise AssertionError(f"{name}{args!r} raised {exc!r}") from None
+        fault = _fault(name, args)
+        if fault is not None:
+            raise AssertionError(f"{name}{args!r} {fault}")
 
     for args in EXPLICIT_CALLS.get(name, ()):
         total = example(args)(total)

@@ -6,8 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 from ecal.mlp_cost import DEFAULT_PROCESSING_UNIT, ProcessingUnitProfile
 from ecal.preprocessing import (
-    DegenerateDeviationError,
-    DegenerateRangeError,
     RawDataset,
     StandardizationMethod,
     clean,
@@ -79,21 +77,39 @@ def test_clean_treats_any_non_finite_as_invalid():
 def test_minmax_scale_maps_endpoints_and_midpoint():
     scaled, _ = minmax_scale([2.0, 4.0, 6.0])
     assert scaled == [0.0, 0.5, 1.0]
-    # A repeated minimum keeps its first copy, as the sign of a zero shows, and a
-    # leading NaN is both ends of the range.
+    # A repeated minimum keeps its first copy, as the sign of a zero shows.
     for xs, expected in (([0.0, -0.0, 2.0, -0.0], "0.0 -0.0 1.0 -0.0"),
-                         ([-0.0, 0.0, -0.0, 2.0], "0.0 0.0 0.0 1.0"),
-                         ([math.nan, 0.0, 0.0, 2.0], "nan nan nan nan")):
+                         ([-0.0, 0.0, -0.0, 2.0], "0.0 0.0 0.0 1.0")):
         assert " ".join(map(repr, minmax_scale(xs)[0])) == expected
 
 
+def _rejection(transform, valid):
+    """The field and the reason of the FieldError that ``transform(valid)`` raises."""
+    with pytest.raises(FieldError) as caught:
+        transform(valid)
+    return caught.value.field, caught.value.reason
+
+
 def test_minmax_scale_degenerate_range():
-    with pytest.raises(DegenerateRangeError):
-        minmax_scale([5.0])
-    with pytest.raises(DegenerateRangeError):
-        minmax_scale([3.0] * 10)
-    with pytest.raises(ValueError):
-        minmax_scale([])
+    # A range of zero, or one beyond the float range, scales to no finite sample.
+    for valid, reason in (
+            ([5.0], "must span a non-zero, finite range, got 5.0 to 5.0"),
+            ([3.0] * 10, "must span a non-zero, finite range, got 3.0 to 3.0"),
+            ([-1e308, 1e308], "must span a non-zero, finite range, got -1e+308 to 1e+308"),
+            ([], "must hold 1 or more samples, got 0")):
+        assert _rejection(minmax_scale, valid) == ("valid", reason)
+
+
+@pytest.mark.parametrize("transform", [minmax_scale, normalize])
+@pytest.mark.parametrize("valid, field, reason", [
+    ([1.0, math.inf], "valid[1]", "must be finite, got inf"),
+    ([1.0, math.nan], "valid[1]", "must be finite, got nan"),
+    ([-math.inf, 1.0, 2.0], "valid[0]", "must be finite, got -inf"),
+    ([math.nan, 0.0, 0.0, 2.0], "valid[0]", "must be finite, got nan"),
+], ids=["inf", "nan", "-inf first", "nan first"])
+def test_a_transform_rejects_a_non_finite_sample(transform, valid, field, reason):
+    # Only RawDataset marks an invalid sample with one; clean drops them.
+    assert _rejection(transform, valid) == (field, reason)
 
 
 def test_minmax_ledger_matches_closed_form_up_to_fixed_constant():
@@ -145,10 +161,15 @@ def test_normalize_three_sample_example():
 
 
 def test_normalize_degenerate_inputs():
-    with pytest.raises(DegenerateDeviationError):
-        normalize([4.0, 4.0, 4.0])
-    with pytest.raises(ValueError):
-        normalize([1.0])
+    # A deviation of zero, or one (or a sum) beyond the float range, normalizes to
+    # no finite sample.
+    for valid, reason in (
+            ([4.0, 4.0, 4.0], "must have a non-zero, finite standard deviation, got 0.0"),
+            ([1e200, -1e200], "must have a non-zero, finite standard deviation, got inf"),
+            ([1e308, 1e308], "must have a non-zero, finite standard deviation, got inf"),
+            ([1.0], "must hold 2 or more samples, got 1"),
+            ([], "must hold 2 or more samples, got 0")):
+        assert _rejection(normalize, valid) == ("valid", reason)
 
 
 def test_normalize_ledger_matches_closed_form_up_to_fixed_constant():
@@ -234,14 +255,26 @@ def test_flops_ratio_normalization_to_minmax_is_three_exactly():
 
 
 def test_flops_precondition_violations():
-    with pytest.raises(ValueError):
-        preprocessing_flops(MINMAX, 5, 5)
-    with pytest.raises(ValueError):
-        preprocessing_flops(MINMAX, 5, 6)
-    with pytest.raises(ValueError):
-        preprocessing_flops(NORMALIZATION, 0, 0)
-    with pytest.raises(ValueError):
-        preprocessing_flops(MINMAX, -1, 0)
+    # At least one sample must be valid: n_s at least 1, n_nan at most n_s - 1.
+    for method, n_s, n_nan, message in (
+            (MINMAX, 5, 5, "n_nan must be in [0, 4], got 5"),
+            (MINMAX, 5, 6, "n_nan must be in [0, 4], got 6"),
+            (MINMAX, 5, 303, "n_nan must be in [0, 4], got 303"),
+            (MINMAX, 5, -1, "n_nan must be in [0, 4], got -1"),
+            (NORMALIZATION, 0, 0, "n_s must be >= 1, got 0"),
+            (MINMAX, -1, 0, "n_s must be >= 1, got -1")):
+        with pytest.raises(FieldError) as caught:
+            preprocessing_flops(method, n_s, n_nan)
+        assert str(caught.value) == message
+
+
+def test_an_unknown_method_name_is_a_lookup_error():
+    assert StandardizationMethod("minmax") is MINMAX
+    for name in ("x", 5, None):
+        with pytest.raises(LookupError) as caught:
+            StandardizationMethod(name)
+        assert str(caught.value) == (f"unknown preprocessing method {name!r}; "
+                                     "known: minmax, normalization")
 
 
 # --- energy -------------------------------------------------------------------
@@ -278,8 +311,9 @@ def test_energy_per_bit_reference_value():
 def test_energy_per_bit_zero_energy_and_empty_payload():
     _, zero = preprocessing_energy(DEFAULT_PROCESSING_UNIT, FlopCount(0))
     assert preprocessing_energy_per_bit(zero, PayloadSpec(64, 256)).joules_per_bit == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError) as caught:
         preprocessing_energy_per_bit(zero, PayloadSpec(64, 0))
+    assert str(caught.value) == "spec must hold at least one payload bit, got 0 samples"
 
 
 def test_per_bit_ratio_normalization_to_minmax():

@@ -351,7 +351,7 @@ def _construct(doc):
 def _assert_agreement(doc, out_of_range):
     try:
         expected = _construct(doc)
-    except ValueError:  # also a wrong type, which raises a TypeError subclass
+    except (ValueError, LookupError):  # a FieldError, or an unknown name's LookupError
         expected = None
     assert (expected is None) == bool(out_of_range), (doc, out_of_range)
     try:
@@ -523,14 +523,16 @@ def test_builtin_profiles_serialize_by_name():
 # --- report tables -----------------------------------------------------------
 
 def test_report_table_requires_rectangular_rows():
-    with pytest.raises(ValueError):
-        ReportTable(("a", "b"), ((1,),))
     # The error names the first row whose width is wrong.
-    with pytest.raises(ValueError) as excinfo:
-        ReportTable(("a", "b"), ((1, 2), (3,), (4, 5, 6), (7,)))
-    assert str(excinfo.value) == "row (3,) has 1 cells, expected 2"
-    with pytest.raises(ValueError, match=r"^row \(\) has 0 cells, expected 1$"):
-        ReportTable(("a",), ((1,), ()))
+    for columns, rows, message in (
+            (("a", "b"), ((1,),), "rows[0] must have 2 cells, got 1: (1,)"),
+            (("a", "b"), ((1, 2), (3,), (4, 5, 6), (7,)),
+             "rows[1] must have 2 cells, got 1: (3,)"),
+            (("a",), ((1,), ()), "rows[1] must have 1 cells, got 0: ()"),
+            (("a",), ((1, 2),), "rows[0] must have 1 cells, got 2: (1, 2)")):
+        with pytest.raises(FieldError) as caught:
+            ReportTable(columns, rows)
+        assert str(caught.value) == message
 
 
 def test_empty_table_renders_header_only():
@@ -762,6 +764,17 @@ def test_a_file_descriptor_is_not_a_path(call, message, others, monkeypatch):
         with pytest.raises(FieldTypeError) as caught:
             call(other)
         assert str(caught.value) == message.format(type(other).__name__)
+
+
+@pytest.mark.parametrize("call, message", [case[1:3] for case in FD_ARGUMENTS],
+                         ids=[case[0] for case in FD_ARGUMENTS])
+def test_a_path_with_a_nul_character_names_its_argument(call, message):
+    # open() would raise a ValueError that names no argument.
+    field = message.split()[0]
+    for path in ("a\0b", b"a\0b", Path("a\0b")):
+        with pytest.raises(FieldError) as caught:
+            call(path)
+        assert str(caught.value) == f"{field} must be a path without a NUL character, got {path!r}"
 
 
 # --- reproduce targets ---------------------------------------------------------
