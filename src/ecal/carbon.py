@@ -19,7 +19,8 @@ from . import _all_of
 from .lifecycle import Scenario, _price, _sweep
 from .report import _read
 from .units import JOULES_PER_KWH, CarbonIntensity, Energy, _checked_count, _checked_country
-from .units import _checked_items, _checked_real, _checked_types, _unknown, _Value, joules_to_kwh
+from .units import _checked_items, _checked_real, _checked_types, _repeated, _unknown, _Value
+from .units import joules_to_kwh
 
 __all__ = _all_of(__name__)
 
@@ -27,8 +28,7 @@ _CI_HEADER = ["country_code", "country_name", "year", "ci_g_per_kwh"]
 
 
 class CiTableError(ValueError):
-    """A carbon-intensity table could not be parsed, or holds several years of a
-    country to price."""
+    """A carbon-intensity table could not be parsed, or lists a country twice."""
 
 
 class CarbonIntensityRecord(_Value):
@@ -46,12 +46,12 @@ class CarbonIntensityRecord(_Value):
         object.__setattr__(self, "intensity", intensity)
 
 
-def carbon_footprint(e: Energy, ci: CarbonIntensity) -> float:
-    """Grams of CO2-equivalent emitted producing energy ``e`` at intensity ``ci``.
+def carbon_footprint(energy: Energy, ci: CarbonIntensity) -> float:
+    """Grams of CO2-equivalent emitted producing ``energy`` at intensity ``ci``.
 
     Raises ValueError when the product leaves the floating-point range.
     """
-    kwh = joules_to_kwh(e)
+    kwh = joules_to_kwh(energy)
     if not isinstance(ci, CarbonIntensity):
         _checked_types((ci, "ci", CarbonIntensity))
     return _checked_real(kwh * ci.grams_co2e_per_kwh, "carbon footprint [gCO2eq]")
@@ -60,19 +60,20 @@ def carbon_footprint(e: Energy, ci: CarbonIntensity) -> float:
 def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensityRecord, ...]:
     """Load carbon-intensity records from a CSV path or text stream.
 
-    Expects the header ``country_code,country_name,year,ci_g_per_kwh``.
-    Raises :class:`CiTableError` naming the offending line on a malformed
-    row or on a repeated (code, year) key.
+    Expects the header ``country_code,country_name,year,ci_g_per_kwh`` and
+    one row per country, whatever its year.  Raises :class:`CiTableError`
+    naming the offending line on a malformed row or on a country's second row,
+    and for text that is not UTF-8.
     """
     # Rows split as in a file opened with newline="", as csv expects.
-    reader = csv.reader(StringIO(_read(source, "source"), newline=""))
+    reader = csv.reader(StringIO(_read(source, "source", CiTableError), newline=""))
     header = next(reader, None)
     if header is None:
         raise CiTableError("carbon-intensity table is empty (missing header)")
     if header != _CI_HEADER:
         raise CiTableError(f"line 1: expected header {','.join(_CI_HEADER)!r}, "
                            f"got {','.join(header)!r}")
-    records: dict[tuple[str, int], CarbonIntensityRecord] = {}
+    records: dict[str, CarbonIntensityRecord] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -87,10 +88,10 @@ def load_ci_table(source: str | os.PathLike | TextIOBase) -> tuple[CarbonIntensi
             record = CarbonIntensityRecord(code, name, year, CarbonIntensity(intensity))
         except ValueError as exc:
             raise CiTableError(f"line {lineno}: {exc}") from None
-        key = (record.country_code, record.year)
-        if key in records:
-            raise CiTableError(f"line {lineno}: duplicate entry for {key}")
-        records[key] = record
+        if record.country_code in records:
+            raise CiTableError(f"line {lineno}: duplicate entry for {record.country_code!r}; "
+                               f"keep one row per country")
+        records[record.country_code] = record
     return tuple(records.values())
 
 
@@ -116,9 +117,9 @@ def cf_vs_gamma(
 
     Uses the scenario's country list, or every loaded record when the list
     is empty.  Within one gamma, rows are ordered by descending intensity.
-    Raises :class:`CiTableError` when a country to price has records for
-    more than one year, ``LookupError`` when it has none, and ValueError
-    when a footprint leaves the floating-point range.
+    Raises :class:`~ecal.units.FieldError` on ``records[i]`` when it repeats a
+    country, ``LookupError`` when a country to price has no record, and
+    ValueError when a footprint leaves the floating-point range.
     """
     p = _price(s)
     records = _checked_items(records, "records")
@@ -126,21 +127,12 @@ def cf_vs_gamma(
         _checked_types(*[(r, f"records[{i}]", CarbonIntensityRecord)
                          for i, r in enumerate(records)])
     by_code = {record.country_code: record for record in records}
-    if s.countries:
-        try:
-            chosen = [by_code[code] for code in s.countries]
-        except KeyError as exc:
-            raise _unknown("country", exc.args[0], by_code) from None
-    else:
-        chosen = list(records)
     if len(by_code) < len(records):
-        for record in chosen:
-            years = [r.year for r in records if r.country_code == record.country_code]
-            if len(years) > 1:
-                raise CiTableError(
-                    f"carbon-intensity table has {len(years)} records for "
-                    f"{record.country_code!r} (years {', '.join(map(str, years))}); "
-                    f"keep one year per country")
+        raise _repeated([record.country_code for record in records], "records")
+    try:
+        chosen = [by_code[code] for code in s.countries] if s.countries else list(records)
+    except KeyError as exc:
+        raise _unknown("country", exc.args[0], by_code) from None
     chosen.sort(key=lambda r: (-r.intensity.grams_co2e_per_kwh, r.country_code))
     gs, joules, _ = _sweep(p, gammas)
     dev_kwh = p.development / JOULES_PER_KWH

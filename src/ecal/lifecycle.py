@@ -29,7 +29,7 @@ from .storage import HDD, StorageProfile
 from .transmission import BLE5, PayloadSpec, TechnologyProfile, _packets
 from .units import BITS_PER_TERABYTE, JOULES_PER_WH, BitCount, Energy, EnergyPerBit
 from .units import FieldError, _checked_count, _checked_country, _checked_items, _checked_real
-from .units import _checked_types, _proven, _Value
+from .units import _checked_types, _proven, _repeated, _Value
 
 __all__ = _all_of(__name__)
 
@@ -75,8 +75,7 @@ class Scenario(_Value):
                        (processing_unit, "processing_unit", ProcessingUnitProfile))
         codes = _checked_items(countries, "countries", _checked_country)
         if len(set(codes)) < len(codes):
-            i = next(i for i, code in enumerate(codes) if code in codes[:i])
-            raise FieldError(f"countries[{i}]", f"repeats {codes[i]!r}")
+            raise _repeated(codes, "countries")
         _checked_count(invalid_samples, "invalid_samples", 0, payload.sample_count)
         train_fraction = _checked_real(train_fraction, "train_fraction", positive=True,
                                        maximum=1.0)

@@ -87,11 +87,17 @@ def uniform_architecture(
     """Architecture with ``hidden_layers`` hidden layers of equal width.
 
     ``hidden_layers`` is an integer from 0 to 1,000, checked before the widths
-    are listed.
+    are listed.  A bad width raises the architecture's error on the argument
+    that gave it: ``inputs``, ``hidden_width`` or ``outputs``.
     """
     if type(hidden_layers) is not int or not 0 <= hidden_layers <= _MAX_HIDDEN_LAYERS:
         _checked_count(hidden_layers, "hidden_layers", 0, _MAX_HIDDEN_LAYERS)
-    return MlpArchitecture((inputs, *([hidden_width] * hidden_layers), outputs))
+    try:
+        return MlpArchitecture((inputs, *([hidden_width] * hidden_layers), outputs))
+    except FieldError as exc:  # on layer_sizes[i], the i-th width listed
+        i = int(exc.field[len("layer_sizes["):-1])
+        name = "inputs" if i == 0 else "outputs" if i > hidden_layers else "hidden_width"
+        raise type(exc)(name, exc.reason) from None
 
 
 def forward_flops(arch: MlpArchitecture) -> FlopCount:

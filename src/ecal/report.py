@@ -114,19 +114,20 @@ def _is_stream(target: object, field: str, method: str) -> bool:
     raise FieldTypeError(field, f"must be a path or a text stream, got {type(target).__name__}")
 
 
-def _read(source: str | os.PathLike | TextIOBase, field: str) -> str:
+def _read(source: str | os.PathLike | TextIOBase, field: str, error: type[ValueError]) -> str:
     """The text of a path or a text stream, less a leading byte-order mark.  Text
-    that does not decode is a ValueError naming the path, or ``field`` for a
-    stream, with the line and the value of its first bad byte."""
+    that does not decode is an ``error``, the reading loader's own class, naming
+    the path, or ``field`` for a stream, with the line and the value of its first
+    bad byte."""
     if not _is_stream(source, field, "read"):
         with open(source, encoding="utf-8", newline="") as handle:
-            return _read(handle, os.fsdecode(source))
+            return _read(handle, os.fsdecode(source), error)
     try:
         return source.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{field}: line {line}: not {exc.encoding.upper()} "
-                         f"(byte 0x{exc.object[exc.start]:02x})") from None
+        raise error(f"{field}: line {line}: not {exc.encoding.upper()} "
+                    f"(byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def _write(destination: str | os.PathLike | TextIOBase, text: str) -> int | None:

@@ -213,5 +213,6 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 
 
 def load_scenario(source: str | os.PathLike | TextIOBase) -> ScenarioDocument:
-    """Read and parse a scenario from a UTF-8 path or a text stream."""
-    return parse_scenario(_read(source, "source"))
+    """Read and parse a scenario from a UTF-8 path or a text stream; text that
+    is not UTF-8 is a :class:`ScenarioError` naming the file and the line."""
+    return parse_scenario(_read(source, "source", ScenarioError))

@@ -114,6 +114,13 @@ def _unknown(what: str, name: object, names) -> LookupError:
     return LookupError(f"unknown {what} {name!r}; known: {', '.join(names)}")
 
 
+def _repeated(codes: tuple[str, ...] | list[str], field: str) -> FieldError:
+    """The one error for ``codes``, listed as ``field``, that hold a code twice:
+    ``<field>[i] repeats <code!r>`` at the code's second place."""
+    i = next(i for i, code in enumerate(codes) if code in codes[:i])
+    return FieldError(f"{field}[{i}]", f"repeats {codes[i]!r}")
+
+
 def _checked_country(code: str, field: str) -> str:
     """Return ``code`` in upper case if it is two ASCII letters."""
     if not isinstance(code, str) or len(code) != 2 or not code.isascii() or not code.isalpha():

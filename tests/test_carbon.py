@@ -19,12 +19,13 @@ from ecal.carbon import (
 )
 from ecal.cli import run
 from ecal.lifecycle import default_scenario, development_energy, ecal_abs, inference_phase_energy
-from ecal.units import JOULES_PER_KWH, CarbonIntensity, Energy, FieldTypeError
+from ecal.units import JOULES_PER_KWH, CarbonIntensity, Energy, FieldError, FieldTypeError
 
 CI_HEADER = "country_code,country_name,year,ci_g_per_kwh\n"
 
 
 def test_carbon_footprint_unit_case():
+    assert carbon_footprint(energy=Energy(3.6e6), ci=CarbonIntensity(425.0)) == 425.0
     assert carbon_footprint(Energy(3.6e6), CarbonIntensity(425.0)) == 425.0
     assert carbon_footprint(Energy(0.0), CarbonIntensity(425.0)) == 0.0
 
@@ -99,10 +100,12 @@ def test_load_ci_table_rejects_a_negative_year():
 
 
 def test_load_ci_table_rejects_duplicates():
-    text = CI_HEADER + "DE,Germany,2023,425\nDE,Germany,2023,430\n"
-    with pytest.raises(CiTableError) as caught:
-        load_ci_table(io.StringIO(text))
-    assert str(caught.value) == "line 3: duplicate entry for ('DE', 2023)"
+    # One row per country, whatever its year: pricing one of two would depend on row order.
+    for second in ("DE,Germany,2023,430", "de,Germany,2022,400"):
+        text = CI_HEADER + f"DE,Germany,2023,425\nFI,Finland,2023,92\n{second}\n"
+        with pytest.raises(CiTableError) as caught:
+            load_ci_table(io.StringIO(text))
+        assert str(caught.value) == "line 4: duplicate entry for 'DE'; keep one row per country"
 
 
 def test_load_ci_table_rejects_bad_country_code():
@@ -134,7 +137,7 @@ def test_record_normalizes_country_code_case():
     ("Germany", True, "year must be an integer, got bool"),
 ], ids=["country_name", "year str", "year bool"])
 def test_record_checks_its_name_and_year(name, year, message):
-    # Else cf_vs_gamma prints a name of None, or "years 2023, 2023" for two keys.
+    # Else cf_vs_gamma prints a name of None.
     with pytest.raises(FieldTypeError) as caught:
         CarbonIntensityRecord("DE", name, year, CarbonIntensity(425.0))
     assert caught.value.field == message.split()[0]
@@ -229,24 +232,17 @@ def test_cf_vs_gamma_takes_records_from_an_iterator():
     assert len(cf_vs_gamma(s, iter(table), [1]).rows) == len(table)
 
 
-TWO_YEARS_OF_DE = CI_HEADER + "DE,Germany,2023,425\nFI,Finland,2023,92\nDE,Germany,2022,400\n"
-
-
-@pytest.mark.parametrize("countries", [("DE",), ()])
-def test_cf_vs_gamma_rejects_a_priced_country_with_several_years(countries):
-    # Pricing one of the years would depend on the table's row order.
-    records = load_ci_table(io.StringIO(TWO_YEARS_OF_DE))
+@pytest.mark.parametrize("countries", [("DE",), (), ("FI",), ("XX",)])
+def test_cf_vs_gamma_rejects_records_that_repeat_a_country(countries):
+    # load_ci_table keeps one row per country; records built in code are held to it too,
+    # whichever countries the scenario prices.
+    de, fi = bundled_ci_table()[0], bundled_ci_table()[-1]
+    records = [de, fi, de.__replace__(year=2022)]
     s = replace(default_scenario(), countries=countries)
-    with pytest.raises(CiTableError) as caught:
+    with pytest.raises(FieldError) as caught:
         cf_vs_gamma(s, records, [1])
-    assert str(caught.value) == ("carbon-intensity table has 2 records for 'DE' "
-                                 "(years 2023, 2022); keep one year per country")
-
-
-def test_cf_vs_gamma_ignores_extra_years_of_a_country_it_does_not_price():
-    records = load_ci_table(io.StringIO(TWO_YEARS_OF_DE))
-    s = replace(default_scenario(), countries=("FI",))
-    assert [row.country_code for row in cf_vs_gamma(s, records, [1]).rows] == ["FI"]
+    assert caught.value.field == "records[2]"
+    assert str(caught.value) == "records[2] repeats 'DE'"
 
 
 def test_cf_vs_gamma_rejects_bad_gamma():

@@ -713,8 +713,8 @@ def test_carbon_rejects_a_ci_file_with_several_years_of_a_country(capsys, scenar
     assert run(["carbon", "--scenario", scenario_file, "--ci-file", str(ci)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("ecal: error: carbon-intensity table has 2 records for 'DE' "
-                            "(years 2023, 2022); keep one year per country\n")
+    assert captured.err == ("ecal: error: line 3: duplicate entry for 'DE'; "
+                            "keep one row per country\n")
 
 
 def test_output_is_deterministic(capsys, scenario_file):

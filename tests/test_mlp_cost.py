@@ -91,6 +91,22 @@ def test_uniform_architecture_caps_its_hidden_layers():
     assert str(caught.value) == "hidden_layers must be in [0, 1000], got 1001"
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((0, 5, 3, 3), FieldError, "inputs must be >= 1, got 0"),
+    ((6, 0, 3, 3), FieldError, "hidden_width must be >= 1, got 0"),
+    ((6, 2.5, 1, 3), FieldTypeError, "hidden_width must be an integer, got float"),
+    ((6, 5, 3, 0), FieldError, "outputs must be >= 1, got 0"),
+    ((6, 5, 0, "3"), FieldTypeError, "outputs must be an integer, got str"),
+])
+def test_uniform_architecture_names_the_argument_of_a_bad_width(args, error, message):
+    # The architecture it builds names the width by its place, layer_sizes[i].
+    with pytest.raises(error) as caught:
+        uniform_architecture(*args)
+    assert type(caught.value) is error
+    assert caught.value.field == message.split()[0]
+    assert str(caught.value) == message
+
+
 def test_architecture_validation():
     with pytest.raises(ValueError):
         MlpArchitecture((5,))

@@ -697,12 +697,13 @@ def test_a_path_and_a_text_stream_load_alike(tmp_path, load, text, expected, sou
     assert not getattr(given, "closed", False)  # a stream given is left open
 
 
-@pytest.mark.parametrize("load, text", [
-    (load_scenario, '{"samples": 256,\n "name": "K\xf6ln"}\n'),
-    (load_ci_table, CI_TEXT.replace("NO,Norway", "DE,K\xf6ln")),
+@pytest.mark.parametrize("load, text, error", [
+    (load_scenario, '{"samples": 256,\n "name": "K\xf6ln"}\n', ScenarioError),
+    (load_ci_table, CI_TEXT.replace("NO,Norway", "DE,K\xf6ln"), carbon.CiTableError),
 ], ids=["load_scenario", "load_ci_table"])
-def test_text_that_is_not_utf8_is_named_with_its_line_and_byte(tmp_path, load, text):
-    # The decoder's own message names neither the file nor its line.
+def test_text_that_is_not_utf8_is_named_with_its_line_and_byte(tmp_path, load, text, error):
+    # The decoder's own message names neither the file nor its line; the error is the
+    # loader's own, as for every other fault of the file's content.
     data = text.encode("latin-1")
     path = tmp_path / "latin1.csv"
     path.write_bytes(data)
@@ -710,7 +711,7 @@ def test_text_that_is_not_utf8_is_named_with_its_line_and_byte(tmp_path, load, t
                          (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), "source")):
         with pytest.raises(ValueError) as caught:
             load(source)
-        assert type(caught.value) is ValueError
+        assert type(caught.value) is error
         assert str(caught.value) == f"{name}: line 2: not UTF-8 (byte 0xf6)"
 
 
